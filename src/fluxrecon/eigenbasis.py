@@ -48,8 +48,9 @@ class EigenBasis:
         out = np.ones((self.size,) + pts.shape[:-1])
         for d, L in enumerate(self.domain.lengths):
             xd = pts[..., d]
-            for k in range(self.size):
-                out[k] *= _axis_mode(xd, int(self.modes[k, d]), L)
+            table = np.stack([_axis_mode(xd, m, L)
+                              for m in range(int(np.max(self.modes[:, d])) + 1)])
+            out *= table[self.modes[:, d]]
         return out
 
     def sample_on_grid(self, grid: SpatialGrid) -> np.ndarray:

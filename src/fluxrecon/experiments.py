@@ -219,9 +219,12 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         if len(row) != len(expected_header):
             raise InputError(f"malformed observation row {ln}: {row}")
         try:
-            rows.append((int(row[0]), *(float(v) for v in row[1:])))
+            parsed = (int(row[0]), *(float(v) for v in row[1:]))
         except ValueError as exc:
             raise InputError(f"malformed observation row {ln}: {exc}") from None
+        if not np.all(np.isfinite(parsed[1:])):
+            raise InputError(f"non-finite value in observation row {ln}: {row}")
+        rows.append(parsed)
     if not rows:
         raise InputError("observation file holds no samples")
 

@@ -13,6 +13,14 @@ evaluated through one of two exact representations:
 The default crossover is 2 ln(1/tail_tol) / lambda_K, which keeps the
 spectral tail below tail_tol^2 at the crossover itself and below
 tail_tol at half the crossover, where the two branches are compared.
+
+The boundary data functional (boundary_propagate_trace) is a lag
+operator: on a uniform time grid starting at 0 its sigma = sqrt(t - s)
+panels depend only on the lag j - i, so the kernel is tabulated once
+per lag (nt * gl_order evaluations per point/node pair) and the
+functional is a causal O(nt^2 * npts * nb) sum over lags. The scalar
+boundary_propagate evaluates the same quadrature at one (point, time)
+and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -241,12 +249,55 @@ class KernelEvaluator:
 
     def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray,
                                  gl_order: int = 4) -> np.ndarray:
-        """boundary_propagate at every (point, sample time of g); (nt+1, npts)."""
+        """boundary_propagate at every (point, sample time of g); (nt+1, npts).
+
+        Same quadrature as `boundary_propagate`, evaluated as a lag
+        operator. On the uniform grid t_j = j dt the sigma panel that
+        covers s in [t_{j-l-1}, t_{j-l}] is [sqrt(l dt), sqrt((l+1) dt)]
+        for every j, so the kernel is evaluated once per (lag, Gauss
+        point, point, node) and folded with the quadrature, the linear
+        interpolation in s and the boundary weights into per-lag
+        matrices W_up[l] (acting on g[j-l]) and W_lo[l] (on g[j-l-1]),
+        each (npts, nb). Then
+
+            a[j] = sum_{l<j} W_up[l] g[j-l] + W_lo[l] g[j-l-1],  a[0] = 0.
+
+        Cost: nt * gl_order kernel evaluations per (point, node) pair
+        plus an O(nt^2 * npts * nb) causal sum. Raises InputError unless
+        the time grid of g is uniform and starts at 0.
+        """
         pts = np.asarray(points, dtype=float)
-        out = np.zeros((len(g.times), len(pts)))
-        for j, t in enumerate(g.times):
-            for i in range(len(pts)):
-                out[j, i] = self.boundary_propagate(g, pts[i], float(t), gl_order)
+        times = g.times
+        nt = len(times) - 1
+        if times[0] != 0.0:
+            raise InputError(f"lag operator needs a time grid starting at 0, got {times[0]}")
+        out = np.zeros((nt + 1, len(pts)))
+        if nt == 0:
+            return out
+        dt = float(times[-1]) / nt
+        if not (dt > 0 and np.max(np.abs(times - dt * np.arange(nt + 1))) <= 1e-10 * dt):
+            raise InputError("lag operator needs a uniform time grid")
+
+        sig_edges = np.sqrt(np.arange(nt + 1) * dt)
+        xi, wq = gauss_legendre(gl_order)
+        half = 0.5 * np.diff(sig_edges)[:, None]
+        mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
+        sigma = mid + half * xi[None, :]                          # (nt, q)
+        theta_lo = sigma**2 / dt - np.arange(nt)[:, None]          # weight of g[j-l-1]
+        quad = 2.0 * sigma * half * wq[None, :]
+        c_up = quad * (1.0 - theta_lo)
+        c_lo = quad * theta_lo
+        w_up = np.empty((nt, len(pts), g.nodes.count))
+        w_lo = np.empty_like(w_up)
+        for i in range(len(pts)):
+            kv = self._values_batch(pts[i], g.nodes.nodes, (sigma**2).ravel())
+            kv = kv.reshape(nt, gl_order, -1) * g.nodes.weights    # (nt, q, nb)
+            w_up[:, i] = np.einsum("lq,lqb->lb", c_up, kv)
+            w_lo[:, i] = np.einsum("lq,lqb->lb", c_lo, kv)
+
+        gv = g.values
+        for lag in range(nt):
+            out[lag + 1:] += gv[1:nt + 1 - lag] @ w_up[lag].T + gv[:nt - lag] @ w_lo[lag].T
         return out
 
     def domain_propagate(self, h: np.ndarray, grid: SpatialGrid, times: np.ndarray,

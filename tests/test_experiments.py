@@ -172,6 +172,18 @@ class TestObservationIO:
         with pytest.raises(InputError, match="malformed observation row"):
             load_observation(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_value(self, cheap_obs, tmp_path, capsys, bad):
+        _, csv_text, meta_text = cheap_obs
+        lines = csv_text.splitlines()
+        lines[4] = ",".join(lines[4].split(",")[:-1] + [bad])
+        path = _write_pair(tmp_path / "d", "\n".join(lines) + "\n", meta_text)
+        with pytest.raises(InputError, match="non-finite value in observation row 4"):
+            load_observation(path)
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_node_id_out_of_range(self, cheap_obs, tmp_path):
         _, csv_text, meta_text = cheap_obs
         path = _write_pair(tmp_path / "d", csv_text + "7,0,0,0\n", meta_text)

@@ -155,6 +155,43 @@ class TestBoundaryPropagate:
         # symmetric data gives symmetric functional
         assert np.max(np.abs(out[:, 0] - out[:, 1])) < 1e-12
 
+    @pytest.mark.parametrize("domain, m, nt", [(interval(), 0, 128), (rectangle(), 8, 64)],
+                             ids=["interval", "rectangle"])
+    def test_lag_operator_matches_scalar_loop(self, domain, m, nt):
+        # noisy data exercises every lag weight; the rectangle has 32 nodes
+        ev = KernelEvaluator(domain)
+        nodes = boundary_nodes(domain, m)
+        times = np.linspace(0.0, 1.0, nt + 1)
+        rng = np.random.default_rng(7)
+        values = times[:, None] * (1.0 + 0.1 * rng.standard_normal((nt + 1, nodes.count)))
+        g = BoundaryTrace(nodes=nodes, times=times, values=values)
+        got = ev.boundary_propagate_trace(g, nodes.nodes)
+        ref = np.array([[ev.boundary_propagate(g, p, float(t)) for p in nodes.nodes]
+                        for t in times])
+        assert got.shape == ref.shape == (nt + 1, nodes.count)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_trace_rejects_nonuniform_grid(self, ev):
+        g = self._trace(lambda ts: ts, nt=8)
+        times = g.times.copy()
+        times[3] += 0.01
+        bent = BoundaryTrace(nodes=g.nodes, times=times, values=g.values)
+        with pytest.raises(InputError, match="uniform"):
+            ev.boundary_propagate_trace(bent, g.nodes.nodes)
+
+    def test_trace_rejects_grid_not_starting_at_zero(self, ev):
+        g = self._trace(lambda ts: ts, nt=8)
+        shifted = BoundaryTrace(nodes=g.nodes, times=g.times + 0.5, values=g.values)
+        with pytest.raises(InputError, match="starting at 0"):
+            ev.boundary_propagate_trace(shifted, g.nodes.nodes)
+
+    def test_trace_single_sample(self, ev):
+        nodes = boundary_nodes(interval())
+        g = BoundaryTrace(nodes=nodes, times=np.array([0.0]), values=np.ones((1, 2)))
+        out = ev.boundary_propagate_trace(g, np.array([[0.0], [0.5], [1.0]]))
+        assert out.shape == (1, 3)
+        assert np.all(out == 0.0)
+
 
 class TestDomainPropagate:
     def test_constant_source_gives_time(self, ev):
