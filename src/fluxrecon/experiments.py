@@ -212,35 +212,53 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     expected_header = ["node_id", *coord_cols, "t", "value"]
     if header != expected_header:
         raise InputError(f"bad observation header {header}, expected {expected_header}")
-    rows = []
+    # parse row by row, stopping at the first malformed one; then check the
+    # parsed rows as arrays, always reporting the first offending row
+    parsed_rows, ids, nums = [], [], []
+    malformed = None
     for ln, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(expected_header):
-            raise InputError(f"malformed observation row {ln}: {row}")
+            malformed = f"malformed observation row {ln}: {row}"
+            break
         try:
-            parsed = (int(row[0]), *(float(v) for v in row[1:]))
+            parsed = int(row[0]), [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise InputError(f"malformed observation row {ln}: {exc}") from None
-        if not np.all(np.isfinite(parsed[1:])):
-            raise InputError(f"non-finite value in observation row {ln}: {row}")
-        rows.append(parsed)
-    if not rows:
+            malformed = f"malformed observation row {ln}: {exc}"
+            break
+        parsed_rows.append((ln, row))
+        ids.append(parsed[0])
+        nums.append(parsed[1])
+    fields = np.array(nums, dtype=float).reshape(len(nums), len(expected_header) - 1)
+    finite = np.isfinite(fields).all(axis=1)
+    if not finite.all():
+        ln, row = parsed_rows[int(np.argmin(finite))]
+        raise InputError(f"non-finite value in observation row {ln}: {row}")
+    if malformed is not None:
+        raise InputError(malformed)
+    if not ids:
         raise InputError("observation file holds no samples")
 
     nodes = _expected_nodes(scenario)
-    times = np.array(sorted({r[-2] for r in rows}))
-    index = {t: j for j, t in enumerate(times)}
-    values = np.full((len(times), nodes.count), np.nan)
-    for r in rows:
-        b = r[0]
-        if not (0 <= b < nodes.count):
+    node_ids = np.array(ids)
+    coords, t_col, v_col = fields[:, :dom.dim], fields[:, -2], fields[:, -1]
+    in_range = (node_ids >= 0) & (node_ids < nodes.count)
+    expected = nodes.nodes[np.where(in_range, node_ids, 0).astype(np.intp)]
+    bad = ~in_range | (np.max(np.abs(coords - expected), axis=1) > 1e-9)
+    if bad.any():
+        k = int(np.argmax(bad))
+        b = ids[k]
+        if not in_range[k]:
             raise InputError(f"node_id {b} out of range (0..{nodes.count - 1})")
-        coords = np.array(r[1:1 + dom.dim])
-        if np.max(np.abs(coords - nodes.nodes[b])) > 1e-9:
-            raise InputError(f"node {b} coordinates {coords} do not match the "
-                             f"expected boundary node {nodes.nodes[b]}")
-        values[index[r[-2]], b] = r[-1]
+        raise InputError(f"node {b} coordinates {coords[k]} do not match the "
+                         f"expected boundary node {nodes.nodes[b]}")
+    times = np.unique(t_col)
+    flat = np.searchsorted(times, t_col) * nodes.count + node_ids
+    # a (node, time) pair given twice keeps its last row
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+    values = np.full((len(times), nodes.count), np.nan)
+    values.flat[flat[last]] = v_col[last]
     if np.any(~np.isfinite(values)):
         raise InputError("observation table does not cover all (node, time) pairs")
     if len(times) != scenario.recon_nt + 1:

@@ -80,14 +80,33 @@ def _check_counts(nt: int) -> None:
 
 
 def _interval_step_matrix(n: int, h: float, dt: float) -> np.ndarray:
-    """Banded (I - dt/2 lap) on the n-1 interior nodes, in solve_banded's
-    layout: rows are the upper, main and lower diagonals."""
+    """Banded (I - dt/2 lap) on the n-1 interior nodes: rows are the
+    upper, main and lower diagonals (LAPACK's du, d, dl live in
+    ab[0, 1:], ab[1] and ab[2, :-1])."""
     r = dt / (2.0 * h * h)
     ab = np.zeros((3, n - 1))
     ab[0, 1:] = -r
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r
     return ab
+
+
+def _diverged(m: int, t: float) -> NumericalError:
+    return NumericalError(f"solver diverged at step {m} (t = {t:g})")
+
+
+def _subtract_reaction(rhs: np.ndarray, f_now: np.ndarray, f_prev: np.ndarray | None,
+                       dt: float, work: np.ndarray, spare: np.ndarray) -> None:
+    """rhs -= dt * f_ex in place, f_ex = 1.5 f_now - 0.5 f_prev, or f_now on
+    the first step; all arrays are over the interior nodes."""
+    if f_prev is None:
+        np.multiply(dt, f_now, out=work)
+    else:
+        np.multiply(1.5, f_now, out=work)
+        np.multiply(0.5, f_prev, out=spare)
+        np.subtract(work, spare, out=work)
+        np.multiply(dt, work, out=work)
+    np.subtract(rhs, work, out=rhs)
 
 
 def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
@@ -100,10 +119,19 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     xs = grid.axes[0]
     bpts = np.array([[xs[0]], [xs[-1]]])
     ab = _interval_step_matrix(n, h, dt)
-    # LAPACK's tridiagonal solver, the one solve_banded calls for (1, 1)
-    # bands, called directly: the wrapper's checks cost ~4x the solve
-    gtsv, = get_lapack_funcs(("gtsv",), (ab,))
+    # the step matrix is constant: LAPACK factors it once (gttrf) and each
+    # step only back-substitutes (gttrs), in place in the new time row
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ab,))
+    dl, d, du, du2, ipiv, _ = gttrf(ab[2, :-1], ab[1], ab[0, 1:])
     r = dt / (2.0 * h * h)
+    h2 = h * h
+    half_dt = 0.5 * dt
+    # work buffers over the interior nodes; each right-hand side is built
+    # in place in the operation order of the expression
+    #   um + (dt/2) lap(um) - dt f_ex + dt q,  f_ex = 1.5 f(um) - 0.5 f(u_{m-1})
+    # so it rounds exactly as that expression does
+    lap = np.empty(n - 1)
+    work = np.empty(n - 1)
 
     u = np.zeros((nt + 1, n + 1))
     if u0 is not None:
@@ -112,23 +140,30 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     f_prev = None
     for m in range(nt):
         um = u[m]
-        fm = reaction(um) if reaction is not None else np.zeros_like(um)
-        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-        lap_m = (um[:-2] - 2.0 * um[1:-1] + um[2:]) / (h * h)
-        rhs = um[1:-1] + 0.5 * dt * lap_m - dt * f_ex[1:-1]
+        inner = um[1:-1]
+        rhs = u[m + 1, 1:-1]
+        np.multiply(2.0, inner, out=lap)
+        np.subtract(um[:-2], lap, out=lap)
+        np.add(lap, um[2:], out=lap)
+        np.divide(lap, h2, out=lap)
+        np.multiply(half_dt, lap, out=lap)
+        np.add(inner, lap, out=rhs)
+        if reaction is not None:
+            fm = reaction(um)[1:-1]
+            _subtract_reaction(rhs, fm, f_prev, dt, work, lap)
+            f_prev = fm
         if source is not None:
-            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1]
+            np.multiply(dt, source(grid, times[m] + 0.5 * dt)[1:-1], out=work)
+            np.add(rhs, work, out=rhs)
         bc_new = data(bpts, times[m + 1])
         rhs[0] += r * bc_new[0]
         rhs[-1] += r * bc_new[1]
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        u_new = gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)[3]
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        u[m + 1, 1:-1] = u_new
+        # gttrs overwrites rhs when it can; storing its result covers a copy
+        rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+        # a non-finite right-hand side always gives a non-finite solve
+        if not np.isfinite(rhs).all():
+            raise _diverged(m + 1, times[m + 1])
         u[m + 1, 0], u[m + 1, -1] = bc_new
-        f_prev = fm
     return SolutionField(grid=grid, times=times, values=u)
 
 
@@ -144,11 +179,16 @@ def _rect_interior_matrix(grid: SpatialGrid):
     return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
 
 
-def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
-    """Contribution of boundary-ring values to the interior 5-point stencil."""
+def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Contribution of boundary-ring values to the interior 5-point stencil
+    (written into `out` when given)."""
     nx, ny = grid.n
     hx, hy = grid.h
-    out = np.zeros((nx - 1, ny - 1))
+    if out is None:
+        out = np.zeros((nx - 1, ny - 1))
+    else:
+        out.fill(0.0)
     out[0, :] += ring[0, 1:-1] / (hx * hx)
     out[-1, :] += ring[-1, 1:-1] / (hx * hx)
     out[:, 0] += ring[1:-1, 0] / (hy * hy)
@@ -156,19 +196,23 @@ def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rect_boundary_ring(grid: SpatialGrid, data: DirichletData, t: float) -> np.ndarray:
-    """Dirichlet values on the full boundary ring of grid nodes at time t."""
+def _rect_ring_sides(grid: SpatialGrid) -> list[tuple[tuple, np.ndarray]]:
+    """(index, node coordinates) of the four sides of the boundary ring of
+    grid nodes; the y-sides come last, so they set the corners."""
     nx, ny = grid.n
-    vals = np.zeros((nx + 1, ny + 1))
     xg, yg = grid.axes
-    for idx, pts in [
+    return [
         ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
         ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
         ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
         ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
-    ]:
-        vals[idx] = data(pts, t)
-    return vals
+    ]
+
+
+def _set_boundary_ring(out: np.ndarray, sides, data: DirichletData, t: float) -> None:
+    """Write the Dirichlet values at time t on the ring of the grid field out."""
+    for idx, pts in sides:
+        out[idx] = data(pts, t)
 
 
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
@@ -181,38 +225,52 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     A = _rect_interior_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
     lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
-
-    def lap_full(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        out[1:-1, 1:-1] = ((w[:-2, 1:-1] - 2 * w[1:-1, 1:-1] + w[2:, 1:-1]) / (hx * hx)
-                           + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
-        return out
+    sides = _rect_ring_sides(grid)
+    hx2, hy2 = hx * hx, hy * hy
+    half_dt = 0.5 * dt
+    # work buffers over the interior nodes; as in _solve_1d, each
+    # right-hand side keeps the operation order of the expression
+    #   um + (dt/2) lap(um) - dt f_ex + (dt/2) ring coupling + dt q
+    lap = np.empty((nx - 1, ny - 1))
+    lap_y = np.empty_like(lap)
+    work = np.empty_like(lap)
+    rhs = np.empty_like(lap)
 
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    ring0 = _rect_boundary_ring(grid, data, 0.0)
-    u[0][0, :], u[0][-1, :] = ring0[0, :], ring0[-1, :]
-    u[0][:, 0], u[0][:, -1] = ring0[:, 0], ring0[:, -1]
+    _set_boundary_ring(u[0], sides, data, 0.0)
     f_prev = None
     for m in range(nt):
         um = u[m]
-        fm = reaction(um) if reaction is not None else np.zeros_like(um)
-        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-        ring_new = _rect_boundary_ring(grid, data, times[m + 1])
-        rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, ring_new))
+        inner = um[1:-1, 1:-1]
+        np.multiply(2.0, inner, out=work)
+        np.subtract(um[:-2, 1:-1], work, out=lap)
+        np.add(lap, um[2:, 1:-1], out=lap)
+        np.divide(lap, hx2, out=lap)
+        np.subtract(um[1:-1, :-2], work, out=lap_y)
+        np.add(lap_y, um[1:-1, 2:], out=lap_y)
+        np.divide(lap_y, hy2, out=lap_y)
+        np.add(lap, lap_y, out=lap)
+        np.multiply(half_dt, lap, out=lap)
+        np.add(inner, lap, out=rhs)
+        if reaction is not None:
+            fm = reaction(um)[1:-1, 1:-1]
+            _subtract_reaction(rhs, fm, f_prev, dt, work, lap)
+            f_prev = fm
+        new = u[m + 1]
+        _set_boundary_ring(new, sides, data, times[m + 1])
+        _rect_bc_coupling(grid, new, out=work)
+        np.multiply(half_dt, work, out=work)
+        np.add(rhs, work, out=rhs)
         if source is not None:
-            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+            np.multiply(dt, source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1], out=work)
+            np.add(rhs, work, out=rhs)
         u_new = lhs.solve(rhs.ravel())
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        full = ring_new.copy()
-        full[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
-        u[m + 1] = full
-        f_prev = fm
+        # a non-finite right-hand side always gives a non-finite solve
+        if not np.isfinite(u_new).all():
+            raise _diverged(m + 1, times[m + 1])
+        new[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
     return SolutionField(grid=grid, times=times, values=u)
 
 

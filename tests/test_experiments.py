@@ -184,6 +184,35 @@ class TestObservationIO:
                      "--out", str(tmp_path / "out")]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edits, message", [
+        ({4: "nan", 7: "inf"}, "non-finite value in observation row 4"),
+        ({6: "inf", 8: None}, "non-finite value in observation row 6"),
+        ({5: None, 7: "nan"}, "malformed observation row 5"),
+        ({3: "node", 6: None}, "malformed observation row 6"),
+        ({3: "node", 5: "coord"}, "node_id 9 out of range"),
+        ({3: "coord", 5: "node"}, "node 0 coordinates"),
+    ])
+    def test_first_bad_row_is_reported(self, cheap_obs, tmp_path, edits, message):
+        # several bad rows: the error names the first one in file order;
+        # a row that does not parse is reported before any node check
+        _, csv_text, meta_text = cheap_obs
+        lines = csv_text.splitlines()
+        data_start = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("node_id"))
+        for row, edit in edits.items():
+            fields = lines[data_start + row - 2].split(",")
+            if edit is None:
+                fields = fields[:-1]
+            elif edit == "node":
+                fields[0] = "9"
+            elif edit == "coord":
+                fields[0], fields[1] = "0", "0.5"
+            else:
+                fields[-1] = edit
+            lines[data_start + row - 2] = ",".join(fields)
+        path = _write_pair(tmp_path / "d", "\n".join(lines) + "\n", meta_text)
+        with pytest.raises(InputError, match=message):
+            load_observation(path)
+
     def test_node_id_out_of_range(self, cheap_obs, tmp_path):
         _, csv_text, meta_text = cheap_obs
         path = _write_pair(tmp_path / "d", csv_text + "7,0,0,0\n", meta_text)
