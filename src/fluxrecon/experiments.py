@@ -14,6 +14,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,7 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         raise InputError(f"bad observation header {header}, expected {expected_header}")
     # parse row by row, stopping at the first malformed one; then check the
     # parsed rows as arrays, always reporting the first offending row
-    parsed_rows, ids, nums = [], [], []
+    row_lns, ids, nums = [], [], []
     malformed = None
     for ln, row in enumerate(reader, start=2):
         if not row:
@@ -227,13 +228,14 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         except ValueError as exc:
             malformed = f"malformed observation row {ln}: {exc}"
             break
-        parsed_rows.append((ln, row))
+        row_lns.append(ln)
         ids.append(parsed[0])
         nums.append(parsed[1])
     fields = np.array(nums, dtype=float).reshape(len(nums), len(expected_header) - 1)
     finite = np.isfinite(fields).all(axis=1)
     if not finite.all():
-        ln, row = parsed_rows[int(np.argmin(finite))]
+        ln = row_lns[int(np.argmin(finite))]
+        row = next(islice(csv.reader(lines), ln - 1, None))
         raise InputError(f"non-finite value in observation row {ln}: {row}")
     if malformed is not None:
         raise InputError(malformed)

@@ -91,24 +91,6 @@ def _interval_step_matrix(n: int, h: float, dt: float) -> np.ndarray:
     return ab
 
 
-def _diverged(m: int, t: float) -> NumericalError:
-    return NumericalError(f"solver diverged at step {m} (t = {t:g})")
-
-
-def _subtract_reaction(rhs: np.ndarray, f_now: np.ndarray, f_prev: np.ndarray | None,
-                       dt: float, work: np.ndarray, spare: np.ndarray) -> None:
-    """rhs -= dt * f_ex in place, f_ex = 1.5 f_now - 0.5 f_prev, or f_now on
-    the first step; all arrays are over the interior nodes."""
-    if f_prev is None:
-        np.multiply(dt, f_now, out=work)
-    else:
-        np.multiply(1.5, f_now, out=work)
-        np.multiply(0.5, f_prev, out=spare)
-        np.subtract(work, spare, out=work)
-        np.multiply(dt, work, out=work)
-    np.subtract(rhs, work, out=rhs)
-
-
 def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
               source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
     n = grid.n[0]
@@ -150,7 +132,14 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         np.add(inner, lap, out=rhs)
         if reaction is not None:
             fm = reaction(um)[1:-1]
-            _subtract_reaction(rhs, fm, f_prev, dt, work, lap)
+            if f_prev is None:
+                np.multiply(dt, fm, out=work)
+            else:
+                np.multiply(1.5, fm, out=work)
+                np.multiply(0.5, f_prev, out=lap)
+                np.subtract(work, lap, out=work)
+                np.multiply(dt, work, out=work)
+            np.subtract(rhs, work, out=rhs)
             f_prev = fm
         if source is not None:
             np.multiply(dt, source(grid, times[m] + 0.5 * dt)[1:-1], out=work)
@@ -162,7 +151,7 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
         # a non-finite right-hand side always gives a non-finite solve
         if not np.isfinite(rhs).all():
-            raise _diverged(m + 1, times[m + 1])
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         u[m + 1, 0], u[m + 1, -1] = bc_new
     return SolutionField(grid=grid, times=times, values=u)
 
@@ -179,16 +168,11 @@ def _rect_interior_matrix(grid: SpatialGrid):
     return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
 
 
-def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Contribution of boundary-ring values to the interior 5-point stencil
-    (written into `out` when given)."""
+def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
+    """Contribution of boundary-ring values to the interior 5-point stencil."""
     nx, ny = grid.n
     hx, hy = grid.h
-    if out is None:
-        out = np.zeros((nx - 1, ny - 1))
-    else:
-        out.fill(0.0)
+    out = np.zeros((nx - 1, ny - 1))
     out[0, :] += ring[0, 1:-1] / (hx * hx)
     out[-1, :] += ring[-1, 1:-1] / (hx * hx)
     out[:, 0] += ring[1:-1, 0] / (hy * hy)
@@ -196,23 +180,19 @@ def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray,
     return out
 
 
-def _rect_ring_sides(grid: SpatialGrid) -> list[tuple[tuple, np.ndarray]]:
-    """(index, node coordinates) of the four sides of the boundary ring of
-    grid nodes; the y-sides come last, so they set the corners."""
+def _rect_boundary_ring(grid: SpatialGrid, data: DirichletData, t: float) -> np.ndarray:
+    """Dirichlet values on the full boundary ring of grid nodes at time t."""
     nx, ny = grid.n
+    vals = np.zeros((nx + 1, ny + 1))
     xg, yg = grid.axes
-    return [
+    for idx, pts in [
         ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
         ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
         ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
         ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
-    ]
-
-
-def _set_boundary_ring(out: np.ndarray, sides, data: DirichletData, t: float) -> None:
-    """Write the Dirichlet values at time t on the ring of the grid field out."""
-    for idx, pts in sides:
-        out[idx] = data(pts, t)
+    ]:
+        vals[idx] = data(pts, t)
+    return vals
 
 
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
@@ -225,52 +205,38 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     A = _rect_interior_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
     lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
-    sides = _rect_ring_sides(grid)
-    hx2, hy2 = hx * hx, hy * hy
-    half_dt = 0.5 * dt
-    # work buffers over the interior nodes; as in _solve_1d, each
-    # right-hand side keeps the operation order of the expression
-    #   um + (dt/2) lap(um) - dt f_ex + (dt/2) ring coupling + dt q
-    lap = np.empty((nx - 1, ny - 1))
-    lap_y = np.empty_like(lap)
-    work = np.empty_like(lap)
-    rhs = np.empty_like(lap)
+
+    def lap_full(w: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(w)
+        out[1:-1, 1:-1] = ((w[:-2, 1:-1] - 2 * w[1:-1, 1:-1] + w[2:, 1:-1]) / (hx * hx)
+                           + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
+        return out
 
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    _set_boundary_ring(u[0], sides, data, 0.0)
+    ring0 = _rect_boundary_ring(grid, data, 0.0)
+    u[0][0, :], u[0][-1, :] = ring0[0, :], ring0[-1, :]
+    u[0][:, 0], u[0][:, -1] = ring0[:, 0], ring0[:, -1]
     f_prev = None
     for m in range(nt):
         um = u[m]
-        inner = um[1:-1, 1:-1]
-        np.multiply(2.0, inner, out=work)
-        np.subtract(um[:-2, 1:-1], work, out=lap)
-        np.add(lap, um[2:, 1:-1], out=lap)
-        np.divide(lap, hx2, out=lap)
-        np.subtract(um[1:-1, :-2], work, out=lap_y)
-        np.add(lap_y, um[1:-1, 2:], out=lap_y)
-        np.divide(lap_y, hy2, out=lap_y)
-        np.add(lap, lap_y, out=lap)
-        np.multiply(half_dt, lap, out=lap)
-        np.add(inner, lap, out=rhs)
-        if reaction is not None:
-            fm = reaction(um)[1:-1, 1:-1]
-            _subtract_reaction(rhs, fm, f_prev, dt, work, lap)
-            f_prev = fm
-        new = u[m + 1]
-        _set_boundary_ring(new, sides, data, times[m + 1])
-        _rect_bc_coupling(grid, new, out=work)
-        np.multiply(half_dt, work, out=work)
-        np.add(rhs, work, out=rhs)
+        fm = reaction(um) if reaction is not None else np.zeros_like(um)
+        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
+        ring_new = _rect_boundary_ring(grid, data, times[m + 1])
+        rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
+               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, ring_new))
         if source is not None:
-            np.multiply(dt, source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1], out=work)
-            np.add(rhs, work, out=rhs)
+            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
+        if not np.all(np.isfinite(rhs)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         u_new = lhs.solve(rhs.ravel())
-        # a non-finite right-hand side always gives a non-finite solve
-        if not np.isfinite(u_new).all():
-            raise _diverged(m + 1, times[m + 1])
-        new[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
+        if not np.all(np.isfinite(u_new)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        full = ring_new.copy()
+        full[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
+        u[m + 1] = full
+        f_prev = fm
     return SolutionField(grid=grid, times=times, values=u)
 
 

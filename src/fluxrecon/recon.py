@@ -25,7 +25,6 @@ Neither pass solves the semilinear equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -196,17 +195,10 @@ def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     return rings
 
 
-# grid -> LU factors of its negative 5-point Dirichlet Laplacian, held as
-# long as the grid is: both passes of a reconstruct (and the other
-# extension of compare_extensions) share one grid, so one factorization
-_HARMONIC_LU: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     rings = _rect_rings(a, grid)
-    lu = _HARMONIC_LU.get(grid)
-    if lu is None:
-        lu = _HARMONIC_LU[grid] = splu(-_rect_interior_matrix(grid).tocsc())
+    A = _rect_interior_matrix(grid).tocsc()
+    lu = splu(-A)
     nt1 = rings.shape[0]
     out = rings.copy()
     rhs = np.stack([_rect_bc_coupling(grid, rings[j]).ravel() for j in range(nt1)], axis=1)

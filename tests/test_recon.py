@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from fluxrecon.eigenbasis import make_basis
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
@@ -168,27 +167,6 @@ class TestShapedExtension:
         monkeypatch.setattr(forward, "_solve_1d", spy)
         reconstruct(small_obs, ReconstructionConfig(grid_n=16, compare_extensions=True))
         assert reactions and all(r is None for r in reactions)
-
-
-    def test_one_laplacian_factorization_per_rectangle_reconstruct(self, monkeypatch):
-        # both passes of both extensions reuse one LU of the grid's Laplacian
-        import fluxrecon.recon as recon
-        dom = rectangle()
-        phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
-        obs = synthesize_observation(dom, make_reaction({"family": "saturating"}), phi,
-                                     fine_n=32, fine_nt=128, sub_nt=16, m_nodes=8)
-        calls = []
-
-        def spy(matrix):
-            calls.append(matrix.shape)
-            return splu(matrix)
-        monkeypatch.setattr(recon, "splu", spy)
-        for method in ("harmonic", "normal_constant"):
-            calls.clear()
-            config = ReconstructionConfig(grid_n=16, extension=method,
-                                          compare_extensions=True)
-            reconstruct(obs, config)
-            assert calls == [(15 * 15, 15 * 15)]
 
 
 class TestFluxDifference:
