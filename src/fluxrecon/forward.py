@@ -23,7 +23,16 @@ from .fields import BoundaryTrace, SolutionField
 from .geometry import (BoundaryNodeSet, DomainKind, DomainSpec, SpatialGrid,
                        boundary_nodes, build_grid)
 
-SourceFn = Callable[[SpatialGrid, float], np.ndarray]
+SourceFn = Callable[[SpatialGrid, np.ndarray], np.ndarray]
+"""A source q(x, t) of the forward march. It gets the grid and the times
+as an array of shape (rows, 1, ...) with one axis per grid axis, and must
+return values that broadcast to (rows, *grid.shape): row i is q at t[i].
+A source written with elementwise numpy operations on t meets this."""
+
+# time rows per source evaluation and per divergence check of the marches
+_BLOCK = 64
+# time rows per block of the difference residual
+_RESIDUAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -50,22 +59,41 @@ class Nonlinearity:
 class DirichletData:
     """Time-dependent Dirichlet boundary data phi(x, t).
 
-    fn maps (points (N, dim), t) to values (N,); final_time is the
-    horizon T of the experiment.
+    fn maps (points (N, dim), t) to values; final_time is the horizon T
+    of the experiment. fn must broadcast over t: given a float it
+    returns (N,) values, and given a column of times (T, 1) it returns
+    values that broadcast to (T, N), row i being phi at t[i]. A fn
+    written with elementwise numpy operations on t meets this, and the
+    solvers tabulate the data once per solve through `table`.
     """
 
-    fn: Callable[[np.ndarray, float], np.ndarray]
+    fn: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
     final_time: float
     label: str = "custom"
 
     def __call__(self, points: np.ndarray, t: float) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(points, dtype=float), float(t)), dtype=float)
 
+    def table(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """phi at every (time, point) pair, shape (len(times), N), from one
+        call of fn with the times as a column."""
+        points = np.asarray(points, dtype=float)
+        times = np.asarray(times, dtype=float)
+        shape = (len(times), len(points))
+        try:
+            vals = np.asarray(self.fn(points, times[:, None]), dtype=float)
+            return np.array(np.broadcast_to(vals, shape))
+        except (ValueError, TypeError) as exc:
+            raise InputError(
+                f"boundary data {self.label!r} must broadcast over a column of times: "
+                f"fn(points (N, dim), t (T, 1)) must give values that broadcast to "
+                f"(T, N) = {shape} ({exc})") from exc
+
     def check_admissible(self, nodes: BoundaryNodeSet, time_samples: int = 65,
                          tol: float = 1e-10) -> None:
         """Sampled admissibility: phi(., 0) = 0, phi >= 0, phi not identically 0."""
         ts = np.linspace(0.0, self.final_time, time_samples)
-        vals = np.stack([self(nodes.nodes, t) for t in ts])
+        vals = self.table(nodes.nodes, ts)
         if np.max(np.abs(vals[0])) > tol:
             raise InputError("boundary data must vanish at t = 0")
         if np.min(vals) < -tol:
@@ -89,6 +117,30 @@ def _interval_step_matrix(n: int, h: float, dt: float) -> np.ndarray:
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r
     return ab
+
+
+def _source_rows(source: SourceFn, grid: SpatialGrid, ts: np.ndarray) -> np.ndarray:
+    """q at the times ts on the whole grid, shape (len(ts), *grid.shape),
+    from one call of the source."""
+    shape = (len(ts),) + grid.shape
+    try:
+        vals = np.asarray(source(grid, ts.reshape((-1,) + (1,) * grid.domain.dim)),
+                          dtype=float)
+        return np.broadcast_to(vals, shape)
+    except (ValueError, TypeError) as exc:
+        raise InputError(
+            f"the source must broadcast over a column of times: source(grid, t "
+            f"(rows, 1, ...)) must give values that broadcast to {shape} ({exc})") from exc
+
+
+def _check_rows(rows: np.ndarray, times: np.ndarray, m0: int) -> None:
+    """Raise for the first non-finite row of rows = u[m0 + 1 : ...]; the
+    error names that row's step as the march reaches it."""
+    if np.isfinite(rows).all():
+        return
+    finite = np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
+    step = m0 + 1 + int(np.argmin(finite))
+    raise NumericalError(f"solver diverged at step {step} (t = {times[step]:g})")
 
 
 def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
@@ -118,41 +170,45 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     u = np.zeros((nt + 1, n + 1))
     if u0 is not None:
         u[0] = u0
-    u[0, 0], u[0, -1] = data(bpts, 0.0)
+    # the boundary columns are known up front; r * phi enters the end rows
+    bc = data.table(bpts, times)
+    u[:, 0], u[:, -1] = bc[:, 0], bc[:, 1]
+    r_bc = r * bc[1:]
     f_prev = None
-    for m in range(nt):
-        um = u[m]
-        inner = um[1:-1]
-        rhs = u[m + 1, 1:-1]
-        np.multiply(2.0, inner, out=lap)
-        np.subtract(um[:-2], lap, out=lap)
-        np.add(lap, um[2:], out=lap)
-        np.divide(lap, h2, out=lap)
-        np.multiply(half_dt, lap, out=lap)
-        np.add(inner, lap, out=rhs)
-        if reaction is not None:
-            fm = reaction(um)[1:-1]
-            if f_prev is None:
-                np.multiply(dt, fm, out=work)
-            else:
-                np.multiply(1.5, fm, out=work)
-                np.multiply(0.5, f_prev, out=lap)
-                np.subtract(work, lap, out=work)
-                np.multiply(dt, work, out=work)
-            np.subtract(rhs, work, out=rhs)
-            f_prev = fm
+    for m0 in range(0, nt, _BLOCK):
+        m1 = min(m0 + _BLOCK, nt)
         if source is not None:
-            np.multiply(dt, source(grid, times[m] + 0.5 * dt)[1:-1], out=work)
-            np.add(rhs, work, out=rhs)
-        bc_new = data(bpts, times[m + 1])
-        rhs[0] += r * bc_new[0]
-        rhs[-1] += r * bc_new[1]
-        # gttrs overwrites rhs when it can; storing its result covers a copy
-        rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
-        # a non-finite right-hand side always gives a non-finite solve
-        if not np.isfinite(rhs).all():
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        u[m + 1, 0], u[m + 1, -1] = bc_new
+            q_dt = dt * _source_rows(source, grid, times[m0:m1] + half_dt)[:, 1:-1]
+        for m in range(m0, m1):
+            um = u[m]
+            inner = um[1:-1]
+            rhs = u[m + 1, 1:-1]
+            np.multiply(2.0, inner, out=lap)
+            np.subtract(um[:-2], lap, out=lap)
+            np.add(lap, um[2:], out=lap)
+            np.divide(lap, h2, out=lap)
+            np.multiply(half_dt, lap, out=lap)
+            np.add(inner, lap, out=rhs)
+            if reaction is not None:
+                fm = reaction(um)[1:-1]
+                if f_prev is None:
+                    np.multiply(dt, fm, out=work)
+                else:
+                    np.multiply(1.5, fm, out=work)
+                    np.multiply(0.5, f_prev, out=lap)
+                    np.subtract(work, lap, out=work)
+                    np.multiply(dt, work, out=work)
+                np.subtract(rhs, work, out=rhs)
+                f_prev = fm
+            if source is not None:
+                np.add(rhs, q_dt[m - m0], out=rhs)
+            rhs[0] += r_bc[m, 0]
+            rhs[-1] += r_bc[m, 1]
+            # gttrs overwrites rhs when it can; storing its result covers a copy
+            rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
+        # a non-finite right-hand side always gives a non-finite solve, so
+        # the first non-finite row is the step that diverged
+        _check_rows(u[m0 + 1:m1 + 1, 1:-1], times, m0)
     return SolutionField(grid=grid, times=times, values=u)
 
 
@@ -180,21 +236,6 @@ def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rect_boundary_ring(grid: SpatialGrid, data: DirichletData, t: float) -> np.ndarray:
-    """Dirichlet values on the full boundary ring of grid nodes at time t."""
-    nx, ny = grid.n
-    vals = np.zeros((nx + 1, ny + 1))
-    xg, yg = grid.axes
-    for idx, pts in [
-        ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
-        ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
-        ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
-        ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
-    ]:
-        vals[idx] = data(pts, t)
-    return vals
-
-
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
               source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
     nx, ny = grid.n
@@ -215,28 +256,29 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    ring0 = _rect_boundary_ring(grid, data, 0.0)
-    u[0][0, :], u[0][-1, :] = ring0[0, :], ring0[-1, :]
-    u[0][:, 0], u[0][:, -1] = ring0[:, 0], ring0[:, -1]
+    # the boundary faces at every time; the y = 0 and y = L faces are
+    # written last, so theirs are the corner values
+    xg, yg = grid.axes
+    u[:, 0, :] = data.table(np.column_stack([np.zeros(ny + 1), yg]), times)
+    u[:, -1, :] = data.table(np.column_stack([np.full(ny + 1, xg[-1]), yg]), times)
+    u[:, :, 0] = data.table(np.column_stack([xg, np.zeros(nx + 1)]), times)
+    u[:, :, -1] = data.table(np.column_stack([xg, np.full(nx + 1, yg[-1])]), times)
     f_prev = None
-    for m in range(nt):
-        um = u[m]
-        fm = reaction(um) if reaction is not None else np.zeros_like(um)
-        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-        ring_new = _rect_boundary_ring(grid, data, times[m + 1])
-        rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, ring_new))
+    for m0 in range(0, nt, _BLOCK):
+        m1 = min(m0 + _BLOCK, nt)
         if source is not None:
-            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        u_new = lhs.solve(rhs.ravel())
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        full = ring_new.copy()
-        full[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
-        u[m + 1] = full
-        f_prev = fm
+            q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[:, 1:-1, 1:-1]
+        for m in range(m0, m1):
+            um = u[m]
+            fm = reaction(um) if reaction is not None else np.zeros_like(um)
+            f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
+            rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
+                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, u[m + 1]))
+            if source is not None:
+                rhs = rhs + q_dt[m - m0]
+            u[m + 1, 1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
+            f_prev = fm
+        _check_rows(u[m0 + 1:m1 + 1, 1:-1, 1:-1], times, m0)
     return SolutionField(grid=grid, times=times, values=u)
 
 
@@ -321,29 +363,39 @@ def difference_residual(u: SolutionField, v: SolutionField,
                         reaction: Nonlinearity) -> DifferenceResidualReport:
     """Check w = u - v against its evolution law with discrete operators
     (centered time derivative, 3/5-point Laplacian) on interior nodes and
-    interior times."""
+    interior times. The residual is formed a block of time rows at a time
+    (with one row of halo each side for the time difference), so the
+    memory it needs does not grow with the number of steps."""
     if u.values.shape != v.values.shape or not np.allclose(u.times, v.times):
         raise InputError("fields must share grid and time sampling")
     grid = u.grid
-    w = u.values - v.values
     dt = float(u.times[1] - u.times[0])
-    wt = (w[2:] - w[:-2]) / (2.0 * dt)
+    nt1 = len(u.times)
+    peaks = []
+    for j0 in range(1, nt1 - 1, _RESIDUAL_ROWS):
+        j1 = min(j0 + _RESIDUAL_ROWS, nt1 - 1)
+        w = u.values[j0 - 1:j1 + 1] - v.values[j0 - 1:j1 + 1]
+        wt = (w[2:] - w[:-2]) / (2.0 * dt)
+        if grid.domain.dim == 1:
+            h = grid.h[0]
+            lap = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / (h * h)
+            res = wt[:, 1:-1] - lap[1:-1] + reaction.fn(u.values[j0:j1, 1:-1])
+        else:
+            hx, hy = grid.h
+            lap = ((w[:, :-2, 1:-1] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 2:, 1:-1]) / (hx * hx)
+                   + (w[:, 1:-1, :-2] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 1:-1, 2:]) / (hy * hy))
+            res = wt[:, 1:-1, 1:-1] - lap[1:-1] + reaction.fn(u.values[j0:j1, 1:-1, 1:-1])
+        peaks.append(np.max(np.abs(res)))
     if grid.domain.dim == 1:
-        h = grid.h[0]
-        lap = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / (h * h)
-        res = wt[:, 1:-1] - lap[1:-1] + reaction.fn(u.values[1:-1, 1:-1])
-        boundary = np.max(np.abs(w[:, [0, -1]]))
+        edge = u.values[:, [0, -1]] - v.values[:, [0, -1]]
     else:
-        hx, hy = grid.h
-        lap = ((w[:, :-2, 1:-1] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 2:, 1:-1]) / (hx * hx)
-               + (w[:, 1:-1, :-2] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 1:-1, 2:]) / (hy * hy))
-        res = wt[:, 1:-1, 1:-1] - lap[1:-1] + reaction.fn(u.values[1:-1, 1:-1, 1:-1])
-        edge = np.concatenate([w[:, 0, :].ravel(), w[:, -1, :].ravel(),
-                               w[:, :, 0].ravel(), w[:, :, -1].ravel()])
-        boundary = np.max(np.abs(edge))
-    return DifferenceResidualReport(interior_max=float(np.max(np.abs(res))),
-                                    boundary_max=float(boundary),
-                                    initial_max=float(np.max(np.abs(w[0]))))
+        edge = np.concatenate([(u.values[:, 0, :] - v.values[:, 0, :]).ravel(),
+                               (u.values[:, -1, :] - v.values[:, -1, :]).ravel(),
+                               (u.values[:, :, 0] - v.values[:, :, 0]).ravel(),
+                               (u.values[:, :, -1] - v.values[:, :, -1]).ravel()])
+    return DifferenceResidualReport(interior_max=float(np.max(peaks)),
+                                    boundary_max=float(np.max(np.abs(edge))),
+                                    initial_max=float(np.max(np.abs(u.values[0] - v.values[0]))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,7 +131,9 @@ class KernelEvaluator:
         if np.any(near):
             out[near] = self.images_values(x, y, taus[near])
         if np.any(~near):
-            out[~near] = self.spectral_values(x, y, taus[~near])
+            # the kernel is positive; where it is below the series' rounding
+            # error (far points, short gaps) the sum can come out -1e-16
+            out[~near] = np.maximum(self.spectral_values(x, y, taus[~near]), 0.0)
         return out
 
     def value(self, x, y, tau: float) -> float:

@@ -447,7 +447,7 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     kernel = KernelEvaluator(obs.domain, config.kernel)
     functional = compute_data_functional(gap, kernel)
     basis = make_basis(obs.domain, config.k_modes)
-    phi_vals = np.stack([obs.phi(functional.nodes.nodes, t) for t in functional.times])
+    phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
     series, fvals, curve = _corrected_pipeline(functional, v_phi, basis, config,
                                                config.extension, phi_vals)
 

@@ -149,8 +149,7 @@ def representation_suite(n: int = 512, nt: int = 2048, time_samples: int = 33) -
         got = ev.boundary_propagate_trace(flux, nodes.nodes)[::stride]
         worst = 0.0
         scale = 0.0
-        for t, row in zip(ts, got):
-            target = phi(nodes.nodes, float(t))
+        for t, row, target in zip(ts, got, phi.table(nodes.nodes, ts)):
             scale = max(scale, float(np.max(np.abs(target))))
             if t == 0.0:
                 continue

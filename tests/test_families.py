@@ -3,7 +3,7 @@ import pytest
 
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.families import make_boundary_data, make_reaction
-from fluxrecon.geometry import interval, rectangle
+from fluxrecon.geometry import boundary_nodes, interval, rectangle
 
 
 class TestReactions:
@@ -83,3 +83,26 @@ class TestBoundaryData:
         with pytest.raises(ConfigurationError):
             make_boundary_data({"family": "saturating_ramp", "scale": 0.0},
                                interval(), 1.0)
+
+
+class TestBoundaryTable:
+    """table evaluates phi once over a column of times; every family and
+    profile must give the per-time values bit for bit."""
+
+    # the 1.7 horizon, the 0.37 scale and the 0.9 box side make the times
+    # and the values non-dyadic
+    @pytest.mark.parametrize("domain", [interval(2.0), rectangle(0.9, 1.3)],
+                             ids=["interval", "rectangle"])
+    @pytest.mark.parametrize("family", [{"family": "ramp"},
+                                        {"family": "saturating_ramp", "scale": 0.37}],
+                             ids=["ramp", "saturating_ramp"])
+    @pytest.mark.parametrize("profile", [{"profile": "const", "amplitude": 1.3},
+                                         {"profile": "affine", "slope": 0.7}],
+                             ids=["const", "affine"])
+    def test_equals_stacked_calls(self, domain, family, profile):
+        phi = make_boundary_data({**family, **profile}, domain, 1.7)
+        pts = boundary_nodes(domain, m=5).nodes
+        times = np.linspace(0.0, 1.7, 49)
+        table = phi.table(pts, times)
+        assert table.shape == (len(times), len(pts))
+        assert np.array_equal(table, np.stack([phi(pts, t) for t in times]))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse import identity
+from scipy.sparse.linalg import splu
 
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
+from fluxrecon.forward import (DirichletData, Nonlinearity, _rect_bc_coupling,
+                               _rect_interior_matrix, default_trace_nodes,
                                difference_residual, neumann_trace,
                                solve_linear_heat, solve_semilinear,
                                synthesize_observation)
@@ -159,6 +162,28 @@ class TestMarchMatchesReference:
         ref = _reference_1d(grid, reaction.fn, data, nt, source=source, u0=u0)
         assert np.array_equal(u.values, ref)
 
+    @pytest.mark.parametrize("nt", [64, 65, 130])
+    def test_interval_mms_source_across_blocks(self, nt):
+        reaction, exact, source, data = _mms_instance()
+        grid = build_grid(interval(), 12)
+        u0 = exact(grid.axes[0], 0.0)
+        u = solve_semilinear(grid, reaction, data, nt, source=source, u0=u0)
+        ref = _reference_1d(grid, reaction.fn, data, nt, source=source, u0=u0)
+        assert np.array_equal(u.values, ref)
+
+    def test_divergence_after_the_first_block(self):
+        grid = build_grid(interval(), 8)
+        data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
+        blowup = Nonlinearity(fn=lambda u: -3e5 * u)
+        u0 = np.sin(np.pi * grid.axes[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                _reference_1d(grid, blowup.fn, data, 256, u0=u0)
+            with pytest.raises(NumericalError) as got:
+                solve_semilinear(grid, blowup, data, 256, u0=u0)
+        assert int(str(expected.value).split("step ")[1].split()[0]) > 64
+        assert str(got.value) == str(expected.value)
+
     def test_divergence_reported_at_the_same_step(self):
         grid = build_grid(interval(), 8)
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
@@ -171,6 +196,166 @@ class TestMarchMatchesReference:
                 solve_semilinear(grid, blowup, data, 64, u0=u0)
         assert "at step" in str(expected.value)
         assert str(got.value) == str(expected.value)
+
+
+def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
+    """The rectangle march as a fresh boundary ring, one phi call per side
+    and per step, and two divergence checks per step."""
+    nx, ny = grid.n
+    hx, hy = grid.h
+    T = data.final_time
+    dt = T / nt
+    times = np.linspace(0.0, T, nt + 1)
+    A = _rect_interior_matrix(grid).tocsc()
+    ni = (nx - 1) * (ny - 1)
+    lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
+
+    def lap_full(w):
+        out = np.zeros_like(w)
+        out[1:-1, 1:-1] = ((w[:-2, 1:-1] - 2 * w[1:-1, 1:-1] + w[2:, 1:-1]) / (hx * hx)
+                           + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
+        return out
+
+    def ring(t):
+        vals = np.zeros((nx + 1, ny + 1))
+        xg, yg = grid.axes
+        for idx, pts in [
+            ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
+            ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
+            ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
+            ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
+        ]:
+            vals[idx] = data(pts, t)
+        return vals
+
+    u = np.zeros((nt + 1,) + grid.shape)
+    if u0 is not None:
+        u[0] = u0
+    ring0 = ring(0.0)
+    u[0][0, :], u[0][-1, :] = ring0[0, :], ring0[-1, :]
+    u[0][:, 0], u[0][:, -1] = ring0[:, 0], ring0[:, -1]
+    f_prev = None
+    for m in range(nt):
+        um = u[m]
+        fm = reaction(um) if reaction is not None else np.zeros_like(um)
+        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
+        ring_new = ring(times[m + 1])
+        rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
+               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, ring_new))
+        if source is not None:
+            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
+        if not np.all(np.isfinite(rhs)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        u_new = lhs.solve(rhs.ravel())
+        if not np.all(np.isfinite(u_new)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        full = ring_new.copy()
+        full[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
+        u[m + 1] = full
+        f_prev = fm
+    return u
+
+
+def _rect_mms_source(grid, t):
+    """A smooth source in x, y and t; t is a scalar or a (rows, 1, 1) column."""
+    X, Y = np.meshgrid(*grid.axes, indexing="ij")
+    return np.exp(-t) * np.sin(np.pi * X + 0.3) * np.cos(0.7 * Y) + t * X
+
+
+class TestRectangleMarchMatchesReference:
+    """The rectangle march fills its boundary faces from one table per side
+    and writes each interior in place; its output must equal the per-step
+    loop above bit for bit."""
+
+    # 9 x 10 cells on a 0.9 x 1.3 box and 48 or 130 steps make h and dt
+    # non-dyadic; 130 steps cross two blocks of time rows
+    @pytest.mark.parametrize("nt", [2, 48, 130])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_rectangle(self, nt, law):
+        dom = rectangle(0.9, 1.3)
+        grid = build_grid(dom, (9, 10))
+        phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
+                                  "slope": 0.7, "scale": 0.37}, dom, 1.0)
+        if LAWS[law] is None:
+            u = solve_linear_heat(grid, phi, nt)
+            ref = _reference_2d(grid, None, phi, nt)
+        else:
+            reaction = make_reaction(LAWS[law])
+            u = solve_semilinear(grid, reaction, phi, nt)
+            ref = _reference_2d(grid, reaction.fn, phi, nt)
+        assert np.array_equal(u.values, ref)
+
+    @pytest.mark.parametrize("nt", [2, 48, 130])
+    def test_rectangle_source_and_initial_state(self, nt):
+        grid = build_grid(rectangle(0.9, 1.3), (12, 12))
+        phi = DirichletData(fn=lambda pts, t: np.exp(-t) * (1.0 + pts[:, 0] * pts[:, 1]),
+                            final_time=1.0)
+        reaction = make_reaction({"family": "saturating", "coeff": 0.8})
+        X, Y = np.meshgrid(*grid.axes, indexing="ij")
+        u0 = 1.0 + X * Y
+        u = solve_semilinear(grid, reaction, phi, nt, source=_rect_mms_source, u0=u0)
+        ref = _reference_2d(grid, reaction.fn, phi, nt, source=_rect_mms_source, u0=u0)
+        assert np.array_equal(u.values, ref)
+
+    def test_divergence_after_the_first_block(self):
+        grid = build_grid(rectangle(), (9, 10))
+        data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
+        blowup = Nonlinearity(fn=lambda u: -3e4 * u)
+        X, Y = np.meshgrid(*grid.axes, indexing="ij")
+        u0 = np.sin(np.pi * X) * np.sin(np.pi * Y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                _reference_2d(grid, blowup.fn, data, 256, u0=u0)
+            with pytest.raises(NumericalError) as got:
+                solve_semilinear(grid, blowup, data, 256, u0=u0)
+        assert int(str(expected.value).split("step ")[1].split()[0]) > 64
+        assert str(got.value) == str(expected.value)
+
+
+def _counting(fn):
+    def counted(*args):
+        counted.calls += 1
+        return fn(*args)
+    counted.calls = 0
+    return counted
+
+
+class TestTabulatedInputs:
+    """The boundary data are tabulated once per solve and the source once
+    per block of time rows; inputs that do not broadcast over a column of
+    times end as a typed error that names the contract."""
+
+    def test_boundary_data_called_once_per_solve(self):
+        fn = _counting(lambda pts, t: t * (1.0 + pts[:, 0]))
+        data = DirichletData(fn=fn, final_time=1.0)
+        solve_linear_heat(build_grid(interval(), 16), data, 300)
+        assert fn.calls == 1
+        fn.calls = 0
+        solve_semilinear(build_grid(rectangle(), 8), make_reaction({"family": "linear"}),
+                         data, 300)
+        assert fn.calls == 4  # one table per side
+
+    def test_source_called_once_per_block(self):
+        reaction, exact, source, data = _mms_instance()
+        counted = _counting(source)
+        grid = build_grid(interval(), 16)
+        solve_semilinear(grid, reaction, data, 130, source=counted,
+                         u0=exact(grid.axes[0], 0.0))
+        assert counted.calls == 3  # rows 0-63, 64-127, 128-129
+
+    @pytest.mark.parametrize("domain", [interval(), rectangle()], ids=["interval", "rectangle"])
+    def test_scalar_only_boundary_data_is_an_input_error(self, domain):
+        data = DirichletData(fn=lambda pts, t: np.full(len(pts), t), final_time=1.0)
+        with pytest.raises(InputError, match="must broadcast over a column of times"):
+            solve_linear_heat(build_grid(domain, 8), data, 16)
+        with pytest.raises(InputError, match="must broadcast over a column of times"):
+            data.check_admissible(boundary_nodes(domain, m=4))
+
+    def test_scalar_only_source_is_an_input_error(self):
+        grid = build_grid(interval(), 8)
+        with pytest.raises(InputError, match="must broadcast over a column of times"):
+            solve_linear_heat(grid, _ramp(interval()), 16,
+                              source=lambda g, t: np.full(g.shape, t))
 
 
 class TestNeumannTrace:
@@ -211,7 +396,59 @@ class TestNeumannTrace:
             default_trace_nodes(build_grid(rectangle(), 9))
 
 
+def _reference_residual(u, v, reaction):
+    """difference_residual over the whole field at once."""
+    grid = u.grid
+    w = u.values - v.values
+    dt = float(u.times[1] - u.times[0])
+    wt = (w[2:] - w[:-2]) / (2.0 * dt)
+    if grid.domain.dim == 1:
+        h = grid.h[0]
+        lap = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / (h * h)
+        res = wt[:, 1:-1] - lap[1:-1] + reaction.fn(u.values[1:-1, 1:-1])
+        boundary = np.max(np.abs(w[:, [0, -1]]))
+    else:
+        hx, hy = grid.h
+        lap = ((w[:, :-2, 1:-1] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 2:, 1:-1]) / (hx * hx)
+               + (w[:, 1:-1, :-2] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 1:-1, 2:]) / (hy * hy))
+        res = wt[:, 1:-1, 1:-1] - lap[1:-1] + reaction.fn(u.values[1:-1, 1:-1, 1:-1])
+        edge = np.concatenate([w[:, 0, :].ravel(), w[:, -1, :].ravel(),
+                               w[:, :, 0].ravel(), w[:, :, -1].ravel()])
+        boundary = np.max(np.abs(edge))
+    return (float(np.max(np.abs(res))), float(boundary), float(np.max(np.abs(w[0]))))
+
+
 class TestDifferenceResidual:
+    # 600 and 300 steps cross blocks of time rows, including a last,
+    # partial one
+    @pytest.mark.parametrize("domain,n,nt", [(interval(), 24, 600), (rectangle(), 8, 300)],
+                             ids=["interval", "rectangle"])
+    def test_blocks_match_whole_field(self, domain, n, nt):
+        grid = build_grid(domain, n)
+        phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
+                                  "slope": 0.5}, domain, 1.0)
+        reaction = make_reaction({"family": "saturating", "coeff": 2.0})
+        u = solve_semilinear(grid, reaction, phi, nt)
+        v = solve_linear_heat(grid, phi, nt)
+        rep = difference_residual(u, v, reaction)
+        assert (rep.interior_max, rep.boundary_max, rep.initial_max) == \
+            _reference_residual(u, v, reaction)
+
+    # a spike at each block edge and at the last interior time must be seen
+    @pytest.mark.parametrize("row", [1, 255, 256, 257, 258, 599])
+    def test_every_row_is_covered(self, row, rng):
+        grid = build_grid(interval(), 16)
+        times = np.linspace(0.0, 1.0, 601)
+        u = rng.random((601, 17))
+        u[row, 5] += 1e3
+        v = rng.random((601, 17))
+        uf = SolutionField(grid=grid, times=times, values=u)
+        vf = SolutionField(grid=grid, times=times, values=v)
+        reaction = make_reaction({"family": "saturating", "coeff": 2.0})
+        rep = difference_residual(uf, vf, reaction)
+        assert (rep.interior_max, rep.boundary_max, rep.initial_max) == \
+            _reference_residual(uf, vf, reaction)
+
     def test_zero_for_identical_fields(self):
         dom = interval()
         grid = build_grid(dom, 16)
