@@ -1,6 +1,6 @@
 """Reaction-law recovery for semilinear heat equations from boundary flux data."""
 
-from .eigenbasis import EigenBasis, eigenpair, make_basis, verify_orthonormality
+from .eigenbasis import EigenBasis, make_basis, verify_orthonormality
 from .errors import ConfigurationError, FluxreconError, InputError, NumericalError
 from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace, SolutionField

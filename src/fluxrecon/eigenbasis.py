@@ -1,10 +1,10 @@
-"""Closed-form Neumann Laplacian eigenpairs on intervals and rectangles.
+"""Closed-form Neumann Laplacian eigenvalues and modes on intervals and rectangles.
 
 Interval (0, L): lambda_m = (m pi / L)^2 with mode index m >= 0 and
 
     omega_0 = sqrt(1/L),    omega_m = sqrt(2/L) cos(m pi x / L).
 
-Rectangle eigenpairs are tensor products of the per-axis modes. The
+Rectangle modes are tensor products of the per-axis modes. The
 global ordering is by ascending eigenvalue with lexicographic per-axis
 mode indices breaking ties, so bases of different sizes agree on their
 common prefix.
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -30,7 +28,7 @@ def _axis_mode(x: np.ndarray, m: int, L: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """The first K Neumann eigenpairs on a product domain."""
+    """The first K Neumann eigenvalues and modes on a product domain."""
 
     domain: DomainSpec
     lambdas: np.ndarray = field(repr=False)  # (K,), ascending, lambdas[0] == 0
@@ -99,23 +97,12 @@ def _candidate_modes(domain: DomainSpec, count: int) -> tuple[np.ndarray, np.nda
 
 @lru_cache(maxsize=64)
 def make_basis(domain: DomainSpec, k: int) -> EigenBasis:
-    """The first k eigenpairs in ascending-eigenvalue order."""
+    """The first k eigenvalues and modes in ascending-eigenvalue order."""
     if k < 1:
         raise ConfigurationError(f"basis size must be >= 1, got {k}")
     lams, modes = _candidate_modes(domain, k)
     return EigenBasis(domain=domain, lambdas=np.asarray(lams, dtype=float),
                       modes=np.asarray(modes, dtype=int))
-
-
-def eigenpair(domain: DomainSpec, k: int) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
-    """The k-th eigenpair (1-based); returns (lambda_k, evaluator)."""
-    if k < 1:
-        raise ConfigurationError(f"eigenpair index must be >= 1, got {k}")
-    basis = make_basis(domain, k)
-    lam = float(basis.lambdas[k - 1])
-    sub = EigenBasis(domain=domain, lambdas=basis.lambdas[k - 1:k],
-                     modes=basis.modes[k - 1:k])
-    return lam, lambda pts: sub.values_at(pts)[0]
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,11 @@ def make_reaction(spec: dict) -> Nonlinearity:
     label = _label(spec)
     if family == "zero":
         return Nonlinearity(fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                            deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                             label=label)
     if family == "linear":
         c = float(spec.get("coeff", 1.0))
         _nonneg(c, "coeff")
-        return Nonlinearity(fn=lambda u: c * np.asarray(u, dtype=float),
-                            deriv=lambda u: np.full_like(np.asarray(u, dtype=float), c),
-                            label=label)
+        return Nonlinearity(fn=lambda u: c * np.asarray(u, dtype=float), label=label)
     if family == "power":
         c = float(spec.get("coeff", 1.0))
         p = float(spec.get("exponent", 2.0))
@@ -42,20 +39,14 @@ def make_reaction(spec: dict) -> Nonlinearity:
         def fn(u, c=c, p=p):
             up = np.maximum(np.asarray(u, dtype=float), 0.0)
             return c * up ** p
-        def deriv(u, c=c, p=p):
-            up = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return c * p * up ** (p - 1.0)
-        return Nonlinearity(fn=fn, deriv=deriv, label=label)
+        return Nonlinearity(fn=fn, label=label)
     if family == "saturating":
         c = float(spec.get("coeff", 1.0))
         _nonneg(c, "coeff")
         def fn(u, c=c):
             up = np.maximum(np.asarray(u, dtype=float), 0.0)
             return c * up / (1.0 + up)
-        def deriv(u, c=c):
-            up = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return c / (1.0 + up) ** 2
-        return Nonlinearity(fn=fn, deriv=deriv, label=label)
+        return Nonlinearity(fn=fn, label=label)
     raise ConfigurationError(f"unknown reaction family {family!r}")
 
 

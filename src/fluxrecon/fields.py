@@ -47,15 +47,6 @@ class BoundaryTrace:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def at_time(self, t: float) -> np.ndarray:
-        """Linear-in-time interpolation of the trace at one instant."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise InputError(f"time {t} outside trace range [{self.times[0]}, {self.times[-1]}]")
-        out = np.empty(self.nodes.count)
-        for b in range(self.nodes.count):
-            out[b] = np.interp(t, self.times, self.values[:, b])
-        return out
-
     def subsample_time(self, stride: int) -> "BoundaryTrace":
         if (len(self.times) - 1) % stride != 0:
             raise InputError(f"stride {stride} does not divide {len(self.times) - 1} steps")

@@ -37,10 +37,9 @@ _RESIDUAL_ROWS = 256
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A reaction law u -> f(u) with an optional derivative."""
+    """A reaction law u -> f(u)."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "custom"
 
     def check_admissible(self, u_max: float, samples: int = 257, tol: float = 1e-10) -> None:
@@ -212,7 +211,27 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     return SolutionField(grid=grid, times=times, values=u)
 
 
-def _rect_interior_matrix(grid: SpatialGrid):
+def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """The 3-point (interval) or 5-point (rectangle) Laplacian of w at the
+    interior nodes. The grid axes are the trailing axes of w and leading
+    axes (time) are carried along, so the result is w with every grid
+    axis shortened by one node at each end."""
+    dim = grid.domain.dim
+    lead = (slice(None),) * (w.ndim - dim)
+    inner = (slice(1, -1),) * dim
+    lap = None
+    for d, h in enumerate(grid.h):
+        lo = lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]
+        hi = lead + inner[:d] + (slice(2, None),) + inner[d + 1:]
+        term = (w[lo] - 2.0 * w[lead + inner] + w[hi]) / (h * h)
+        lap = term if lap is None else lap + term
+    return lap
+
+
+def rect_laplacian_matrix(grid: SpatialGrid):
+    """Sparse 5-point Laplacian on the interior nodes of a rectangle grid,
+    in the C order of the (nx-1, ny-1) interior; the boundary values enter
+    through rect_boundary_coupling."""
     nx, ny = grid.n
     hx, hy = grid.h
 
@@ -224,7 +243,7 @@ def _rect_interior_matrix(grid: SpatialGrid):
     return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
 
 
-def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
+def rect_boundary_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
     """Contribution of boundary-ring values to the interior 5-point stencil."""
     nx, ny = grid.n
     hx, hy = grid.h
@@ -239,19 +258,12 @@ def _rect_bc_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
               source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
     nx, ny = grid.n
-    hx, hy = grid.h
     T = data.final_time
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
-    A = _rect_interior_matrix(grid).tocsc()
+    A = rect_laplacian_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
     lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
-
-    def lap_full(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        out[1:-1, 1:-1] = ((w[:-2, 1:-1] - 2 * w[1:-1, 1:-1] + w[2:, 1:-1]) / (hx * hx)
-                           + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
-        return out
 
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
@@ -272,8 +284,8 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
             um = u[m]
             fm = reaction(um) if reaction is not None else np.zeros_like(um)
             f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-            rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, u[m + 1]))
+            rhs = (um[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(um, grid)
+                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * rect_boundary_coupling(grid, u[m + 1]))
             if source is not None:
                 rhs = rhs + q_dt[m - m0]
             u[m + 1, 1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
@@ -303,7 +315,8 @@ def solve_linear_heat(grid: SpatialGrid, data: DirichletData, nt: int,
     return _solve_2d(grid, None, data, nt, source, u0)
 
 
-def _grid_index(axis: np.ndarray, coord: float) -> int:
+def grid_index(axis: np.ndarray, coord: float) -> int:
+    """Index of the grid node at coord on a uniform axis; InputError if none."""
     i = int(round((coord - axis[0]) / (axis[1] - axis[0])))
     if not (0 <= i < len(axis)) or abs(axis[i] - coord) > 1e-9 * max(1.0, abs(coord)):
         raise InputError(f"boundary node at {coord:g} is not aligned with the grid")
@@ -340,7 +353,7 @@ def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) ->
             series = field.values
         else:
             other = 1 - d
-            j = _grid_index(grid.axes[other], float(pt[other]))
+            j = grid_index(grid.axes[other], float(pt[other]))
             series = field.values[:, :, j] if d == 0 else field.values[:, j, :]
         if nrm[d] < 0:
             out[:, b] = (3.0 * series[:, 0] - 4.0 * series[:, 1] + series[:, 2]) / (2.0 * h)
@@ -371,20 +384,14 @@ def difference_residual(u: SolutionField, v: SolutionField,
     grid = u.grid
     dt = float(u.times[1] - u.times[0])
     nt1 = len(u.times)
+    inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
     peaks = []
     for j0 in range(1, nt1 - 1, _RESIDUAL_ROWS):
         j1 = min(j0 + _RESIDUAL_ROWS, nt1 - 1)
         w = u.values[j0 - 1:j1 + 1] - v.values[j0 - 1:j1 + 1]
         wt = (w[2:] - w[:-2]) / (2.0 * dt)
-        if grid.domain.dim == 1:
-            h = grid.h[0]
-            lap = (w[:, :-2] - 2.0 * w[:, 1:-1] + w[:, 2:]) / (h * h)
-            res = wt[:, 1:-1] - lap[1:-1] + reaction.fn(u.values[j0:j1, 1:-1])
-        else:
-            hx, hy = grid.h
-            lap = ((w[:, :-2, 1:-1] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 2:, 1:-1]) / (hx * hx)
-                   + (w[:, 1:-1, :-2] - 2.0 * w[:, 1:-1, 1:-1] + w[:, 1:-1, 2:]) / (hy * hy))
-            res = wt[:, 1:-1, 1:-1] - lap[1:-1] + reaction.fn(u.values[j0:j1, 1:-1, 1:-1])
+        res = (wt[inner] - interior_laplacian(w, grid)[1:-1]
+               + reaction.fn(u.values[j0:j1][inner]))
         peaks.append(np.max(np.abs(res)))
     if grid.domain.dim == 1:
         edge = u.values[:, [0, -1]] - v.values[:, [0, -1]]

@@ -1,23 +1,28 @@
 """Neumann heat kernel on intervals and rectangles, with propagation rules.
 
-The kernel U(x, t; y, s) depends on time only through tau = t - s and is
-evaluated through one of two exact representations:
+The kernel U(x, t; y, s) depends on time only through tau = t - s. On a
+rectangle it is the product of the interval kernels of its two axes, so
+every evaluation goes through one per-axis factor, the interval kernel
+of side L from every x to every y, in one of two exact representations:
 
-  * spectral:   sum_k exp(-lambda_k tau) omega_k(x) omega_k(y), accurate
-    once the tail exp(-lambda_K tau) is negligible, so used for
+  * cosine series:  sum_{m < k_max} exp(-lambda_m tau) w_m(x) w_m(y), with
+    lambda_m = (m pi / L)^2, w_0 = sqrt(1/L), w_m = sqrt(2/L) cos(m pi x / L);
+    accurate once the tail exp(-lambda_top tau) is negligible, so used for
     tau >= crossover;
-  * images:     per-axis sums of reflected Gaussians
+  * images:         sums of reflected Gaussians
     G(z) = exp(-z^2 / 4 tau) / sqrt(4 pi tau), whose truncation error
     dies like exp(-L^2/tau), so used for tau < crossover.
 
-The default crossover is 2 ln(1/tail_tol) / lambda_K, which keeps the
-spectral tail below tail_tol^2 at the crossover itself and below
-tail_tol at half the crossover, where the two branches are compared.
+k_max counts modes per axis. The default crossover is
+2 ln(1/tail_tol) / lambda_top, with lambda_top = ((k_max - 1) pi / L)^2
+of the longest axis, the smallest top eigenvalue over the axes. It keeps
+every axis's series tail below tail_tol^2 at the crossover itself and
+below tail_tol at half the crossover, where the two branches are compared.
 
 The boundary data functional (boundary_propagate_trace) is a lag
 operator: on a uniform time grid starting at 0 its sigma = sqrt(t - s)
 panels depend only on the lag j - i, so the kernel is tabulated once
-per lag (nt * gl_order evaluations per point/node pair) and the
+per lag (nt * gl_order time gaps for every point/node pair) and the
 functional is a causal O(nt^2 * npts * nb) sum over lags. The scalar
 boundary_propagate evaluates the same quadrature at one (point, time)
 and is kept as its reference.
@@ -30,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError
 from .fields import BoundaryTrace
-from .geometry import DomainSpec, SpatialGrid
-from .numerics import exp_convolve, gauss_legendre, trapezoid_weights
+from .geometry import DomainSpec
+from .numerics import gauss_legendre, trapezoid_weights
 
 # modes with lambda * tau above this contribute < 1e-26 relative and are dropped
 _MODE_CUTOFF = 60.0
@@ -44,8 +48,9 @@ _MODE_CUTOFF = 60.0
 class KernelConfig:
     """Evaluation parameters for the kernel.
 
-    crossover_time = None derives the spectral/images switch point from
-    tail_tol as described in the module docstring.
+    k_max is the number of cosine modes per axis. crossover_time = None
+    derives the spectral/images switch point from tail_tol as described
+    in the module docstring.
     """
 
     k_max: int = 200
@@ -70,8 +75,9 @@ class KernelEvaluator:
     def __init__(self, domain: DomainSpec, config: KernelConfig = KernelConfig()):
         self.domain = domain
         self.config = config
-        self.basis: EigenBasis = make_basis(domain, config.k_max)
-        lam_top = float(self.basis.lambdas[-1])
+        # per-axis eigenvalues lambda_m = (m pi / L)^2, m < k_max
+        self._lambdas = [(np.arange(config.k_max) * np.pi / L) ** 2 for L in domain.lengths]
+        lam_top = min(float(lam[-1]) for lam in self._lambdas)
         if config.crossover_time is None:
             self.crossover = 2.0 * math.log(1.0 / config.tail_tol) / lam_top
         else:
@@ -82,94 +88,82 @@ class KernelEvaluator:
                 f"spectral tail exp(-{lam_top:.4g} * {self.crossover:.4g}) exceeds "
                 f"tail_tol={config.tail_tol:g}; raise k_max or crossover_time")
 
+    # -- the kernel core ---------------------------------------------------
+
+    def _axis(self, d: int, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray,
+              spectral: bool) -> np.ndarray:
+        """Interval kernel of axis d from every x to every y at every tau,
+        by the cosine series or by images; (len(taus), len(xs), len(ys))."""
+        L = self.domain.lengths[d]
+        if spectral:
+            lam = self._lambdas[d]
+            tmin = float(np.min(taus))
+            keep = (max(int(np.searchsorted(lam, _MODE_CUTOFF / tmin, side="right")), 1)
+                    if tmin > 0 else len(lam))
+            ms = np.arange(keep)
+            wx = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(ms * np.pi, xs) / L)
+            wy = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(ms * np.pi, ys) / L)
+            wx[0] = wy[0] = np.sqrt(1.0 / L)
+            wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
+            out = np.exp(-np.outer(taus, lam[:keep])) @ wxy
+            return out.reshape(len(taus), len(xs), len(ys))
+        shifts = 2.0 * L * np.arange(-self.config.image_count, self.config.image_count + 1)
+        zs = np.concatenate([xs[:, None, None] - ys[None, :, None] - shifts,
+                             xs[:, None, None] + ys[None, :, None] - shifts], axis=2)
+        tt = taus[:, None, None, None]
+        return (np.sum(np.exp(-zs[None] ** 2 / (4.0 * tt)), axis=3)
+                / np.sqrt(4.0 * np.pi * taus)[:, None, None])
+
+    def _block(self, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray,
+               spectral: bool | None = None) -> np.ndarray:
+        """Kernel from every point of xs to every point of ys (both
+        (n, dim)) at every tau; (len(taus), len(xs), len(ys)). The branch
+        is images below the crossover and the cosine series from it on;
+        spectral=True or False takes that one branch for every tau."""
+        if spectral is None:
+            out = np.empty((len(taus), len(xs), len(ys)))
+            near = taus < self.crossover
+            if np.any(near):
+                out[near] = self._block(xs, ys, taus[near], spectral=False)
+            if np.any(~near):
+                out[~near] = self._block(xs, ys, taus[~near], spectral=True)
+            return out
+        out = self._axis(0, xs[:, 0], ys[:, 0], taus, spectral)
+        for d in range(1, self.domain.dim):
+            out = out * self._axis(d, xs[:, d], ys[:, d], taus, spectral)
+        return out
+
     # -- pointwise values ------------------------------------------------
 
     def _point(self, p) -> np.ndarray:
         q = np.atleast_1d(np.asarray(p, dtype=float))
         if q.shape != (self.domain.dim,):
             raise InputError(f"expected a point of dim {self.domain.dim}, got shape {q.shape}")
-        return q
+        return q[None, :]
+
+    def _pair(self, x, y, taus, spectral: bool | None) -> np.ndarray:
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        return self._block(self._point(x), self._point(y), taus, spectral)[:, 0, 0]
 
     def spectral_values(self, x, y, taus: np.ndarray) -> np.ndarray:
         """Spectral-branch values over an array of time gaps."""
-        taus = np.asarray(taus, dtype=float)
-        wx = self.basis.values_at(self._point(x)[None, :])[:, 0]
-        wy = self.basis.values_at(self._point(y)[None, :])[:, 0]
-        wxy = wx * wy
-        tmin = float(np.min(taus))
-        lam = self.basis.lambdas
-        if tmin > 0:
-            keep = int(np.searchsorted(lam, _MODE_CUTOFF / tmin, side="right"))
-            keep = max(keep, 1)
-        else:
-            keep = len(lam)
-        return np.exp(-np.outer(taus, lam[:keep])) @ wxy[:keep]
-
-    def _images_axis(self, xd: float, yd: float, L: float, taus: np.ndarray) -> np.ndarray:
-        js = np.arange(-self.config.image_count, self.config.image_count + 1)
-        shifts = 2.0 * L * js
-        zs = np.concatenate([xd - yd - shifts, xd + yd - shifts])
-        tt = taus[:, None]
-        return np.sum(np.exp(-zs[None, :] ** 2 / (4.0 * tt)), axis=1) / np.sqrt(4.0 * np.pi * taus)
+        return self._pair(x, y, taus, spectral=True)
 
     def images_values(self, x, y, taus: np.ndarray) -> np.ndarray:
         """Method-of-images values over an array of time gaps."""
-        taus = np.asarray(taus, dtype=float)
-        xp, yp = self._point(x), self._point(y)
-        out = np.ones_like(taus)
-        for d, L in enumerate(self.domain.lengths):
-            out = out * self._images_axis(float(xp[d]), float(yp[d]), L, taus)
-        return out
+        return self._pair(x, y, taus, spectral=False)
 
     def values(self, x, y, taus: np.ndarray) -> np.ndarray:
         """Kernel values over an array of positive time gaps, branch-switched."""
-        taus = np.asarray(taus, dtype=float)
-        if np.any(taus <= 0):
+        if np.any(np.asarray(taus) <= 0):
             raise InputError("kernel requires positive time gaps")
-        out = np.empty_like(taus)
-        near = taus < self.crossover
-        if np.any(near):
-            out[near] = self.images_values(x, y, taus[near])
-        if np.any(~near):
-            # the kernel is positive; where it is below the series' rounding
-            # error (far points, short gaps) the sum can come out -1e-16
-            out[~near] = np.maximum(self.spectral_values(x, y, taus[~near]), 0.0)
-        return out
+        # the kernel is positive; where it is below the series' rounding
+        # error (far points, short gaps) the sum can come out -1e-16
+        return np.maximum(self._pair(x, y, taus, spectral=None), 0.0)
 
     def value(self, x, y, tau: float) -> float:
         """U(x, t; y, s) for tau = t - s > 0."""
         return float(self.values(x, y, np.array([float(tau)]))[0])
-
-    def _values_batch(self, x, ys: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Kernel at one x against many y, vectorized over both y and tau;
-        returns (len(taus), len(ys)). Same branch split as `values`."""
-        taus = np.asarray(taus, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if ys.ndim == 1:
-            ys = ys[:, None]
-        xp = self._point(x)
-        out = np.empty((len(taus), len(ys)))
-        near = taus < self.crossover
-        if np.any(near):
-            tt = taus[near][:, None, None]
-            block = np.ones((int(np.sum(near)), len(ys)))
-            js = np.arange(-self.config.image_count, self.config.image_count + 1)
-            for d, L in enumerate(self.domain.lengths):
-                shifts = 2.0 * L * js
-                zs = np.concatenate([xp[d] - ys[:, d, None] - shifts,
-                                     xp[d] + ys[:, d, None] - shifts], axis=1)
-                block *= (np.sum(np.exp(-zs[None, :, :] ** 2 / (4.0 * tt)), axis=2)
-                          / np.sqrt(4.0 * np.pi * taus[near])[:, None])
-            out[near] = block
-        if np.any(~near):
-            far = taus[~near]
-            wx = self.basis.values_at(xp[None, :])[:, 0]
-            wy = self.basis.values_at(ys)
-            lam = self.basis.lambdas
-            keep = max(int(np.searchsorted(lam, _MODE_CUTOFF / float(np.min(far)),
-                                           side="right")), 1)
-            out[~near] = np.exp(-np.outer(far, lam[:keep])) @ (wx[:keep, None] * wy[:keep])
-        return out
 
     def profile(self, x, ys: np.ndarray, tau: float) -> np.ndarray:
         """Kernel values at one x against many y points, fixed tau."""
@@ -178,49 +172,26 @@ class KernelEvaluator:
         ys = np.asarray(ys, dtype=float)
         if ys.ndim == 1:
             ys = ys[:, None]
-        if tau >= self.crossover:
-            wx = self.basis.values_at(self._point(x)[None, :])[:, 0]
-            wy = self.basis.values_at(ys)
-            lam = self.basis.lambdas
-            keep = max(int(np.searchsorted(lam, _MODE_CUTOFF / tau, side="right")), 1)
-            return (wx[:keep] * np.exp(-lam[:keep] * tau)) @ wy[:keep]
-        xp = self._point(x)
-        out = np.ones(len(ys))
-        for d, L in enumerate(self.domain.lengths):
-            col = np.array([self._images_axis(float(xp[d]), float(yv), L,
-                                              np.array([tau]))[0] for yv in ys[:, d]])
-            out *= col
-        return out
+        return self._block(self._point(x), ys, np.array([float(tau)]))[0, 0]
 
     # -- integral rules ---------------------------------------------------
 
     def mass(self, x, tau: float, cells: int = 1024) -> float:
         """Quadrature of U(x, .; tau) over the domain.
 
-        Both branches factor over axes, so the integral is computed as a
-        product of per-axis trapezoid quadratures of the actual
-        one-dimensional kernel factors.
+        The kernel factors over axes, so the integral is the product of
+        per-axis trapezoid quadratures of the interval factors.
         """
         if tau <= 0:
             raise InputError("kernel requires positive time gaps")
         xp = self._point(x)
+        taus = np.array([float(tau)])
         total = 1.0
         for d, L in enumerate(self.domain.lengths):
             ys = np.linspace(0.0, L, cells + 1)
-            w = trapezoid_weights(cells, L)
-            if tau >= self.crossover:
-                lam1 = (np.arange(self._axis_modes(d)) * np.pi / L) ** 2
-                wx = _axis_samples(np.array([xp[d]]), len(lam1), L)[:, 0]
-                wy = _axis_samples(ys, len(lam1), L)
-                vals = (wx * np.exp(-lam1 * tau)) @ wy
-            else:
-                vals = np.array([self._images_axis(float(xp[d]), float(yv), L,
-                                                   np.array([tau]))[0] for yv in ys])
-            total *= float(w @ vals)
+            vals = self._axis(d, xp[:, d], ys, taus, tau >= self.crossover)[0, 0]
+            total *= float(trapezoid_weights(cells, L) @ vals)
         return total
-
-    def _axis_modes(self, d: int) -> int:
-        return int(np.max(self.basis.modes[:, d])) + 1
 
     def boundary_propagate(self, g: BoundaryTrace, x, t: float,
                            gl_order: int = 4) -> float:
@@ -244,7 +215,7 @@ class KernelEvaluator:
         sigma = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
         wall = (half[:, None] * wq[None, :]).ravel()
         s = t - sigma**2
-        kv = self._values_batch(x, g.nodes.nodes, sigma**2)      # (nsig, nb)
+        kv = self._block(self._point(x), g.nodes.nodes, sigma**2)[:, 0]   # (nsig, nb)
         gv = np.stack([np.interp(s, g.times, g.values[:, b])
                        for b in range(g.nodes.count)], axis=1)
         return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
@@ -289,54 +260,12 @@ class KernelEvaluator:
         quad = 2.0 * sigma * half * wq[None, :]
         c_up = quad * (1.0 - theta_lo)
         c_lo = quad * theta_lo
-        w_up = np.empty((nt, len(pts), g.nodes.count))
-        w_lo = np.empty_like(w_up)
-        for i in range(len(pts)):
-            kv = self._values_batch(pts[i], g.nodes.nodes, (sigma**2).ravel())
-            kv = kv.reshape(nt, gl_order, -1) * g.nodes.weights    # (nt, q, nb)
-            w_up[:, i] = np.einsum("lq,lqb->lb", c_up, kv)
-            w_lo[:, i] = np.einsum("lq,lqb->lb", c_lo, kv)
+        kv = self._block(pts, g.nodes.nodes, (sigma**2).ravel())
+        kv = kv.reshape(nt, gl_order, len(pts), -1) * g.nodes.weights   # (nt, q, npts, nb)
+        w_up = np.einsum("lq,lqib->lib", c_up, kv)
+        w_lo = np.einsum("lq,lqib->lib", c_lo, kv)
 
         gv = g.values
         for lag in range(nt):
             out[lag + 1:] += gv[1:nt + 1 - lag] @ w_up[lag].T + gv[:nt - lag] @ w_lo[lag].T
         return out
-
-    def domain_propagate(self, h: np.ndarray, grid: SpatialGrid, times: np.ndarray,
-                         x, t: float) -> float:
-        """int_0^t int_dom U(x, t; y, s) h(y, s) dy ds.
-
-        h is projected onto the eigenbasis by tensor quadrature and each
-        modal coefficient is convolved exactly against its exponential
-        (piecewise-linear interpolation in s), so the s-integral needs
-        no special handling near s = t. The grid must resolve the
-        configured modes (2n > k_max per axis), otherwise the top modes
-        alias onto low ones in the projection.
-        """
-        if t < 0 or t > times[-1] + 1e-12:
-            raise InputError(f"propagation time {t} outside data range [0, {times[-1]}]")
-        series = self.domain_propagate_series(h, grid, times, np.asarray([self._point(x)]))
-        return float(np.interp(t, times, series[:, 0]))
-
-    def domain_propagate_series(self, h: np.ndarray, grid: SpatialGrid,
-                                times: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """domain_propagate at every sample time, several points; (nt+1, npts)."""
-        h = np.asarray(h, dtype=float)
-        if h.shape != (len(times),) + grid.shape:
-            raise InputError(f"field shape {h.shape} does not match "
-                             f"{(len(times),) + grid.shape}")
-        coeffs = self.basis.project(grid, h)               # (nt+1, K)
-        p = exp_convolve(self.basis.lambdas, times, coeffs)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return p @ self.basis.values_at(pts)
-
-
-def _axis_samples(xs: np.ndarray, count: int, L: float) -> np.ndarray:
-    """One-dimensional Neumann modes 0..count-1 sampled at xs; (count, len(xs))."""
-    out = np.empty((count, len(xs)))
-    out[0] = np.sqrt(1.0 / L)
-    for m in range(1, count):
-        out[m] = np.sqrt(2.0 / L) * np.cos(m * np.pi * xs / L)
-    return out

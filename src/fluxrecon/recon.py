@@ -32,8 +32,8 @@ from scipy.sparse.linalg import splu
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
-from .forward import (Nonlinearity, ObservedData, _grid_index, _rect_bc_coupling,
-                      _rect_interior_matrix, neumann_trace, solve_linear_heat)
+from .forward import (Nonlinearity, ObservedData, grid_index, neumann_trace,
+                      rect_boundary_coupling, rect_laplacian_matrix, solve_linear_heat)
 from .geometry import BoundaryNodeSet, DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelConfig, KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
@@ -197,11 +197,12 @@ def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     rings = _rect_rings(a, grid)
-    A = _rect_interior_matrix(grid).tocsc()
+    A = rect_laplacian_matrix(grid).tocsc()
     lu = splu(-A)
     nt1 = rings.shape[0]
     out = rings.copy()
-    rhs = np.stack([_rect_bc_coupling(grid, rings[j]).ravel() for j in range(nt1)], axis=1)
+    rhs = np.stack([rect_boundary_coupling(grid, rings[j]).ravel() for j in range(nt1)],
+                   axis=1)
     sol = lu.solve(rhs)
     nx, ny = grid.n
     out[:, 1:-1, 1:-1] = sol.T.reshape(nt1, nx - 1, ny - 1)
@@ -235,7 +236,7 @@ def _rect_normal_constant(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 def _at_nodes(field: np.ndarray, grid: SpatialGrid, nodes: BoundaryNodeSet) -> np.ndarray:
     """Values of a grid field (nt+1, *grid.shape) at grid-aligned boundary nodes."""
-    idx = tuple(np.array([_grid_index(axis, c) for c in nodes.nodes[:, d]])
+    idx = tuple(np.array([grid_index(axis, c) for c in nodes.nodes[:, d]])
                 for d, axis in enumerate(grid.axes))
     return field[(slice(None),) + idx]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxrecon.eigenbasis import eigenpair, make_basis, verify_orthonormality
+from fluxrecon.eigenbasis import make_basis, verify_orthonormality
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.geometry import build_grid, interval, make_grid, rectangle
 
@@ -42,6 +42,10 @@ class TestIntervalBasis:
         rep = verify_orthonormality(make_basis(interval(), 16), build_grid(interval(), 32))
         assert rep.under_resolved
 
+    def test_rejects_empty_basis(self):
+        with pytest.raises(ConfigurationError):
+            make_basis(interval(), 0)
+
 
 class TestRectangleBasis:
     def test_ascending_with_prefix_consistency(self):
@@ -80,25 +84,6 @@ class TestRectangleBasis:
     def test_orthonormality(self):
         rep = verify_orthonormality(make_basis(rectangle(), 16), build_grid(rectangle(), 128))
         assert rep.max_deviation < 1e-6
-
-
-class TestEigenpair:
-    def test_first_pair_is_constant(self):
-        lam, omega = eigenpair(interval(), 1)
-        assert lam == 0.0
-        assert np.allclose(omega(np.array([[0.2], [0.9]])), 1.0)
-
-    def test_second_pair(self):
-        lam, omega = eigenpair(interval(), 2)
-        assert np.isclose(lam, np.pi**2)
-        x = np.array([[0.0], [0.5], [1.0]])
-        assert np.allclose(omega(x), np.sqrt(2.0) * np.cos(np.pi * x[:, 0]))
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ConfigurationError):
-            eigenpair(interval(), 0)
-        with pytest.raises(ConfigurationError):
-            make_basis(interval(), 0)
 
 
 def test_project_with_leading_axes():

@@ -7,9 +7,9 @@ from scipy.sparse.linalg import splu
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, _rect_bc_coupling,
-                               _rect_interior_matrix, default_trace_nodes,
+from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
                                difference_residual, neumann_trace,
+                               rect_boundary_coupling, rect_laplacian_matrix,
                                solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
@@ -206,7 +206,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
     T = data.final_time
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
-    A = _rect_interior_matrix(grid).tocsc()
+    A = rect_laplacian_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
     lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
 
@@ -241,7 +241,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
         ring_new = ring(times[m + 1])
         rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * _rect_bc_coupling(grid, ring_new))
+               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * rect_boundary_coupling(grid, ring_new))
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
         if not np.all(np.isfinite(rhs)):

@@ -50,19 +50,26 @@ class TestPointValues:
         assert np.isclose(val, 1.0 / np.sqrt(4.0 * np.pi * tau), rtol=1e-12)
 
     def test_branch_agreement_in_overlap(self, ev):
-        taus = np.linspace(ev.crossover / 2, 2 * ev.crossover, 9)
-        for x, y in [(0.5, 0.5), (0.0, 0.0), (0.3, 0.7), (1.0, 0.98)]:
-            dev = np.max(np.abs(ev.spectral_values(x, y, taus)
-                                - ev.images_values(x, y, taus)))
-            assert dev < 1e-8
+        rect = KernelEvaluator(rectangle())
+        for kernel, pairs in [
+                (ev, [(0.5, 0.5), (0.0, 0.0), (0.3, 0.7), (1.0, 0.98)]),
+                (rect, [((0.5, 0.5), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0)),
+                        ((0.3, 0.1), (0.7, 0.2)), ((1.0, 0.5), (0.98, 0.5))])]:
+            taus = np.linspace(kernel.crossover / 2, 2 * kernel.crossover, 9)
+            for x, y in pairs:
+                dev = np.max(np.abs(kernel.spectral_values(x, y, taus)
+                                    - kernel.images_values(x, y, taus)))
+                assert dev < 1e-8
 
     def test_symmetry(self, ev):
         taus = np.logspace(-5, 1, 13)
         assert np.max(np.abs(ev.values(0.2, 0.9, taus) - ev.values(0.9, 0.2, taus))) < 1e-10
 
     def test_longtime_limit(self, ev):
-        # only the constant mode survives: U -> omega_1(x) omega_1(y) = 1/L
+        # only the constant mode survives: U -> omega_1(x) omega_1(y) = 1/|domain|
         assert abs(ev.value(0.3, 0.9, 50.0) - 1.0) < 1e-10
+        rect = KernelEvaluator(rectangle(1.0, 2.0))
+        assert abs(rect.value((0.3, 1.7), (0.9, 0.2), 50.0) - 0.5) < 1e-10
 
     def test_strict_positivity_at_moderate_tau(self, ev):
         for tau in np.logspace(-2, 1, 7):
@@ -72,13 +79,6 @@ class TestPointValues:
     def test_nonnegative_everywhere(self, x, y, tau):
         ev = KernelEvaluator(interval())
         assert ev.value(x, y, tau) >= 0.0
-
-    def test_batch_matches_per_pair(self, ev):
-        pts = np.array([[0.0], [0.37], [1.0]])
-        taus = np.array([ev.crossover / 3, ev.crossover * 2, 0.05, 1.0])
-        batch = ev._values_batch(0.37, pts, taus)
-        ref = np.stack([ev.values(0.37, y, taus) for y in pts], axis=1)
-        assert np.max(np.abs(batch - ref)) < 1e-13
 
     def test_profile_matches_values(self, ev):
         ys = np.linspace(0.0, 1.0, 7)
@@ -192,46 +192,3 @@ class TestBoundaryPropagate:
         assert out.shape == (1, 3)
         assert np.all(out == 0.0)
 
-
-class TestDomainPropagate:
-    def test_constant_source_gives_time(self, ev):
-        # h = 1: mass conservation integrated in time yields exactly t.
-        # 2n must exceed k_max so no kernel mode aliases in the projection.
-        grid = build_grid(interval(), 128)
-        times = np.linspace(0.0, 1.0, 33)
-        h = np.ones((33,) + grid.shape)
-        for t in (0.5, 1.0):
-            assert abs(ev.domain_propagate(h, grid, times, 0.3, t) - t) < 1e-12
-
-    def test_single_mode_closed_form(self, ev):
-        # h = omega_2 filters to omega_2(x) (1 - exp(-lambda_2 t)) / lambda_2
-        grid = build_grid(interval(), 512)
-        times = np.linspace(0.0, 1.0, 65)
-        lam = float(ev.basis.lambdas[1])
-        omega = ev.basis.sample_on_grid(grid)[1]
-        h = np.tile(omega, (65, 1))
-        x, t = 0.2, 1.0
-        wx = float(ev.basis.values_at(np.array([[x]]))[1, 0])
-        exact = wx * (1.0 - np.exp(-lam * t)) / lam
-        assert abs(ev.domain_propagate(h, grid, times, x, t) - exact) < 1e-6
-
-    def test_series_shape_and_zero_start(self, ev):
-        grid = build_grid(interval(), 32)
-        times = np.linspace(0.0, 1.0, 9)
-        h = np.ones((9,) + grid.shape)
-        out = ev.domain_propagate_series(h, grid, times, np.array([[0.0], [1.0]]))
-        assert out.shape == (9, 2)
-        assert np.allclose(out[0], 0.0)
-
-    def test_rejects_bad_field_shape(self, ev):
-        grid = build_grid(interval(), 32)
-        times = np.linspace(0.0, 1.0, 9)
-        with pytest.raises(InputError):
-            ev.domain_propagate_series(np.ones((9, 5)), grid, times, np.array([[0.0]]))
-
-    def test_rejects_time_outside_range(self, ev):
-        grid = build_grid(interval(), 32)
-        times = np.linspace(0.0, 1.0, 9)
-        h = np.ones((9,) + grid.shape)
-        with pytest.raises(InputError):
-            ev.domain_propagate(h, grid, times, 0.5, 2.0)
