@@ -20,10 +20,13 @@ from .errors import ConfigurationError
 from .geometry import DomainKind, DomainSpec, SpatialGrid
 
 
-def _axis_mode(x: np.ndarray, m: int, L: float) -> np.ndarray:
-    if m == 0:
-        return np.full_like(np.asarray(x, dtype=float), np.sqrt(1.0 / L))
-    return np.sqrt(2.0 / L) * np.cos(m * np.pi * np.asarray(x, dtype=float) / L)
+def axis_modes(xs: np.ndarray, count: int, L: float) -> np.ndarray:
+    """The interval modes omega_0 .. omega_{count-1} of (0, L) at the points
+    xs; row m is omega_m, shape (count, *xs.shape)."""
+    xs = np.asarray(xs, dtype=float)
+    table = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(np.arange(count) * np.pi, xs) / L)
+    table[0] = np.sqrt(1.0 / L)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,23 +48,13 @@ class EigenBasis:
             pts = pts[:, None]
         out = np.ones((self.size,) + pts.shape[:-1])
         for d, L in enumerate(self.domain.lengths):
-            xd = pts[..., d]
-            table = np.stack([_axis_mode(xd, m, L)
-                              for m in range(int(np.max(self.modes[:, d])) + 1)])
-            out *= table[self.modes[:, d]]
+            count = int(np.max(self.modes[:, d])) + 1
+            out *= axis_modes(pts[..., d], count, L)[self.modes[:, d]]
         return out
 
     def sample_on_grid(self, grid: SpatialGrid) -> np.ndarray:
         """Evaluate all modes on the tensor grid; returns (K, *grid.shape)."""
-        per_axis = []
-        for d, L in enumerate(self.domain.lengths):
-            ms = sorted(set(int(m) for m in self.modes[:, d]))
-            table = {m: _axis_mode(grid.axes[d], m, L) for m in ms}
-            per_axis.append(table)
-        if self.domain.dim == 1:
-            return np.stack([per_axis[0][int(m)] for (m,) in self.modes])
-        return np.stack([np.multiply.outer(per_axis[0][int(mx)], per_axis[1][int(my)])
-                         for mx, my in self.modes])
+        return self.values_at(np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1))
 
     def project(self, grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, omega_k); values may carry

@@ -27,7 +27,7 @@ from .geometry import DomainKind, DomainSpec, boundary_nodes
 from .heatkernel import KernelConfig
 from .recon import (ReconstructionConfig, ReconstructionResult, evaluate_curve,
                     reconstruct)
-from .suites import (difference_residual_study, mms_spatial_errors,
+from .suites import (difference_residual_study, forward_checks, mms_spatial_errors,
                      mms_temporal_errors, run_suite)
 
 SCHEMA_VERSION = 1
@@ -397,7 +397,8 @@ def run_verify(suite: str, outdir: Path | None = None) -> dict:
 
 def run_convergence(outdir: Path | None = None) -> dict:
     """Grid refinement studies: manufactured solution rates in space and
-    time plus the difference-problem residual under parabolic refinement."""
+    time plus the difference-problem residual under parabolic refinement,
+    passed by the forward suite's checks."""
     spatial_cells = (16, 32, 64)
     temporal_steps = (16, 32, 64)
     es = mms_spatial_errors(spatial_cells)
@@ -426,8 +427,7 @@ def run_convergence(outdir: Path | None = None) -> dict:
         "mms_temporal_rate": min(rates(et)),
         "difference_residual_rate": min(rates(werrs)),
         "difference_residual_base": werrs[0],
-        "passed": bool(min(rates(es)) >= 1.9 and min(rates(et)) >= 1.9
-                       and min(rates(werrs)) >= 1.9 and werrs[0] < 1e-2),
+        "passed": all(c["passed"] for c in forward_checks(es, et, rows)),
     }
     if outdir is not None:
         buf = io.StringIO()

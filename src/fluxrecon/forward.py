@@ -101,11 +101,6 @@ class DirichletData:
             raise InputError("boundary data must not vanish identically")
 
 
-def _check_counts(nt: int) -> None:
-    if nt < 2:
-        raise ConfigurationError(f"need at least 2 time steps, got {nt}")
-
-
 def _interval_step_matrix(n: int, h: float, dt: float) -> np.ndarray:
     """Banded (I - dt/2 lap) on the n-1 interior nodes: rows are the
     upper, main and lower diagonals (LAPACK's du, d, dl live in
@@ -230,8 +225,8 @@ def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
 
 def rect_laplacian_matrix(grid: SpatialGrid):
     """Sparse 5-point Laplacian on the interior nodes of a rectangle grid,
-    in the C order of the (nx-1, ny-1) interior; the boundary values enter
-    through rect_boundary_coupling."""
+    in the C order of the (nx-1, ny-1) interior. The boundary values enter
+    as interior_laplacian of a field that holds them and is zero inside."""
     nx, ny = grid.n
     hx, hy = grid.h
 
@@ -241,18 +236,6 @@ def rect_laplacian_matrix(grid: SpatialGrid):
     ix = identity(nx - 1, format="csr")
     iy = identity(ny - 1, format="csr")
     return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
-
-
-def rect_boundary_coupling(grid: SpatialGrid, ring: np.ndarray) -> np.ndarray:
-    """Contribution of boundary-ring values to the interior 5-point stencil."""
-    nx, ny = grid.n
-    hx, hy = grid.h
-    out = np.zeros((nx - 1, ny - 1))
-    out[0, :] += ring[0, 1:-1] / (hx * hx)
-    out[-1, :] += ring[-1, 1:-1] / (hx * hx)
-    out[:, 0] += ring[1:-1, 0] / (hy * hy)
-    out[:, -1] += ring[1:-1, -1] / (hy * hy)
-    return out
 
 
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
@@ -269,7 +252,9 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     if u0 is not None:
         u[0] = u0
     # the boundary faces at every time; the y = 0 and y = L faces are
-    # written last, so theirs are the corner values
+    # written last, so theirs are the corner values. Row m + 1 holds only
+    # its faces until it is solved, so its interior Laplacian is the
+    # boundary coupling of the step.
     xg, yg = grid.axes
     u[:, 0, :] = data.table(np.column_stack([np.zeros(ny + 1), yg]), times)
     u[:, -1, :] = data.table(np.column_stack([np.full(ny + 1, xg[-1]), yg]), times)
@@ -285,7 +270,7 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
             fm = reaction(um) if reaction is not None else np.zeros_like(um)
             f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
             rhs = (um[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(um, grid)
-                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * rect_boundary_coupling(grid, u[m + 1]))
+                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(u[m + 1], grid))
             if source is not None:
                 rhs = rhs + q_dt[m - m0]
             u[m + 1, 1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
@@ -294,25 +279,27 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     return SolutionField(grid=grid, times=times, values=u)
 
 
+def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
+           source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
+    if nt < 2:
+        raise ConfigurationError(f"need at least 2 time steps, got {nt}")
+    solve = _solve_1d if grid.domain.kind is DomainKind.INTERVAL else _solve_2d
+    return solve(grid, reaction, data, nt, source, u0)
+
+
 def solve_semilinear(grid: SpatialGrid, reaction: Nonlinearity, data: DirichletData,
                      nt: int, source: SourceFn | None = None,
                      u0: np.ndarray | None = None) -> SolutionField:
     """March u_t - lap(u) + f(u) = source with Dirichlet data to t = T."""
-    _check_counts(nt)
     fn = reaction.fn if reaction is not None else None
-    if grid.domain.kind is DomainKind.INTERVAL:
-        return _solve_1d(grid, fn, data, nt, source, u0)
-    return _solve_2d(grid, fn, data, nt, source, u0)
+    return _march(grid, fn, data, nt, source, u0)
 
 
 def solve_linear_heat(grid: SpatialGrid, data: DirichletData, nt: int,
                       source: SourceFn | None = None,
                       u0: np.ndarray | None = None) -> SolutionField:
     """March the linear heat equation with the same discretization."""
-    _check_counts(nt)
-    if grid.domain.kind is DomainKind.INTERVAL:
-        return _solve_1d(grid, None, data, nt, source, u0)
-    return _solve_2d(grid, None, data, nt, source, u0)
+    return _march(grid, None, data, nt, source, u0)
 
 
 def grid_index(axis: np.ndarray, coord: float) -> int:

@@ -5,8 +5,8 @@ rectangle it is the product of the interval kernels of its two axes, so
 every evaluation goes through one per-axis factor, the interval kernel
 of side L from every x to every y, in one of two exact representations:
 
-  * cosine series:  sum_{m < k_max} exp(-lambda_m tau) w_m(x) w_m(y), with
-    lambda_m = (m pi / L)^2, w_0 = sqrt(1/L), w_m = sqrt(2/L) cos(m pi x / L);
+  * cosine series:  sum_{m < k_max} exp(-lambda_m tau) w_m(x) w_m(y) over
+    the interval modes w_m of eigenbasis.axis_modes, lambda_m = (m pi / L)^2;
     accurate once the tail exp(-lambda_top tau) is negligible, so used for
     tau >= crossover;
   * images:         sums of reflected Gaussians
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigenbasis import axis_modes
 from .errors import ConfigurationError, InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
@@ -100,10 +101,7 @@ class KernelEvaluator:
             tmin = float(np.min(taus))
             keep = (max(int(np.searchsorted(lam, _MODE_CUTOFF / tmin, side="right")), 1)
                     if tmin > 0 else len(lam))
-            ms = np.arange(keep)
-            wx = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(ms * np.pi, xs) / L)
-            wy = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(ms * np.pi, ys) / L)
-            wx[0] = wy[0] = np.sqrt(1.0 / L)
+            wx, wy = axis_modes(xs, keep, L), axis_modes(ys, keep, L)
             wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
             out = np.exp(-np.outer(taus, lam[:keep])) @ wxy
             return out.reshape(len(taus), len(xs), len(ys))

@@ -46,14 +46,13 @@ def _exp_step_weights(lam: np.ndarray, dt: float):
     E = np.exp(-z)
     small = z < 1e-3
     zs = np.where(small, z, 1.0)  # keep the series branch finite
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = np.where(small,
-                     dt * (1.0 - zs / 2.0 + zs**2 / 6.0 - zs**3 / 24.0),
-                     -np.expm1(-z) / np.where(lam > 0, lam, 1.0))
-        B = np.where(small,
-                     dt * dt * (0.5 - zs / 6.0 + zs**2 / 24.0 - zs**3 / 120.0),
-                     dt / np.where(lam > 0, lam, 1.0)
-                     + np.expm1(-z) / np.where(lam > 0, lam * lam, 1.0))
+    rate = np.where(small, 1.0, lam)  # a tiny or zero lam never reaches the closed form
+    A = np.where(small,
+                 dt * (1.0 - zs / 2.0 + zs**2 / 6.0 - zs**3 / 24.0),
+                 -np.expm1(-z) / rate)
+    B = np.where(small,
+                 dt * dt * (0.5 - zs / 6.0 + zs**2 / 24.0 - zs**3 / 120.0),
+                 dt / rate + np.expm1(-z) / (rate * rate))
     return E, A, B
 
 

@@ -32,8 +32,8 @@ from scipy.sparse.linalg import splu
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
-from .forward import (Nonlinearity, ObservedData, grid_index, neumann_trace,
-                      rect_boundary_coupling, rect_laplacian_matrix, solve_linear_heat)
+from .forward import (Nonlinearity, ObservedData, grid_index, interior_laplacian,
+                      neumann_trace, rect_laplacian_matrix, solve_linear_heat)
 from .geometry import BoundaryNodeSet, DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelConfig, KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
@@ -197,15 +197,13 @@ def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     rings = _rect_rings(a, grid)
-    A = rect_laplacian_matrix(grid).tocsc()
-    lu = splu(-A)
-    nt1 = rings.shape[0]
+    lu = splu(-rect_laplacian_matrix(grid).tocsc())
+    # the rings are zero inside, so their interior Laplacian is the
+    # boundary coupling of every time row; one solve takes all the rows
+    coupling = interior_laplacian(rings, grid)
+    sol = lu.solve(coupling.reshape(len(rings), -1).T)
     out = rings.copy()
-    rhs = np.stack([rect_boundary_coupling(grid, rings[j]).ravel() for j in range(nt1)],
-                   axis=1)
-    sol = lu.solve(rhs)
-    nx, ny = grid.n
-    out[:, 1:-1, 1:-1] = sol.T.reshape(nt1, nx - 1, ny - 1)
+    out[:, 1:-1, 1:-1] = sol.T.reshape(coupling.shape)
     return out
 
 

@@ -224,21 +224,23 @@ def difference_residual_study(levels=((128, 512), (256, 2048), (512, 8192))) -> 
     return rows
 
 
+def forward_checks(es: list[float], et: list[float], rows: list[dict]) -> list[dict]:
+    """The forward gates on the three refinement studies; the forward
+    suite and the convergence study both pass or fail by these."""
+    return [
+        _check("mms_spatial_rate", _rate(es), 1.9, larger_ok=True),
+        _check("mms_temporal_rate", _rate(et), 1.9, larger_ok=True),
+        _check("difference_residual_base", rows[0]["interior_max"], 1e-2),
+        _check("difference_residual_rate",
+               _rate([r["interior_max"] for r in rows]), 1.9, larger_ok=True),
+        _check("difference_boundary_max", max(r["boundary_max"] for r in rows), 1e-12),
+        _check("difference_initial_max", max(r["initial_max"] for r in rows), 1e-12),
+    ]
+
+
 def forward_suite() -> dict:
-    checks = []
-    es = mms_spatial_errors()
-    checks.append(_check("mms_spatial_rate", _rate(es), 1.9, larger_ok=True))
-    et = mms_temporal_errors()
-    checks.append(_check("mms_temporal_rate", _rate(et), 1.9, larger_ok=True))
-    rows = difference_residual_study()
-    checks.append(_check("difference_residual_base", rows[0]["interior_max"], 1e-2))
-    checks.append(_check("difference_residual_rate",
-                         _rate([r["interior_max"] for r in rows]), 1.9, larger_ok=True))
-    checks.append(_check("difference_boundary_max",
-                         max(r["boundary_max"] for r in rows), 1e-12))
-    checks.append(_check("difference_initial_max",
-                         max(r["initial_max"] for r in rows), 1e-12))
-    return _wrap("forward", checks)
+    return _wrap("forward", forward_checks(mms_spatial_errors(), mms_temporal_errors(),
+                                           difference_residual_study()))
 
 
 # -- modal Volterra identity -------------------------------------------

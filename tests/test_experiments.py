@@ -6,8 +6,8 @@ import pytest
 from fluxrecon.cli import main
 from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
-                                   load_scenario, run_reconstruct, run_synthesize,
-                                   run_verify, write_observation)
+                                   load_scenario, run_convergence, run_reconstruct,
+                                   run_synthesize, run_verify, write_observation)
 
 CHEAP = dict(domain_kind="interval", lengths=[1.0], final_time=1.0,
              fine_n=64, fine_nt=512, recon_n=16, recon_nt=64,
@@ -392,3 +392,19 @@ class TestCli:
         monkeypatch.setattr("fluxrecon.cli.run_convergence",
                             lambda out=None: {"passed": False, "table": []})
         assert main(["convergence"]) == 3
+
+    @pytest.mark.parametrize("boundary_max, passed", [(0.0, True), (1.0, False)])
+    def test_convergence_uses_the_forward_gates(self, monkeypatch, capsys,
+                                                boundary_max, passed):
+        # second-order studies that fail only the boundary gate of the
+        # forward suite must fail the convergence study too
+        errs = [4e-3, 1e-3, 2.5e-4]
+        rows = [{"n": n, "nt": 4 * n * n, "interior_max": e,
+                 "boundary_max": boundary_max, "initial_max": 0.0}
+                for n, e in zip((128, 256, 512), errs)]
+        monkeypatch.setattr("fluxrecon.experiments.mms_spatial_errors", lambda *a: errs)
+        monkeypatch.setattr("fluxrecon.experiments.mms_temporal_errors", lambda *a: errs)
+        monkeypatch.setattr("fluxrecon.experiments.difference_residual_study", lambda: rows)
+        assert run_convergence()["passed"] is passed
+        assert main(["convergence"]) == (0 if passed else 3)
+        capsys.readouterr()

@@ -8,8 +8,7 @@ from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
-                               difference_residual, neumann_trace,
-                               rect_boundary_coupling, rect_laplacian_matrix,
+                               difference_residual, neumann_trace, rect_laplacian_matrix,
                                solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
@@ -216,6 +215,14 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
                            + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
         return out
 
+    def coupling(ring):
+        out = np.zeros((nx - 1, ny - 1))
+        out[0, :] += ring[0, 1:-1] / (hx * hx)
+        out[-1, :] += ring[-1, 1:-1] / (hx * hx)
+        out[:, 0] += ring[1:-1, 0] / (hy * hy)
+        out[:, -1] += ring[1:-1, -1] / (hy * hy)
+        return out
+
     def ring(t):
         vals = np.zeros((nx + 1, ny + 1))
         xg, yg = grid.axes
@@ -241,7 +248,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
         ring_new = ring(times[m + 1])
         rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * rect_boundary_coupling(grid, ring_new))
+               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * coupling(ring_new))
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
         if not np.all(np.isfinite(rhs)):

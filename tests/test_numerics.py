@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fluxrecon.errors import ConfigurationError
-from fluxrecon.numerics import (exp_convolve, gauss_legendre, isotonic_nondecreasing,
-                                sliding_derivative, smoothstep, trapezoid_weights)
+from fluxrecon.numerics import (_exp_step_weights, exp_convolve, gauss_legendre,
+                                isotonic_nondecreasing, sliding_derivative, smoothstep,
+                                trapezoid_weights)
 
 
 class TestTrapezoidWeights:
@@ -64,6 +67,20 @@ class TestExpConvolve:
         times = np.linspace(0.0, 1.0, 17)
         p = exp_convolve(np.array([0.0]), times, times[:, None])
         assert np.max(np.abs(p[:, 0] - times**2 / 2.0)) < 1e-15
+
+    def test_tiny_rates_take_the_series_without_warnings(self):
+        # a subnormal or zero rate must not reach the closed form, whose
+        # division by it overflows even where np.where discards the result
+        lam = np.array([5e-324, 0.0, 1e-300, 1.0, 1e4])
+        dt = 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E, A, B = _exp_step_weights(lam, dt)
+        assert np.array_equal(A[:3], np.full(3, dt))
+        assert np.array_equal(B[:3], np.full(3, dt * dt / 2.0))
+        assert np.all(np.isfinite(E)) and np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+        assert A[3] == -np.expm1(-dt)
+        assert B[3] == dt + np.expm1(-dt)
 
     def test_series_branch_matches_exponential_branch(self):
         # lam*dt below the series switch must agree with the closed form
