@@ -5,13 +5,18 @@ the observation, its metadata, the curve, the diagnostics and the
 metrics (without the wall-clock `timings` key). It then digests the
 `verify --suite all` report and the convergence study's files. Two trees
 that compute the same numbers print the same lines, so a refactor that
-must keep its outputs byte-identical is checked with one diff:
+must keep its outputs byte-identical is checked with one command:
 
-    PYTHONPATH=src python3 scripts/output_digest.py > after.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python3 scripts/output_digest.py > before.txt
+    # ... change the code ...
+    PYTHONPATH=src python3 scripts/output_digest.py --against before.txt
+
+With `--against FILE` the lines of this run are compared with FILE; the
+lines that differ go to stderr as a unified diff and the exit status is 1.
 """
 
 import argparse
+import difflib
 import hashlib
 import json
 import sys
@@ -41,8 +46,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("configs", nargs="*", help="scenario JSONs (default: configs/*.json)")
+    ap.add_argument("--against", metavar="FILE", type=Path,
+                    help="saved digest to compare with; exit 1 on any difference")
     args = ap.parse_args()
     configs = [Path(c) for c in args.configs] or sorted(CONFIG_DIR.glob("*.json"))
+    saved = None
+    if args.against is not None:
+        try:
+            saved = args.against.read_text().splitlines()
+        except OSError as exc:
+            ap.error(f"cannot read --against file: {exc}")
+    lines = []
+
+    def emit(line: str) -> None:
+        lines.append(line)
+        print(line, flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         for config in configs:
@@ -51,16 +69,21 @@ def main() -> int:
             paths.update(run_reconstruct(paths["observation"], outdir))
             for key in OUTPUTS:
                 if key in paths:
-                    print(f"{_file_digest(Path(paths[key]))}  {config.stem}/{key}")
-            sys.stdout.flush()
+                    emit(f"{_file_digest(Path(paths[key]))}  {config.stem}/{key}")
 
         report = run_verify("all")
-        print(f"{_sha(json.dumps(report, sort_keys=True).encode())}  verify/all")
+        emit(f"{_sha(json.dumps(report, sort_keys=True).encode())}  verify/all")
         outdir = Path(tmp) / "convergence"
         run_convergence(outdir)
         for name in ("convergence.csv", "convergence.json"):
-            print(f"{_file_digest(outdir / name)}  convergence/{name}")
-    return 0
+            emit(f"{_file_digest(outdir / name)}  convergence/{name}")
+    if saved is None:
+        return 0
+    diff = list(difflib.unified_diff(saved, lines, str(args.against), "this run",
+                                     lineterm=""))
+    print("\n".join(diff) or f"all {len(lines)} lines match {args.against}",
+          file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -398,12 +398,14 @@ def run_verify(suite: str, outdir: Path | None = None) -> dict:
 def run_convergence(outdir: Path | None = None) -> dict:
     """Grid refinement studies: manufactured solution rates in space and
     time plus the difference-problem residual under parabolic refinement,
-    passed by the forward suite's checks."""
+    passed by the forward suite's checks. The returned summary adds those
+    checks and the table to what `convergence.json` holds."""
     spatial_cells = (16, 32, 64)
     temporal_steps = (16, 32, 64)
     es = mms_spatial_errors(spatial_cells)
     et = mms_temporal_errors(temporal_steps)
     rows = difference_residual_study()
+    checks = forward_checks(es, et, rows)
 
     def rates(errs):
         return [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
@@ -427,7 +429,7 @@ def run_convergence(outdir: Path | None = None) -> dict:
         "mms_temporal_rate": min(rates(et)),
         "difference_residual_rate": min(rates(werrs)),
         "difference_residual_base": werrs[0],
-        "passed": all(c["passed"] for c in forward_checks(es, et, rows)),
+        "passed": all(c["passed"] for c in checks),
     }
     if outdir is not None:
         buf = io.StringIO()
@@ -439,5 +441,6 @@ def run_convergence(outdir: Path | None = None) -> dict:
                              _fmt(row["error"]), _fmt(row["rate"])])
         _atomic_write(outdir / "convergence.csv", buf.getvalue())
         _atomic_write(outdir / "convergence.json", _json_text(summary))
+    summary["checks"] = checks
     summary["table"] = table
     return summary

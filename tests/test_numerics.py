@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.signal import savgol_filter
 
+import fluxrecon
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.numerics import (_exp_step_weights, exp_convolve, gauss_legendre,
                                 isotonic_nondecreasing, sliding_derivative, smoothstep,
@@ -139,6 +145,23 @@ class TestSlidingDerivative:
         d = sliding_derivative(times, a * times**2 + b * times + c, halfwidth=2)
         assert np.max(np.abs(d - (2.0 * a * times + b))) < 1e-9
 
+    @given(st.integers(1, 4), st.data())
+    def test_bit_equal_to_savgol_interp(self, h, data):
+        # n == 2h + 1 leaves one interior sample between the end windows;
+        # at dt = 1 windows 3, 5 and 9 take ndimage's antisymmetric branch,
+        # window 7 and non-dyadic dt its general one, dt = 1e16 its symmetric one
+        n = data.draw(st.integers(2 * h + 1, 400), label="n")
+        trailing = data.draw(st.sampled_from([(), (3,), (2, 3)]), label="trailing")
+        dt = data.draw(st.sampled_from([1.0, 0.0123, 1.0 / 257.0, 1e16]), label="dt")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, *trailing)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        d = sliding_derivative(np.arange(n) * dt, values, halfwidth=h)
+        ref = savgol_filter(values, 2 * h + 1, polyorder=2, deriv=1, delta=dt,
+                            axis=0, mode="interp")
+        assert d.shape == ref.shape
+        assert d.tobytes() == ref.tobytes()
+
     def test_rejects_bad_halfwidth(self):
         with pytest.raises(ConfigurationError):
             sliding_derivative(np.linspace(0, 1, 9), np.zeros(9), halfwidth=0)
@@ -151,6 +174,21 @@ class TestSlidingDerivative:
         times = np.array([0.0, 0.1, 0.3, 0.4, 0.5])
         with pytest.raises(ConfigurationError):
             sliding_derivative(times, np.zeros(5), halfwidth=1)
+
+
+def test_import_graph_leaves_out_heavy_scipy():
+    # the package needs numpy, scipy.linalg and scipy.sparse only; any of
+    # these would add hundreds of modules to the start-up of every command
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
+             "scipy.ndimage"]
+    src = str(Path(fluxrecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, fluxrecon.cli, fluxrecon.suites, fluxrecon.recon; "
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestIsotonic:
