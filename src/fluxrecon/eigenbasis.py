@@ -54,7 +54,7 @@ class EigenBasis:
 
     def sample_on_grid(self, grid: SpatialGrid) -> np.ndarray:
         """Evaluate all modes on the tensor grid; returns (K, *grid.shape)."""
-        return self.values_at(np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1))
+        return self.values_at(grid.points)
 
     def project(self, grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, omega_k); values may carry

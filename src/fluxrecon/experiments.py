@@ -13,7 +13,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -33,9 +33,12 @@ from .suites import (difference_residual_study, forward_checks, mms_spatial_erro
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FLUXRECON_OUT"
 
-_RECON_KEYS = {"k_modes", "extension", "diff_halfwidth", "bins", "monotone",
-               "q_lo", "q_hi", "compare_extensions", "kernel"}
-_KERNEL_KEYS = {"k_max", "tail_tol", "image_count", "crossover_time"}
+# the keys of a scenario's reconstruction block and of its kernel block;
+# grid_n is the scenario's recon_n
+_RECON_KEYS = {f.name for f in fields(ReconstructionConfig)} - {"grid_n"}
+_KERNEL_KEYS = {f.name for f in fields(KernelConfig)}
+# integer keys with their least value
+_INT_KEYS = {"fine_n": 1, "fine_nt": 1, "recon_n": 1, "recon_nt": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,20 @@ class ScenarioConfig:
     reconstruction: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Check every value and build every part once, so a malformed
+        scenario fails here as a ConfigurationError and not in a later run."""
+        for key in ("phi", "reaction", "reconstruction"):
+            _require(isinstance(getattr(self, key), dict), key, "an object")
+        _require(isinstance(self.reconstruction.get("kernel", {}), dict),
+                 "reconstruction.kernel", "an object")
+        for key, least in _INT_KEYS.items():
+            value = getattr(self, key)
+            _require(_is_real(value) and isinstance(value, int) and value >= least, key,
+                     f"an integer >= {least}")
+        for key in ("final_time", "noise_level"):
+            _require(_is_real(getattr(self, key)), key, "a number")
+        _require(isinstance(self.lengths, (list, tuple))
+                 and all(_is_real(v) for v in self.lengths), "lengths", "a list of numbers")
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         if self.final_time <= 0:
             raise ConfigurationError(f"final_time must be positive, got {self.final_time}")
@@ -70,17 +87,22 @@ class ScenarioConfig:
         unknown = set(self.reconstruction) - _RECON_KEYS
         if unknown:
             raise ConfigurationError(f"unknown reconstruction keys {sorted(unknown)}")
-        kern = self.reconstruction.get("kernel", {})
-        unknown = set(kern) - _KERNEL_KEYS
+        unknown = set(self.reconstruction.get("kernel", {})) - _KERNEL_KEYS
         if unknown:
             raise ConfigurationError(f"unknown kernel keys {sorted(unknown)}")
+        for key, build in (("phi", self.build_phi), ("reaction", self.build_reaction),
+                           ("reconstruction", self.recon_config)):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad scenario {key}: {exc}") from None
 
     def domain(self) -> DomainSpec:
         try:
             kind = DomainKind(self.domain_kind)
         except ValueError:
             raise ConfigurationError(f"unknown domain kind {self.domain_kind!r}") from None
-        return DomainSpec(kind, tuple(float(v) for v in self.lengths))
+        return DomainSpec(kind, self.lengths)
 
     def build_phi(self):
         return make_boundary_data(self.phi, self.domain(), self.final_time)
@@ -106,13 +128,19 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(f"unknown scenario keys {sorted(unknown)}")
-        vals = dict(raw)
-        if "lengths" in vals:
-            vals["lengths"] = tuple(float(v) for v in vals["lengths"])
         try:
-            return cls(**vals)
+            return cls(**raw)
         except TypeError as exc:
             raise ConfigurationError(f"bad scenario config: {exc}") from None
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require(ok: bool, key: str, kind: str) -> None:
+    if not ok:
+        raise ConfigurationError(f"scenario value {key!r} must be {kind}")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -231,8 +259,8 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         row_lns.append(ln)
         ids.append(parsed[0])
         nums.append(parsed[1])
-    fields = np.array(nums, dtype=float).reshape(len(nums), len(expected_header) - 1)
-    finite = np.isfinite(fields).all(axis=1)
+    numbers = np.array(nums, dtype=float).reshape(len(nums), len(expected_header) - 1)
+    finite = np.isfinite(numbers).all(axis=1)
     if not finite.all():
         ln = row_lns[int(np.argmin(finite))]
         row = next(islice(csv.reader(lines), ln - 1, None))
@@ -244,7 +272,7 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
 
     nodes = _expected_nodes(scenario)
     node_ids = np.array(ids)
-    coords, t_col, v_col = fields[:, :dom.dim], fields[:, -2], fields[:, -1]
+    coords, t_col, v_col = numbers[:, :dom.dim], numbers[:, -2], numbers[:, -1]
     in_range = (node_ids >= 0) & (node_ids < nodes.count)
     expected = nodes.nodes[np.where(in_range, node_ids, 0).astype(np.intp)]
     bad = ~in_range | (np.max(np.abs(coords - expected), axis=1) > 1e-9)
@@ -270,9 +298,7 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     obs = ObservedData(domain=dom, phi=scenario.build_phi(), flux=flux,
                        noise_level=float(meta.get("noise_level", 0.0)),
                        seed=int(meta.get("seed", 0)),
-                       f_label=meta.get("f_label"),
-                       meta={"fine_n": scenario.fine_n, "fine_nt": scenario.fine_nt,
-                             "sub_nt": scenario.recon_nt})
+                       f_label=meta.get("f_label"))
     return obs, scenario
 
 
@@ -358,12 +384,11 @@ def write_metrics(metrics: MetricsReport, scenario: ScenarioConfig, outdir: Path
 
 
 def run_synthesize(scenario: ScenarioConfig, outdir: Path) -> dict:
-    dom = scenario.domain()
-    m_nodes = None if dom.kind is DomainKind.INTERVAL else scenario.recon_n // 2
     obs = synthesize_observation(
-        dom, scenario.build_reaction(), scenario.build_phi(),
+        scenario.domain(), scenario.build_reaction(), scenario.build_phi(),
         fine_n=scenario.fine_n, fine_nt=scenario.fine_nt, sub_nt=scenario.recon_nt,
-        noise_level=scenario.noise_level, seed=scenario.seed, m_nodes=m_nodes)
+        noise_level=scenario.noise_level, seed=scenario.seed,
+        nodes=_expected_nodes(scenario))
     csv_path, meta_path = write_observation(obs, scenario, outdir)
     return {"observation": str(csv_path), "metadata": str(meta_path)}
 
@@ -422,13 +447,13 @@ def run_convergence(outdir: Path | None = None) -> dict:
         table.append({"study": "difference_residual", "n": r["n"], "nt": r["nt"],
                       "error": werrs[i],
                       "rate": rates(werrs)[i - 1] if i else float("nan")})
+    values = {c["name"]: c["value"] for c in checks}
     summary = {
         "schema": SCHEMA_VERSION,
         "kind": "convergence",
-        "mms_spatial_rate": min(rates(es)),
-        "mms_temporal_rate": min(rates(et)),
-        "difference_residual_rate": min(rates(werrs)),
-        "difference_residual_base": werrs[0],
+        **{key: values[key] for key in ("mms_spatial_rate", "mms_temporal_rate",
+                                        "difference_residual_rate",
+                                        "difference_residual_base")},
         "passed": all(c["passed"] for c in checks),
     }
     if outdir is not None:

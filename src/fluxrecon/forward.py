@@ -10,7 +10,7 @@ strongly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -255,11 +255,10 @@ def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     # written last, so theirs are the corner values. Row m + 1 holds only
     # its faces until it is solved, so its interior Laplacian is the
     # boundary coupling of the step.
-    xg, yg = grid.axes
-    u[:, 0, :] = data.table(np.column_stack([np.zeros(ny + 1), yg]), times)
-    u[:, -1, :] = data.table(np.column_stack([np.full(ny + 1, xg[-1]), yg]), times)
-    u[:, :, 0] = data.table(np.column_stack([xg, np.zeros(nx + 1)]), times)
-    u[:, :, -1] = data.table(np.column_stack([xg, np.full(nx + 1, yg[-1])]), times)
+    points = grid.points
+    for s in range(4):
+        face = grid.face(s)
+        u[face] = data.table(points[face[1:]], times)
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
@@ -302,14 +301,6 @@ def solve_linear_heat(grid: SpatialGrid, data: DirichletData, nt: int,
     return _march(grid, None, data, nt, source, u0)
 
 
-def grid_index(axis: np.ndarray, coord: float) -> int:
-    """Index of the grid node at coord on a uniform axis; InputError if none."""
-    i = int(round((coord - axis[0]) / (axis[1] - axis[0])))
-    if not (0 <= i < len(axis)) or abs(axis[i] - coord) > 1e-9 * max(1.0, abs(coord)):
-        raise InputError(f"boundary node at {coord:g} is not aligned with the grid")
-    return i
-
-
 def default_trace_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
     """Grid-aligned boundary quadrature nodes (rectangle: n/2 per side)."""
     if grid.domain.kind is DomainKind.INTERVAL:
@@ -324,29 +315,21 @@ def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) ->
     """Outward normal derivative at boundary nodes, one-sided second order.
 
     At x = 0 the stencil is dn(u) = (3 u_0 - 4 u_1 + u_2) / (2h); nodes
-    must lie on grid lines (the default set does).
+    must lie on grid lines (the default set does). A node on side s steps
+    inward along axis s // 2, forward from the first node for even s and
+    back from the last for odd s.
     """
     grid = field.grid
     if nodes is None:
         nodes = default_trace_nodes(grid)
-    nt1 = len(field.times)
-    out = np.empty((nt1, nodes.count))
-    for b in range(nodes.count):
-        pt = nodes.nodes[b]
-        nrm = nodes.normals[b]
-        d = int(np.argmax(np.abs(nrm)))
-        h = grid.h[d]
-        if grid.domain.dim == 1:
-            series = field.values
-        else:
-            other = 1 - d
-            j = grid_index(grid.axes[other], float(pt[other]))
-            series = field.values[:, :, j] if d == 0 else field.values[:, j, :]
-        if nrm[d] < 0:
-            out[:, b] = (3.0 * series[:, 0] - 4.0 * series[:, 1] + series[:, 2]) / (2.0 * h)
-        else:
-            out[:, b] = (3.0 * series[:, -1] - 4.0 * series[:, -2] + series[:, -3]) / (2.0 * h)
-    return BoundaryTrace(nodes=nodes, times=field.times, values=out)
+    idx = np.array(grid.indices(nodes.nodes))            # (dim, nb)
+    axis = nodes.side // 2
+    inward = np.zeros_like(idx)
+    inward[axis, np.arange(nodes.count)] = 1 - 2 * (nodes.side % 2)
+    a, b, c = (field.values[(slice(None), *(idx + k * inward))] for k in range(3))
+    h = np.asarray(grid.h)[axis]
+    return BoundaryTrace(nodes=nodes, times=field.times,
+                         values=(3.0 * a - 4.0 * b + c) / (2.0 * h))
 
 
 @dataclass(frozen=True)
@@ -380,15 +363,10 @@ def difference_residual(u: SolutionField, v: SolutionField,
         res = (wt[inner] - interior_laplacian(w, grid)[1:-1]
                + reaction.fn(u.values[j0:j1][inner]))
         peaks.append(np.max(np.abs(res)))
-    if grid.domain.dim == 1:
-        edge = u.values[:, [0, -1]] - v.values[:, [0, -1]]
-    else:
-        edge = np.concatenate([(u.values[:, 0, :] - v.values[:, 0, :]).ravel(),
-                               (u.values[:, -1, :] - v.values[:, -1, :]).ravel(),
-                               (u.values[:, :, 0] - v.values[:, :, 0]).ravel(),
-                               (u.values[:, :, -1] - v.values[:, :, -1]).ravel()])
+    edges = [np.max(np.abs(u.values[grid.face(s)] - v.values[grid.face(s)]))
+             for s in range(2 * grid.domain.dim)]
     return DifferenceResidualReport(interior_max=float(np.max(peaks)),
-                                    boundary_max=float(np.max(np.abs(edge))),
+                                    boundary_max=float(np.max(edges)),
                                     initial_max=float(np.max(np.abs(u.values[0] - v.values[0]))))
 
 
@@ -406,20 +384,20 @@ class ObservedData:
     noise_level: float
     seed: int
     f_label: str | None = None
-    meta: dict = field(default_factory=dict)
 
 
 def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
                            phi: DirichletData, fine_n: int, fine_nt: int,
-                           sub_nt: int, noise_level: float = 0.0,
-                           seed: int = 0, m_nodes: int | None = None) -> ObservedData:
+                           sub_nt: int, noise_level: float = 0.0, seed: int = 0,
+                           nodes: BoundaryNodeSet | None = None) -> ObservedData:
     """Solve on a fine grid, extract the flux, perturb, subsample.
 
     The time subsampling ratio must be an integer >= 2 so observations
     never live on the grid the reconstruction will use (inverse-crime
     guard); spatial fineness is the caller's responsibility via fine_n.
-    m_nodes picks the per-side boundary node count on the rectangle
-    (must align with both the fine and the reconstruction grid).
+    nodes is the boundary node set of the flux (default: the default
+    trace nodes of the fine grid); it must align with both the fine and
+    the reconstruction grid.
     """
     if fine_nt % sub_nt != 0 or fine_nt // sub_nt < 2:
         raise ConfigurationError(
@@ -427,9 +405,7 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
     if noise_level < 0:
         raise ConfigurationError(f"noise level must be >= 0, got {noise_level}")
     grid = build_grid(domain, fine_n)
-    if m_nodes is not None and domain.kind is DomainKind.RECTANGLE:
-        nodes = boundary_nodes(domain, m_nodes)
-    else:
+    if nodes is None:
         nodes = default_trace_nodes(grid)
     phi.check_admissible(nodes)
     u = solve_semilinear(grid, reaction, phi, fine_nt)
@@ -444,5 +420,4 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
     sub = noisy.subsample_time(fine_nt // sub_nt)
     return ObservedData(domain=domain, phi=phi, flux=sub,
                         noise_level=noise_level, seed=seed,
-                        f_label=reaction.label,
-                        meta={"fine_n": fine_n, "fine_nt": fine_nt, "sub_nt": sub_nt})
+                        f_label=reaction.label)

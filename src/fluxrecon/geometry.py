@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 from .numerics import trapezoid_weights
 
 MIN_CELLS = 8
@@ -42,10 +42,6 @@ class DomainSpec:
     def dim(self) -> int:
         return len(self.lengths)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.lengths))
-
 
 def interval(length: float = 1.0) -> DomainSpec:
     return DomainSpec(DomainKind.INTERVAL, (float(length),))
@@ -62,6 +58,10 @@ class SpatialGrid:
     axes[d] holds the n[d] + 1 node coordinates along axis d and weights
     is the tensor-product trapezoid quadrature weight array over the
     full grid (shape == field shape).
+
+    The grid owns the boundary layout: side s of `boundary_nodes` lies on
+    axis s // 2, at the first node of that axis for even s and at the
+    last for odd s (`face`).
     """
 
     domain: DomainSpec
@@ -74,13 +74,30 @@ class SpatialGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(ax) for ax in self.axes)
 
-    def interior(self) -> tuple[slice, ...]:
-        """Index slices selecting strictly interior nodes."""
-        return tuple(slice(1, -1) for _ in self.axes)
+    @property
+    def points(self) -> np.ndarray:
+        """Node coordinates, shape (*shape, dim)."""
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Trapezoid integral of a nodal field over the domain."""
-        return float(np.sum(self.weights * values))
+    def face(self, side: int) -> tuple:
+        """Index of boundary side `side` in a (time, *shape) array."""
+        idx = [slice(None)] * (1 + self.domain.dim)
+        idx[1 + side // 2] = -(side % 2)
+        return tuple(idx)
+
+    def indices(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-axis node indices of grid-aligned points (N, dim); InputError
+        naming the first coordinate that lies off its axis."""
+        out = []
+        for axis, coords in zip(self.axes, np.asarray(points, dtype=float).T):
+            i = np.rint(np.nan_to_num((coords - axis[0]) / (axis[1] - axis[0])))
+            i = np.clip(i, 0, len(axis) - 1).astype(np.intp)
+            off = ~(np.abs(axis[i] - coords) <= 1e-9 * np.maximum(1.0, np.abs(coords)))
+            if off.any():
+                raise InputError(f"boundary node at {coords[np.argmax(off)]:g} "
+                                 "is not aligned with the grid")
+            out.append(i)
+        return tuple(out)
 
 
 def make_grid(domain: DomainSpec, n) -> SpatialGrid:
@@ -125,10 +142,6 @@ class BoundaryNodeSet:
     @property
     def count(self) -> int:
         return len(self.weights)
-
-    def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Boundary integral of nodal values laid out on the last axis."""
-        return np.asarray(values) @ self.weights
 
 
 def boundary_nodes(domain: DomainSpec, m: int = 0) -> BoundaryNodeSet:

@@ -32,9 +32,9 @@ from scipy.sparse.linalg import splu
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
-from .forward import (Nonlinearity, ObservedData, grid_index, interior_laplacian,
-                      neumann_trace, rect_laplacian_matrix, solve_linear_heat)
-from .geometry import BoundaryNodeSet, DomainKind, SpatialGrid, build_grid
+from .forward import (Nonlinearity, ObservedData, interior_laplacian, neumann_trace,
+                      rect_laplacian_matrix, solve_linear_heat)
+from .geometry import DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelConfig, KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
 
@@ -154,9 +154,7 @@ def _side_values_on_axis(a: BoundaryTrace, side: int, coords: np.ndarray) -> np.
     """Interpolate one side's trace onto tangential coordinates, with
     linear extrapolation past the first/last node; (nt+1, len(coords))."""
     sel = a.nodes.side == side
-    nrm = a.nodes.normals[sel][0]
-    tangent = 1 - int(np.argmax(np.abs(nrm)))
-    tc = a.nodes.nodes[sel][:, tangent]
+    tc = a.nodes.nodes[sel][:, 1 - side // 2]
     order = np.argsort(tc)
     tc = tc[order]
     vals = a.values[:, sel][:, order]
@@ -174,24 +172,23 @@ def _side_values_on_axis(a: BoundaryTrace, side: int, coords: np.ndarray) -> np.
     return out
 
 
+def _rect_sides(a: BoundaryTrace, grid: SpatialGrid) -> list[np.ndarray]:
+    """Each side's trace on the grid nodes along that side, in side order;
+    side s runs along axis 1 - s // 2."""
+    return [_side_values_on_axis(a, s, grid.axes[1 - s // 2]) for s in range(4)]
+
+
 def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     """Boundary-ring Dirichlet values per time from the side traces;
     corners average the two adjacent sides' extrapolations."""
-    nx, ny = grid.n
-    nt1 = a.values.shape[0]
-    xg, yg = grid.axes
-    sides = [_side_values_on_axis(a, s, c)
-             for s, c in [(0, yg), (1, yg), (2, xg), (3, xg)]]
-    rings = np.zeros((nt1, nx + 1, ny + 1))
-    rings[:, 0, :] = sides[0]
-    rings[:, -1, :] = sides[1]
-    rings[:, :, 0] = sides[2]
-    rings[:, :, -1] = sides[3]
-    for (i, j), (u, v) in [((0, 0), (0, 2)), ((0, -1), (0, 3)),
-                           ((-1, 0), (1, 2)), ((-1, -1), (1, 3))]:
-        ci = 0 if j == 0 else -1
-        cj = 0 if i == 0 else -1
-        rings[:, i, j] = 0.5 * (sides[u][:, ci] + sides[v][:, cj])
+    sides = _rect_sides(a, grid)
+    rings = np.zeros((a.values.shape[0],) + grid.shape)
+    for s, side in enumerate(sides):
+        rings[grid.face(s)] = side
+    # corner (i, j) closes x-side -i at its end j and y-side 2 - j at its end i
+    for i in (0, -1):
+        for j in (0, -1):
+            rings[:, i, j] = 0.5 * (sides[-i][:, j] + sides[2 - j][:, i])
     return rings
 
 
@@ -209,34 +206,22 @@ def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 def _rect_normal_constant(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
     lx, ly = grid.domain.lengths
-    xg, yg = grid.axes
-    X, Y = np.meshgrid(xg, yg, indexing="ij")
+    X, Y = np.moveaxis(grid.points, -1, 0)
     dists = np.stack([X, lx - X, Y, ly - Y])            # per side
-    sides = [_side_values_on_axis(a, 0, yg), _side_values_on_axis(a, 1, yg),
-             _side_values_on_axis(a, 2, xg), _side_values_on_axis(a, 3, xg)]
-    nt1 = sides[0].shape[0]
-    vals = np.empty((4, nt1) + X.shape)
-    vals[0] = sides[0][:, None, :]
-    vals[1] = sides[1][:, None, :]
-    vals[2] = sides[2][:, :, None]
-    vals[3] = sides[3][:, :, None]
+    sides = _rect_sides(a, grid)
+    vals = np.empty((4, a.values.shape[0]) + grid.shape)
+    for s, side in enumerate(sides):
+        # constant along the normal axis of the side
+        vals[s] = np.expand_dims(side, 1 + s // 2)
     # inverse-distance-power blend: near-constant along each normal,
     # C^inf crossover at the medial region, exact on the boundary
     scale = min(lx, ly)
     w = 1.0 / (dists / scale + 1e-14) ** 4
     w /= np.sum(w, axis=0)
     out = np.einsum("sxy,stxy->txy", w, vals)
-    for s, idx in [(0, (0, slice(None))), (1, (-1, slice(None))),
-                   (2, (slice(None), 0)), (3, (slice(None), -1))]:
-        out[(slice(None),) + idx] = vals[s][(slice(None),) + idx]
+    for s, side in enumerate(sides):
+        out[grid.face(s)] = side
     return out
-
-
-def _at_nodes(field: np.ndarray, grid: SpatialGrid, nodes: BoundaryNodeSet) -> np.ndarray:
-    """Values of a grid field (nt+1, *grid.shape) at grid-aligned boundary nodes."""
-    idx = tuple(np.array([grid_index(axis, c) for c in nodes.nodes[:, d]])
-                for d, axis in enumerate(grid.axes))
-    return field[(slice(None),) + idx]
 
 
 def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
@@ -256,8 +241,8 @@ def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
         raise ConfigurationError(
             f"unknown extension {method!r}, expected one of {EXTENSIONS}")
     if shape is not None:
-        rest = BoundaryTrace(nodes=a.nodes, times=a.times,
-                             values=a.values - _at_nodes(shape, grid, a.nodes))
+        at_nodes = shape[(slice(None), *grid.indices(a.nodes.nodes))]
+        rest = BoundaryTrace(nodes=a.nodes, times=a.times, values=a.values - at_nodes)
         return shape + extend_boundary_data(rest, grid, method)
     if grid.domain.kind is DomainKind.INTERVAL:
         return _interval_extension(a, grid, method)
@@ -392,11 +377,6 @@ def evaluate_curve(curve: CurveEstimate, u) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     curve: CurveEstimate
-    coefficients: CoefficientSeries
-    functional: BoundaryTrace
-    gap: BoundaryTrace
-    series_values: np.ndarray = field(repr=False)  # (nt+1, nb)
-    phi_values: np.ndarray = field(repr=False)     # (nt+1, nb)
     diagnostics: dict = field(default_factory=dict)
     alt_curve: CurveEstimate | None = None
 
@@ -431,7 +411,7 @@ def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasi
     _, first = _pipeline(a, v_phi.grid, basis, config, method)
     shape = reaction_free_response(v_phi, build_curve(phi_vals, first, config), basis)
     series, fvals = _pipeline(a, v_phi.grid, basis, config, method, shape)
-    return series, fvals, build_curve(phi_vals, fvals, config)
+    return series, build_curve(phi_vals, fvals, config)
 
 
 def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> ReconstructionResult:
@@ -447,8 +427,8 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     functional = compute_data_functional(gap, kernel)
     basis = make_basis(obs.domain, config.k_modes)
     phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
-    series, fvals, curve = _corrected_pipeline(functional, v_phi, basis, config,
-                                               config.extension, phi_vals)
+    series, curve = _corrected_pipeline(functional, v_phi, basis, config,
+                                        config.extension, phi_vals)
 
     energy = np.max(np.abs(series.values), axis=0)
     tail = float(np.max(energy[3 * len(energy) // 4:]) / max(np.max(energy), 1e-300))
@@ -463,14 +443,12 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     alt_curve = None
     if config.compare_extensions:
         other = "normal_constant" if config.extension == "harmonic" else "harmonic"
-        _, _, alt_curve = _corrected_pipeline(functional, v_phi, basis, config, other,
-                                              phi_vals)
+        _, alt_curve = _corrected_pipeline(functional, v_phi, basis, config, other,
+                                           phi_vals)
         us = np.linspace(max(curve.trusted_lo, alt_curve.trusted_lo),
                          min(curve.trusted_hi, alt_curve.trusted_hi), 101)
         v1, _ = evaluate_curve(curve, us)
         v2, _ = evaluate_curve(alt_curve, us)
         diagnostics["extension_discrepancy"] = float(np.max(np.abs(v1 - v2)))
         diagnostics["alt_extension_method"] = other
-    return ReconstructionResult(curve=curve, coefficients=series, functional=functional,
-                                gap=gap, series_values=fvals, phi_values=phi_vals,
-                                diagnostics=diagnostics, alt_curve=alt_curve)
+    return ReconstructionResult(curve=curve, diagnostics=diagnostics, alt_curve=alt_curve)

@@ -16,7 +16,7 @@ from .forward import (DirichletData, difference_residual, interior_laplacian,
                       neumann_trace, solve_linear_heat, solve_semilinear)
 from .geometry import boundary_nodes, build_grid, interval, rectangle
 from .heatkernel import KernelEvaluator
-from .numerics import exp_convolve, sliding_derivative
+from .recon import differentiate_coefficients, volterra_oracle
 
 SUITES = ("eigenbasis", "kernel", "representation", "forward", "volterra")
 
@@ -249,7 +249,8 @@ def forward_suite() -> dict:
 def volterra_suite(k: int = 8, n: int = 256, nt: int = 8192) -> dict:
     """On a known smooth instance the response coefficients must satisfy
     p_k' + lambda_k p_k = c_k; checked with the sliding-window
-    derivative, normalized per mode by max |c_k|."""
+    derivative, normalized per mode by max |c_k|. The coefficients come
+    from the pipeline's own volterra_oracle and differentiate_coefficients."""
     dom = interval()
     phi = make_boundary_data({"family": "ramp", "profile": "affine", "slope": 1.0},
                              dom, 1.0)
@@ -257,14 +258,13 @@ def volterra_suite(k: int = 8, n: int = 256, nt: int = 8192) -> dict:
     grid = build_grid(dom, n)
     u = solve_semilinear(grid, reaction, phi, nt)
     basis = make_basis(dom, k)
-    c = basis.project(grid, reaction.fn(u.values))
-    p = exp_convolve(basis.lambdas, u.times, c)
-    dp = sliding_derivative(u.times, p, halfwidth=3)
-    resid = dp + p * basis.lambdas[None, :] - c
+    c, p = volterra_oracle(u, reaction, basis)
+    p = differentiate_coefficients(p, halfwidth=3)
+    resid = p.derivs + p.values * p.lambdas[None, :] - c.values
     checks = []
     worst = 0.0
     for j in range(k):
-        scale = float(np.max(np.abs(c[:, j])))
+        scale = float(np.max(np.abs(c.values[:, j])))
         rel = float(np.max(np.abs(resid[:, j]))) / scale
         worst = max(worst, rel)
     checks.append(_check("volterra_identity_rel_max", worst, 1e-2))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
                                    load_scenario, run_convergence, run_reconstruct,
                                    run_synthesize, run_verify, write_observation)
+from fluxrecon.heatkernel import KernelConfig
+from fluxrecon.recon import ReconstructionConfig
 
 CHEAP = dict(domain_kind="interval", lengths=[1.0], final_time=1.0,
              fine_n=64, fine_nt=512, recon_n=16, recon_nt=64,
@@ -87,6 +90,19 @@ class TestScenarioConfig:
     def test_from_dict_wraps_type_errors(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_dict({"fine_n": "lots"})
+
+    @pytest.mark.parametrize("name", sorted(
+        {f.name for f in fields(ReconstructionConfig)} - {"grid_n"}))
+    def test_every_reconstruction_field_is_a_key(self, name):
+        default = getattr(ReconstructionConfig(), name)
+        scenario = ScenarioConfig(reconstruction={name: {} if name == "kernel" else default})
+        assert getattr(scenario.recon_config(), name) == default
+
+    @pytest.mark.parametrize("name", sorted(f.name for f in fields(KernelConfig)))
+    def test_every_kernel_field_is_a_key(self, name):
+        default = getattr(KernelConfig(), name)
+        scenario = ScenarioConfig(reconstruction={"kernel": {name: default}})
+        assert getattr(scenario.recon_config().kernel, name) == default
 
 
 class TestLoadScenario:
@@ -335,6 +351,20 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"flux_capacitor": 1}))
         assert main(["synthesize", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        {"lengths": 1.0}, {"lengths": ["a"]}, {"phi": "ramp"},
+        {"noise_level": "0.1"}, {"noise_level": 0.01, "seed": 1.5},
+        {"noise_level": 0.01, "seed": -1}, {"recon_n": 0},
+        {"reaction": {"family": "linear", "coeff": "x"}},
+        {"reconstruction": {"bins": "many"}}])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CHEAP, **edit}))
+        assert main(["synthesize", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "run" / "observation.csv").exists()
 
     def test_missing_observation_exits_2(self, tmp_path, capsys):
         assert main(["reconstruct", "--observation",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxrecon.errors import ConfigurationError
+from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.geometry import (MIN_CELLS, DomainKind, DomainSpec, boundary_nodes,
                                 build_grid, interval, make_grid, rectangle)
 
@@ -10,9 +10,9 @@ class TestDomainSpec:
     def test_factories(self):
         dom = interval(2.0)
         assert dom.kind is DomainKind.INTERVAL
-        assert dom.lengths == (2.0,) and dom.dim == 1 and dom.volume == 2.0
+        assert dom.lengths == (2.0,) and dom.dim == 1
         rect = rectangle(1.0, 3.0)
-        assert rect.dim == 2 and rect.volume == 3.0
+        assert rect.dim == 2 and rect.lengths == (1.0, 3.0)
 
     def test_rejects_nonpositive_lengths(self):
         with pytest.raises(ConfigurationError):
@@ -32,19 +32,21 @@ class TestGrids:
         grid = make_grid(interval(1.0), 4)
         assert np.allclose(grid.axes[0], [0.0, 0.25, 0.5, 0.75, 1.0])
         assert grid.h == (0.25,) and grid.shape == (5,)
-        assert grid.axes[0][grid.interior()[0]].tolist() == [0.25, 0.5, 0.75]
+        assert grid.points.shape == (5, 1)
+        assert np.array_equal(grid.points[:, 0], grid.axes[0])
 
     def test_weights_integrate_linear_exactly(self):
         grid = make_grid(interval(2.0), 10)
-        assert np.isclose(grid.integrate(grid.axes[0]), 2.0, rtol=0, atol=1e-14)
+        assert np.isclose(np.sum(grid.weights * grid.axes[0]), 2.0, rtol=0, atol=1e-14)
 
     def test_rectangle_layout(self):
         grid = make_grid(rectangle(1.0, 2.0), (4, 8))
         assert grid.shape == (5, 9)
         assert grid.h == (0.25, 0.25)
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
+        assert np.array_equal(grid.points, np.stack([X, Y], axis=-1))
         # bilinear fields integrate exactly under tensor trapezoid
-        assert np.isclose(grid.integrate(X * Y), 0.5 * 2.0, rtol=0, atol=1e-13)
+        assert np.isclose(np.sum(grid.weights * X * Y), 0.5 * 2.0, rtol=0, atol=1e-13)
 
     def test_make_grid_minimum(self):
         with pytest.raises(ConfigurationError):
@@ -70,7 +72,7 @@ class TestBoundaryNodes:
 
     def test_interval_integrate_is_two_point_sum(self):
         nodes = boundary_nodes(interval())
-        assert np.isclose(nodes.integrate(np.array([3.0, 4.0])), 7.0)
+        assert np.isclose(np.array([3.0, 4.0]) @ nodes.weights, 7.0)
 
     def test_rectangle_midpoints(self):
         nodes = boundary_nodes(rectangle(1.0, 2.0), m=4)
@@ -85,7 +87,7 @@ class TestBoundaryNodes:
 
     def test_rectangle_perimeter(self):
         nodes = boundary_nodes(rectangle(1.0, 2.0), m=8)
-        assert np.isclose(nodes.integrate(np.ones(nodes.count)), 6.0)
+        assert np.isclose(np.sum(nodes.weights), 6.0)
 
     def test_rectangle_normals_outward(self):
         nodes = boundary_nodes(rectangle(), m=4)
@@ -95,3 +97,51 @@ class TestBoundaryNodes:
     def test_rectangle_rejects_few_nodes(self):
         with pytest.raises(ConfigurationError):
             boundary_nodes(rectangle(), m=3)
+
+
+# the boundary layout: (domain, grid cells, nodes per side) with nodes on grid lines
+LAYOUTS = [(interval(0.9), 8, 0), (rectangle(0.9, 1.3), (8, 16), 4),
+           (rectangle(0.9, 1.3), 16, 8)]
+
+
+class TestBoundaryLayout:
+    @pytest.mark.parametrize("domain,n,m", LAYOUTS)
+    def test_side_nodes_sit_on_their_face(self, domain, n, m):
+        grid = make_grid(domain, n)
+        nodes = boundary_nodes(domain, m)
+        # every node id of the grid, laid out as a one-row (time, *shape) array
+        ids = np.arange(np.prod(grid.shape)).reshape((1,) + grid.shape)
+        at_nodes = ids[(0, *grid.indices(nodes.nodes))]
+        for s in range(2 * domain.dim):
+            on_side = at_nodes[nodes.side == s]
+            assert len(on_side) > 0
+            for t in range(2 * domain.dim):
+                # midpoint nodes leave out the corners, so only face s holds them
+                assert np.isin(on_side, ids[grid.face(t)]).all() == (s == t)
+                assert np.isin(on_side, ids[grid.face(t)]).any() == (s == t)
+
+    @pytest.mark.parametrize("domain,n,m", LAYOUTS)
+    def test_face_is_the_first_or_last_node_of_its_axis(self, domain, n, m):
+        grid = make_grid(domain, n)
+        coords = grid.points[None]
+        for s in range(2 * domain.dim):
+            end = domain.lengths[s // 2] if s % 2 else 0.0
+            assert np.all(coords[grid.face(s)][..., s // 2] == end)
+
+    def test_indices_of_aligned_points(self):
+        grid = make_grid(rectangle(0.9, 1.3), (8, 16))
+        ix, iy = grid.indices(np.array([[0.0, 1.3], [0.45, 0.65], [0.9, 0.08125]]))
+        assert ix.tolist() == [0, 4, 8] and iy.tolist() == [16, 8, 1]
+
+    @pytest.mark.parametrize("domain,n,point,coord", [
+        (interval(0.9), 8, [0.37], "0.37"),
+        (interval(0.9), 8, [1.0125], "1.0125"),
+        (rectangle(0.9, 1.3), 8, [0.45, 0.7], "0.7"),
+        (rectangle(0.9, 1.3), 8, [0.3, 0.325], "0.3"),
+        (rectangle(0.9, 1.3), 8, [0.45, float("nan")], "nan"),
+    ])
+    def test_off_grid_point_is_an_input_error(self, domain, n, point, coord):
+        grid = make_grid(domain, n)
+        aligned = np.zeros(domain.dim)
+        with pytest.raises(InputError, match=f"at {coord} is not aligned"):
+            grid.indices(np.array([aligned, point]))

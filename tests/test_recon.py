@@ -97,6 +97,38 @@ class TestRectangleExtensions:
             assert np.max(np.abs(got - trace.values[0, sel])) < 1e-10
 
 
+class TestLongRectangleExtensions:
+    """On a 0.9 x 1.3 rectangle the two axes differ, so an extension that
+    mixes up a side's tangent or normal axis shows."""
+
+    def _linear(self):
+        dom = rectangle(0.9, 1.3)
+        grid = build_grid(dom, 16)
+        nodes = boundary_nodes(dom, m=8)
+        exact = 1.0 + 2.0 * grid.points[..., 0] + 3.0 * grid.points[..., 1]
+        values = 1.0 + 2.0 * nodes.nodes[:, 0] + 3.0 * nodes.nodes[:, 1]
+        trace = BoundaryTrace(nodes=nodes, times=np.linspace(0.0, 1.0, 3),
+                              values=np.tile(values, (3, 1)))
+        return grid, trace, exact
+
+    def test_harmonic_recovers_linear_field(self):
+        grid, trace, exact = self._linear()
+        ext = extend_boundary_data(trace, grid, "harmonic")
+        assert np.max(np.abs(ext - exact[None])) < 1e-12
+
+    def test_normal_constant_holds_each_side_along_its_normal(self):
+        grid, trace, exact = self._linear()
+        ext = extend_boundary_data(trace, grid, "normal_constant")
+        mid = slice(4, 13)
+        for s in range(4):
+            face = ext[grid.face(s)]
+            assert np.max(np.abs(face - exact[None][grid.face(s)])) < 1e-12
+            # one node in from the face, away from the corners, the blend is
+            # within ~1% of the side's value at the same tangential node
+            inner = np.moveaxis(ext, 1 + s // 2, 1)[:, 1 if s % 2 == 0 else -2]
+            assert np.max(np.abs(inner[:, mid] - face[:, mid])) < 0.05
+
+
 def _linear_curve(slope):
     """The curve u -> slope * u on [0, 1]."""
     return CurveEstimate(knots=np.array([0.0, 1.0]), values=np.array([0.0, slope]),
