@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -70,9 +71,10 @@ class ScenarioConfig:
             _require(_is_real(value) and isinstance(value, int) and value >= least, key,
                      f"an integer >= {least}")
         for key in ("final_time", "noise_level"):
-            _require(_is_real(getattr(self, key)), key, "a number")
+            _require(_is_finite(getattr(self, key)), key, "a finite number")
         _require(isinstance(self.lengths, (list, tuple))
-                 and all(_is_real(v) for v in self.lengths), "lengths", "a list of numbers")
+                 and all(_is_finite(v) for v in self.lengths), "lengths",
+                 "a list of finite numbers")
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         if self.final_time <= 0:
             raise ConfigurationError(f"final_time must be positive, got {self.final_time}")
@@ -136,6 +138,15 @@ class ScenarioConfig:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number that is a finite float: JSON files may carry NaN,
+    +-Infinity and integers too large for a float."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require(ok: bool, key: str, kind: str) -> None:

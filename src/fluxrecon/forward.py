@@ -29,10 +29,9 @@ as an array of shape (rows, 1, ...) with one axis per grid axis, and must
 return values that broadcast to (rows, *grid.shape): row i is q at t[i].
 A source written with elementwise numpy operations on t meets this."""
 
-# time rows per source evaluation and per divergence check of the marches
+# time rows per block of the marches: per source evaluation, per
+# divergence check and per block a caller reads
 _BLOCK = 64
-# time rows per block of the difference residual
-_RESIDUAL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,17 @@ def _check_rows(rows: np.ndarray, times: np.ndarray, m0: int) -> None:
     raise NumericalError(f"solver diverged at step {step} (t = {times[step]:g})")
 
 
+def _times(data: DirichletData, nt: int) -> np.ndarray:
+    return np.linspace(0.0, data.final_time, nt + 1)
+
+
 def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
-              source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
+              source: SourceFn | None, u0: np.ndarray | None):
     n = grid.n[0]
     h = grid.h[0]
     T = data.final_time
     dt = T / nt
-    times = np.linspace(0.0, T, nt + 1)
+    times = _times(data, nt)
     xs = grid.axes[0]
     bpts = np.array([[xs[0]], [xs[-1]]])
     ab = _interval_step_matrix(n, h, dt)
@@ -161,22 +164,26 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     lap = np.empty(n - 1)
     work = np.empty(n - 1)
 
-    u = np.zeros((nt + 1, n + 1))
+    u = np.zeros((_BLOCK + 1, n + 1))
     if u0 is not None:
         u[0] = u0
     # the boundary columns are known up front; r * phi enters the end rows
     bc = data.table(bpts, times)
-    u[:, 0], u[:, -1] = bc[:, 0], bc[:, 1]
     r_bc = r * bc[1:]
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
+        if m0:
+            u[0] = u[_BLOCK]
+        # only the end columns are set here: a step writes every interior
+        # value of its new row, and f_prev may alias an interior
+        u[:m1 - m0 + 1, 0], u[:m1 - m0 + 1, -1] = bc[m0:m1 + 1, 0], bc[m0:m1 + 1, 1]
         if source is not None:
             q_dt = dt * _source_rows(source, grid, times[m0:m1] + half_dt)[:, 1:-1]
         for m in range(m0, m1):
-            um = u[m]
+            um = u[m - m0]
             inner = um[1:-1]
-            rhs = u[m + 1, 1:-1]
+            rhs = u[m - m0 + 1, 1:-1]
             np.multiply(2.0, inner, out=lap)
             np.subtract(um[:-2], lap, out=lap)
             np.add(lap, um[2:], out=lap)
@@ -202,8 +209,8 @@ def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
             rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
         # a non-finite right-hand side always gives a non-finite solve, so
         # the first non-finite row is the step that diverged
-        _check_rows(u[m0 + 1:m1 + 1, 1:-1], times, m0)
-    return SolutionField(grid=grid, times=times, values=u)
+        _check_rows(u[1:m1 - m0 + 1, 1:-1], times, m0)
+        yield m0, u[:m1 - m0 + 1]
 
 
 def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -239,66 +246,86 @@ def rect_laplacian_matrix(grid: SpatialGrid):
 
 
 def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
-              source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
+              source: SourceFn | None, u0: np.ndarray | None):
     nx, ny = grid.n
     T = data.final_time
     dt = T / nt
-    times = np.linspace(0.0, T, nt + 1)
+    times = _times(data, nt)
     A = rect_laplacian_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
     lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
 
-    u = np.zeros((nt + 1,) + grid.shape)
+    # one table of boundary values per side; the y = 0 and y = L faces are
+    # written last, so theirs are the corner values
+    points = grid.points
+    faces = [(face, data.table(points[face], times))
+             for face in (grid.face(s)[1:] for s in range(4))]
+    u = np.zeros((_BLOCK + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    # the boundary faces at every time; the y = 0 and y = L faces are
-    # written last, so theirs are the corner values. Row m + 1 holds only
-    # its faces until it is solved, so its interior Laplacian is the
-    # boundary coupling of the step.
-    points = grid.points
-    for s in range(4):
-        face = grid.face(s)
-        u[face] = data.table(points[face[1:]], times)
+    for face, table in faces:
+        u[0][face] = table[0]
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
+        if m0:
+            u[0] = u[_BLOCK]
         if source is not None:
             q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[:, 1:-1, 1:-1]
         for m in range(m0, m1):
-            um = u[m]
+            um, new = u[m - m0], u[m - m0 + 1]
+            # the new row holds only its faces until it is solved, so its
+            # interior Laplacian is the boundary coupling of the step; it
+            # is never the row f_prev may alias
+            new[1:-1, 1:-1] = 0.0
+            for face, table in faces:
+                new[face] = table[m + 1]
             fm = reaction(um) if reaction is not None else np.zeros_like(um)
             f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
             rhs = (um[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(um, grid)
-                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(u[m + 1], grid))
+                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(new, grid))
             if source is not None:
                 rhs = rhs + q_dt[m - m0]
-            u[m + 1, 1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
+            new[1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
             f_prev = fm
-        _check_rows(u[m0 + 1:m1 + 1, 1:-1, 1:-1], times, m0)
-    return SolutionField(grid=grid, times=times, values=u)
+        _check_rows(u[1:m1 - m0 + 1, 1:-1, 1:-1], times, m0)
+        yield m0, u[:m1 - m0 + 1]
 
 
-def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
-           source: SourceFn | None, u0: np.ndarray | None) -> SolutionField:
+def march(grid: SpatialGrid, reaction: Nonlinearity | None, data: DirichletData,
+          nt: int, source: SourceFn | None = None, u0: np.ndarray | None = None):
+    """March u_t - lap(u) + f(u) = source (no f when reaction is None) with
+    Dirichlet data to t = T, yielding blocks of time rows (m0, rows):
+    rows = u[m0 : m1 + 1] with m1 = min(m0 + _BLOCK, nt), and row 0 of a
+    block is the last row of the block before it. Each rows is a view into
+    one reused buffer, valid until the next block is asked for: a caller
+    keeps what it reads and copies what it must hold."""
     if nt < 2:
         raise ConfigurationError(f"need at least 2 time steps, got {nt}")
-    solve = _solve_1d if grid.domain.kind is DomainKind.INTERVAL else _solve_2d
-    return solve(grid, reaction, data, nt, source, u0)
+    body = _solve_1d if grid.domain.kind is DomainKind.INTERVAL else _solve_2d
+    fn = reaction.fn if reaction is not None else None
+    return body(grid, fn, data, nt, source, u0)
+
+
+def _field(grid: SpatialGrid, data: DirichletData, nt: int, blocks) -> SolutionField:
+    u = np.empty((nt + 1,) + grid.shape)
+    for m0, rows in blocks:
+        u[m0:m0 + len(rows)] = rows
+    return SolutionField(grid=grid, times=_times(data, nt), values=u)
 
 
 def solve_semilinear(grid: SpatialGrid, reaction: Nonlinearity, data: DirichletData,
                      nt: int, source: SourceFn | None = None,
                      u0: np.ndarray | None = None) -> SolutionField:
     """March u_t - lap(u) + f(u) = source with Dirichlet data to t = T."""
-    fn = reaction.fn if reaction is not None else None
-    return _march(grid, fn, data, nt, source, u0)
+    return _field(grid, data, nt, march(grid, reaction, data, nt, source, u0))
 
 
 def solve_linear_heat(grid: SpatialGrid, data: DirichletData, nt: int,
                       source: SourceFn | None = None,
                       u0: np.ndarray | None = None) -> SolutionField:
     """March the linear heat equation with the same discretization."""
-    return _march(grid, None, data, nt, source, u0)
+    return _field(grid, data, nt, march(grid, None, data, nt, source, u0))
 
 
 def default_trace_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
@@ -311,6 +338,22 @@ def default_trace_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
     return boundary_nodes(grid.domain, m=grid.n[0] // 2)
 
 
+def _flux_stencil(grid: SpatialGrid, nodes: BoundaryNodeSet):
+    """The outward normal derivative at the nodes as a function of a
+    (rows, *grid.shape) array; see neumann_trace."""
+    idx = np.array(grid.indices(nodes.nodes))            # (dim, nb)
+    axis = nodes.side // 2
+    inward = np.zeros_like(idx)
+    inward[axis, np.arange(nodes.count)] = 1 - 2 * (nodes.side % 2)
+    taps = [(slice(None), *(idx + k * inward)) for k in range(3)]
+    h = np.asarray(grid.h)[axis]
+
+    def flux(rows: np.ndarray) -> np.ndarray:
+        a, b, c = (rows[tap] for tap in taps)
+        return (3.0 * a - 4.0 * b + c) / (2.0 * h)
+    return flux
+
+
 def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) -> BoundaryTrace:
     """Outward normal derivative at boundary nodes, one-sided second order.
 
@@ -319,17 +362,23 @@ def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) ->
     inward along axis s // 2, forward from the first node for even s and
     back from the last for odd s.
     """
-    grid = field.grid
     if nodes is None:
-        nodes = default_trace_nodes(grid)
-    idx = np.array(grid.indices(nodes.nodes))            # (dim, nb)
-    axis = nodes.side // 2
-    inward = np.zeros_like(idx)
-    inward[axis, np.arange(nodes.count)] = 1 - 2 * (nodes.side % 2)
-    a, b, c = (field.values[(slice(None), *(idx + k * inward))] for k in range(3))
-    h = np.asarray(grid.h)[axis]
+        nodes = default_trace_nodes(field.grid)
     return BoundaryTrace(nodes=nodes, times=field.times,
-                         values=(3.0 * a - 4.0 * b + c) / (2.0 * h))
+                         values=_flux_stencil(field.grid, nodes)(field.values))
+
+
+def march_flux(grid: SpatialGrid, reaction: Nonlinearity | None, data: DirichletData,
+               nt: int, nodes: BoundaryNodeSet) -> tuple[BoundaryTrace, float]:
+    """neumann_trace of the march at the nodes, and the largest u of the
+    march, keeping only a block of time rows at a time."""
+    flux = _flux_stencil(grid, nodes)
+    values = np.empty((nt + 1, nodes.count))
+    u_max = -np.inf
+    for m0, rows in march(grid, reaction, data, nt):
+        values[m0:m0 + len(rows)] = flux(rows)
+        u_max = max(u_max, float(np.max(rows)))
+    return BoundaryTrace(nodes=nodes, times=_times(data, nt), values=values), u_max
 
 
 @dataclass(frozen=True)
@@ -342,32 +391,56 @@ class DifferenceResidualReport:
     initial_max: float
 
 
+def _residual_report(blocks, grid: SpatialGrid, dt: float,
+                     reaction: Nonlinearity) -> DifferenceResidualReport:
+    """The residual of w = u - v over row blocks (u_rows, v_rows) that carry
+    one halo row each side: the first block starts at t = 0, the last ends
+    at t = T, and the interior rows of the blocks are every interior time
+    once. The peaks are maxima, so the block size does not change them."""
+    inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
+    faces = [grid.face(s) for s in range(2 * grid.domain.dim)]
+    interior, boundary, initial = [], [], None
+    for ub, vb in blocks:
+        w = ub - vb
+        if initial is None:
+            initial = float(np.max(np.abs(w[0])))
+        wt = (w[2:] - w[:-2]) / (2.0 * dt)
+        res = wt[inner] - interior_laplacian(w, grid)[1:-1] + reaction.fn(ub[1:-1][inner])
+        interior.append(np.max(np.abs(res)))
+        boundary.extend(np.max(np.abs(w[face])) for face in faces)
+    return DifferenceResidualReport(interior_max=float(np.max(interior)),
+                                    boundary_max=float(np.max(boundary)),
+                                    initial_max=initial)
+
+
 def difference_residual(u: SolutionField, v: SolutionField,
                         reaction: Nonlinearity) -> DifferenceResidualReport:
     """Check w = u - v against its evolution law with discrete operators
     (centered time derivative, 3/5-point Laplacian) on interior nodes and
-    interior times. The residual is formed a block of time rows at a time
-    (with one row of halo each side for the time difference), so the
-    memory it needs does not grow with the number of steps."""
+    interior times, a block of time rows at a time."""
     if u.values.shape != v.values.shape or not np.allclose(u.times, v.times):
         raise InputError("fields must share grid and time sampling")
-    grid = u.grid
     dt = float(u.times[1] - u.times[0])
-    nt1 = len(u.times)
-    inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
-    peaks = []
-    for j0 in range(1, nt1 - 1, _RESIDUAL_ROWS):
-        j1 = min(j0 + _RESIDUAL_ROWS, nt1 - 1)
-        w = u.values[j0 - 1:j1 + 1] - v.values[j0 - 1:j1 + 1]
-        wt = (w[2:] - w[:-2]) / (2.0 * dt)
-        res = (wt[inner] - interior_laplacian(w, grid)[1:-1]
-               + reaction.fn(u.values[j0:j1][inner]))
-        peaks.append(np.max(np.abs(res)))
-    edges = [np.max(np.abs(u.values[grid.face(s)] - v.values[grid.face(s)]))
-             for s in range(2 * grid.domain.dim)]
-    return DifferenceResidualReport(interior_max=float(np.max(peaks)),
-                                    boundary_max=float(np.max(edges)),
-                                    initial_max=float(np.max(np.abs(u.values[0] - v.values[0]))))
+    last = len(u.times) - 1
+    spans = [(j0 - 1, min(j0 + _BLOCK, last) + 1) for j0 in range(1, last, _BLOCK)]
+    blocks = ((u.values[a:b], v.values[a:b]) for a, b in spans)
+    return _residual_report(blocks, u.grid, dt, reaction)
+
+
+def march_difference_residual(grid: SpatialGrid, reaction: Nonlinearity,
+                              data: DirichletData, nt: int) -> DifferenceResidualReport:
+    """difference_residual of u = solve_semilinear and v = solve_linear_heat
+    on (grid, data, nt), from two lockstep marches: no field is stored."""
+    times = _times(data, nt)
+
+    def blocks():
+        halo = None
+        for (_, ru), (_, rv) in zip(march(grid, reaction, data, nt),
+                                     march(grid, None, data, nt)):
+            yield (ru, rv) if halo is None else (np.concatenate([halo[0], ru]),
+                                                 np.concatenate([halo[1], rv]))
+            halo = ru[-2:-1].copy(), rv[-2:-1].copy()
+    return _residual_report(blocks(), grid, float(times[1] - times[0]), reaction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,9 +481,8 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
     if nodes is None:
         nodes = default_trace_nodes(grid)
     phi.check_admissible(nodes)
-    u = solve_semilinear(grid, reaction, phi, fine_nt)
-    reaction.check_admissible(float(np.max(u.values)))
-    flux = neumann_trace(u, nodes)
+    flux, u_max = march_flux(grid, reaction, phi, fine_nt, nodes)
+    reaction.check_admissible(u_max)
     values = flux.values
     if noise_level > 0:
         rng = np.random.default_rng(seed)

@@ -32,8 +32,8 @@ from scipy.sparse.linalg import splu
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
-from .forward import (Nonlinearity, ObservedData, interior_laplacian, neumann_trace,
-                      rect_laplacian_matrix, solve_linear_heat)
+from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux,
+                      neumann_trace, rect_laplacian_matrix, solve_linear_heat)
 from .geometry import DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelConfig, KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
@@ -57,6 +57,10 @@ class ReconstructionConfig:
     compare_extensions: bool = False
 
     def __post_init__(self):
+        for key in ("monotone", "compare_extensions"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigurationError(
+                    f"{key} must be true or false, got {getattr(self, key)!r}")
         if self.extension not in EXTENSIONS:
             raise ConfigurationError(
                 f"unknown extension {self.extension!r}, expected one of {EXTENSIONS}")
@@ -120,7 +124,7 @@ def flux_difference(obs: ObservedData, grid: SpatialGrid,
                          f"[0, {obs.phi.final_time}] with {nt} steps")
     fine = build_grid(obs.domain, tuple(2 * n for n in grid.n))
     coarse_flux = neumann_trace(v_phi, obs.flux.nodes).values
-    fine_flux = neumann_trace(solve_linear_heat(fine, obs.phi, nt), obs.flux.nodes).values
+    fine_flux = march_flux(fine, None, obs.phi, nt, obs.flux.nodes)[0].values
     v_flux = (4.0 * fine_flux - coarse_flux) / 3.0
     return BoundaryTrace(nodes=obs.flux.nodes, times=obs.flux.times,
                          values=obs.flux.values - v_flux)

@@ -12,8 +12,8 @@ import numpy as np
 from .eigenbasis import make_basis, verify_orthonormality
 from .errors import ConfigurationError
 from .families import make_boundary_data, make_reaction
-from .forward import (DirichletData, difference_residual, interior_laplacian,
-                      neumann_trace, solve_linear_heat, solve_semilinear)
+from .forward import (DirichletData, interior_laplacian, march, march_difference_residual,
+                      march_flux, solve_semilinear)
 from .geometry import boundary_nodes, build_grid, interval, rectangle
 from .heatkernel import KernelEvaluator
 from .recon import differentiate_coefficients, volterra_oracle
@@ -141,10 +141,9 @@ def representation_suite(n: int = 512, nt: int = 2048, time_samples: int = 33) -
     for spec in ({"family": "ramp", "profile": "const"},
                  {"family": "saturating_ramp", "profile": "affine", "slope": 0.5}):
         phi = make_boundary_data(spec, dom, final_time=1.0)
-        v = solve_linear_heat(grid, phi, nt)
-        flux = neumann_trace(v, nodes)
+        flux, _ = march_flux(grid, None, phi, nt, nodes)
         stride = nt // (time_samples - 1)
-        ts = v.times[::stride]
+        ts = flux.times[::stride]
         got = ev.boundary_propagate_trace(flux, nodes.nodes)[::stride]
         worst = 0.0
         scale = 0.0
@@ -178,6 +177,13 @@ def _mms_instance():
     return reaction, exact, source, data
 
 
+def _final_row(grid, reaction, data, nt, source, u0) -> np.ndarray:
+    """u at t = T, keeping only a block of time rows at a time."""
+    for _, rows in march(grid, reaction, data, nt, source, u0):
+        pass
+    return rows[-1]
+
+
 def mms_spatial_errors(cells=(16, 32, 64), nt: int = 4096) -> list[float]:
     reaction, exact, source, data = _mms_instance()
     dom = interval()
@@ -185,8 +191,8 @@ def mms_spatial_errors(cells=(16, 32, 64), nt: int = 4096) -> list[float]:
     for n in cells:
         grid = build_grid(dom, n)
         u0 = exact(grid.axes[0], 0.0)
-        u = solve_semilinear(grid, reaction, data, nt, source=source, u0=u0)
-        errs.append(float(np.max(np.abs(u.values[-1] - exact(grid.axes[0], 1.0)))))
+        u_end = _final_row(grid, reaction, data, nt, source, u0)
+        errs.append(float(np.max(np.abs(u_end - exact(grid.axes[0], 1.0)))))
     return errs
 
 
@@ -198,27 +204,25 @@ def mms_temporal_errors(steps=(16, 32, 64), n: int = 128, ref_steps: int = 8192
     dom = interval()
     grid = build_grid(dom, n)
     u0 = exact(grid.axes[0], 0.0)
-    ref = solve_semilinear(grid, reaction, data, ref_steps, source=source, u0=u0)
+    ref = _final_row(grid, reaction, data, ref_steps, source, u0)
     errs = []
     for nt in steps:
-        u = solve_semilinear(grid, reaction, data, nt, source=source, u0=u0)
-        errs.append(float(np.max(np.abs(u.values[-1] - ref.values[-1]))))
+        u_end = _final_row(grid, reaction, data, nt, source, u0)
+        errs.append(float(np.max(np.abs(u_end - ref))))
     return errs
 
 
 def difference_residual_study(levels=((128, 512), (256, 2048), (512, 8192))) -> list[dict]:
     """Residual of w = u_f - v_phi on the standard linear instance under
     parabolic refinement (dt ~ h^2, so the t = 0 corner layer cannot
-    degrade the halving rate)."""
+    degrade the halving rate). u and v are marched in lockstep, so
+    neither field is stored."""
     dom = interval()
     phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
     reaction = make_reaction({"family": "linear", "coeff": 1.0})
     rows = []
     for n, nt in levels:
-        grid = build_grid(dom, n)
-        u = solve_semilinear(grid, reaction, phi, nt)
-        v = solve_linear_heat(grid, phi, nt)
-        rep = difference_residual(u, v, reaction)
+        rep = march_difference_residual(build_grid(dom, n), reaction, phi, nt)
         rows.append({"n": n, "nt": nt, "interior_max": rep.interior_max,
                      "boundary_max": rep.boundary_max, "initial_max": rep.initial_max})
     return rows

@@ -357,7 +357,9 @@ class TestCli:
         {"noise_level": "0.1"}, {"noise_level": 0.01, "seed": 1.5},
         {"noise_level": 0.01, "seed": -1}, {"recon_n": 0},
         {"reaction": {"family": "linear", "coeff": "x"}},
-        {"reconstruction": {"bins": "many"}}])
+        {"reconstruction": {"bins": "many"}},
+        {"reconstruction": {"compare_extensions": "no"}},
+        {"reconstruction": {"monotone": "false"}}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))
@@ -365,6 +367,22 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "run" / "observation.csv").exists()
+
+    # json writes and reads NaN, Infinity and integers of any size
+    @pytest.mark.parametrize("key, value", [
+        ("final_time", float("nan")), ("final_time", float("inf")),
+        ("noise_level", float("nan")), ("noise_level", float("-inf")),
+        ("lengths", [float("nan")]), ("lengths", [float("inf")]),
+        ("lengths", [10 ** 400]), ("final_time", 10 ** 400)],
+        ids=["final_time-nan", "final_time-inf", "noise_level-nan", "noise_level-neg_inf",
+             "lengths-nan", "lengths-inf", "lengths-huge_int", "final_time-huge_int"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CHEAP, key: value}))
+        assert main(["synthesize", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"{key!r} must be a" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_observation_exits_2(self, tmp_path, capsys):
         assert main(["reconstruct", "--observation",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
@@ -8,11 +10,12 @@ from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
-                               difference_residual, neumann_trace, rect_laplacian_matrix,
-                               solve_linear_heat, solve_semilinear,
+                               difference_residual, march_flux, neumann_trace,
+                               rect_laplacian_matrix, solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.suites import _mms_instance, mms_spatial_errors, mms_temporal_errors
+from fluxrecon.suites import (_mms_instance, difference_residual_study, mms_spatial_errors,
+                              mms_temporal_errors)
 
 
 def _ramp(domain, T=1.0):
@@ -170,6 +173,16 @@ class TestMarchMatchesReference:
         ref = _reference_1d(grid, reaction.fn, data, nt, source=source, u0=u0)
         assert np.array_equal(u.values, ref)
 
+    # f(u) = u returns its input, so f(u_{m-1}) is a row of the march's
+    # buffer; 130 steps cross two block edges and end on a short block
+    @pytest.mark.parametrize("n", [12, 512])
+    def test_reaction_returning_its_input(self, n):
+        dom = interval()
+        grid = build_grid(dom, n)
+        reaction = Nonlinearity(fn=lambda u: u)
+        u = solve_semilinear(grid, reaction, _ramp(dom), 130)
+        assert np.array_equal(u.values, _reference_1d(grid, reaction.fn, _ramp(dom), 130))
+
     def test_divergence_after_the_first_block(self):
         grid = build_grid(interval(), 8)
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
@@ -304,6 +317,15 @@ class TestRectangleMarchMatchesReference:
         ref = _reference_2d(grid, reaction.fn, phi, nt, source=_rect_mms_source, u0=u0)
         assert np.array_equal(u.values, ref)
 
+    def test_reaction_returning_its_input(self):
+        dom = rectangle(0.9, 1.3)
+        grid = build_grid(dom, (9, 10))
+        phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
+                                  "slope": 0.7, "scale": 0.37}, dom, 1.0)
+        reaction = Nonlinearity(fn=lambda u: u)
+        u = solve_semilinear(grid, reaction, phi, 130)
+        assert np.array_equal(u.values, _reference_2d(grid, reaction.fn, phi, 130))
+
     def test_divergence_after_the_first_block(self):
         grid = build_grid(rectangle(), (9, 10))
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
@@ -416,6 +438,30 @@ class TestNeumannTrace:
         assert np.array_equal(got, _reference_neumann_trace(field, nodes))
 
 
+class TestMarchFlux:
+    """march_flux keeps one block of time rows; its flux and largest u
+    must equal neumann_trace and the max of the stored field."""
+
+    @pytest.mark.parametrize("domain,n,m", [
+        (interval(), 16, 0), (interval(0.9), 9, 0),
+        (rectangle(0.9, 1.3), (8, 16), 4), (rectangle(0.9, 1.3), 16, 8)])
+    @pytest.mark.parametrize("law", ["none", "saturating"])
+    def test_equals_the_trace_of_the_field(self, domain, n, m, law):
+        grid = build_grid(domain, n)
+        nodes = boundary_nodes(domain, m)
+        phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
+                                  "slope": 0.5}, domain, 1.0)
+        reaction = make_reaction(LAWS[law]) if LAWS[law] else None
+        if reaction is None:
+            u = solve_linear_heat(grid, phi, 130)
+        else:
+            u = solve_semilinear(grid, reaction, phi, 130)
+        trace, u_max = march_flux(grid, reaction, phi, 130, nodes)
+        assert np.array_equal(trace.times, u.times)
+        assert np.array_equal(trace.values, neumann_trace(u, nodes).values)
+        assert u_max == np.max(u.values)
+
+
 def _reference_neumann_trace(field, nodes):
     """neumann_trace node by node: the normal axis from the normal, the
     tangential node from its coordinate."""
@@ -491,6 +537,20 @@ class TestDifferenceResidual:
         rep = difference_residual(uf, vf, reaction)
         assert (rep.interior_max, rep.boundary_max, rep.initial_max) == \
             _reference_residual(uf, vf, reaction)
+
+    # 130 steps cross two block edges; 512 steps end on a full block
+    def test_streamed_study_equals_stored_fields(self):
+        levels = ((12, 130), (128, 512))
+        dom = interval()
+        phi = _ramp(dom)
+        reaction = make_reaction({"family": "linear", "coeff": 1.0})
+        for row, (n, nt) in zip(difference_residual_study(levels), levels):
+            grid = build_grid(dom, n)
+            rep = difference_residual(solve_semilinear(grid, reaction, phi, nt),
+                                      solve_linear_heat(grid, phi, nt), reaction)
+            assert row == {"n": n, "nt": nt, "interior_max": rep.interior_max,
+                           "boundary_max": rep.boundary_max,
+                           "initial_max": rep.initial_max}
 
     def test_zero_for_identical_fields(self):
         dom = interval()
@@ -615,6 +675,19 @@ class TestSynthesize:
         u = solve_semilinear(grid, r, _ramp(dom), 128)
         flux = neumann_trace(u)
         assert np.array_equal(obs.flux.values, flux.values[::4])
+
+    def test_keeps_no_field(self):
+        # the fine march is read a block of rows at a time: the peak of
+        # traced allocations stays far below one stored 2049 x 513 field
+        dom = interval()
+        tracemalloc.start()
+        try:
+            synthesize_observation(dom, make_reaction({"family": "linear"}), _ramp(dom),
+                                   fine_n=512, fine_nt=2048, sub_nt=256, noise_level=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2049 * 513 * 8 / 4
 
     def test_rejects_negative_noise(self):
         dom = interval()
