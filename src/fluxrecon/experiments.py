@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_fields, is_finite_real
 from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace
 from .forward import ObservedData, synthesize_observation
@@ -66,14 +65,11 @@ class ScenarioConfig:
             _require(isinstance(getattr(self, key), dict), key, "an object")
         _require(isinstance(self.reconstruction.get("kernel", {}), dict),
                  "reconstruction.kernel", "an object")
+        check_fields("scenario", self, integers=_INT_KEYS, reals=("final_time", "noise_level"))
         for key, least in _INT_KEYS.items():
-            value = getattr(self, key)
-            _require(_is_real(value) and isinstance(value, int) and value >= least, key,
-                     f"an integer >= {least}")
-        for key in ("final_time", "noise_level"):
-            _require(_is_finite(getattr(self, key)), key, "a finite number")
+            _require(getattr(self, key) >= least, key, f"an integer >= {least}")
         _require(isinstance(self.lengths, (list, tuple))
-                 and all(_is_finite(v) for v in self.lengths), "lengths",
+                 and all(is_finite_real(v) for v in self.lengths), "lengths",
                  "a list of finite numbers")
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         if self.final_time <= 0:
@@ -134,19 +130,6 @@ class ScenarioConfig:
             return cls(**raw)
         except TypeError as exc:
             raise ConfigurationError(f"bad scenario config: {exc}") from None
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number that is a finite float: JSON files may carry NaN,
-    +-Infinity and integers too large for a float."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _require(ok: bool, key: str, kind: str) -> None:
@@ -240,9 +223,14 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"metadata {meta_path} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise InputError(f"metadata {meta_path} must be a JSON object")
     if meta.get("schema") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema {meta.get('schema')!r} in {meta_path}")
     scenario = ScenarioConfig.from_dict(meta.get("config", {}))
+    f_label = meta.get("f_label")
+    if not (f_label is None or isinstance(f_label, str)):
+        raise InputError(f"f_label in {meta_path} must be a string or null, got {f_label!r}")
     dom = scenario.domain()
     coord_cols = ["x", "y"][:dom.dim]
 
@@ -306,10 +294,10 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         raise InputError(f"observation has {len(times)} time samples, "
                          f"scenario expects {scenario.recon_nt + 1}")
     flux = BoundaryTrace(nodes=nodes, times=times, values=values)
+    # the scenario's noise level and seed are the validated copies
     obs = ObservedData(domain=dom, phi=scenario.build_phi(), flux=flux,
-                       noise_level=float(meta.get("noise_level", 0.0)),
-                       seed=int(meta.get("seed", 0)),
-                       f_label=meta.get("f_label"))
+                       noise_level=float(scenario.noise_level), seed=scenario.seed,
+                       f_label=f_label)
     return obs, scenario
 
 

@@ -100,18 +100,6 @@ class DirichletData:
             raise InputError("boundary data must not vanish identically")
 
 
-def _interval_step_matrix(n: int, h: float, dt: float) -> np.ndarray:
-    """Banded (I - dt/2 lap) on the n-1 interior nodes: rows are the
-    upper, main and lower diagonals (LAPACK's du, d, dl live in
-    ab[0, 1:], ab[1] and ab[2, :-1])."""
-    r = dt / (2.0 * h * h)
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    return ab
-
-
 def _source_rows(source: SourceFn, grid: SpatialGrid, ts: np.ndarray) -> np.ndarray:
     """q at the times ts on the whole grid, shape (len(ts), *grid.shape),
     from one call of the source."""
@@ -140,100 +128,52 @@ def _times(data: DirichletData, nt: int) -> np.ndarray:
     return np.linspace(0.0, data.final_time, nt + 1)
 
 
-def _solve_1d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
-              source: SourceFn | None, u0: np.ndarray | None):
-    n = grid.n[0]
-    h = grid.h[0]
-    T = data.final_time
-    dt = T / nt
-    times = _times(data, nt)
-    xs = grid.axes[0]
-    bpts = np.array([[xs[0]], [xs[-1]]])
-    ab = _interval_step_matrix(n, h, dt)
-    # the step matrix is constant: LAPACK factors it once (gttrf) and each
-    # step only back-substitutes (gttrs), in place in the new time row
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ab,))
-    dl, d, du, du2, ipiv, _ = gttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    r = dt / (2.0 * h * h)
-    h2 = h * h
-    half_dt = 0.5 * dt
-    # work buffers over the interior nodes; each right-hand side is built
-    # in place in the operation order of the expression
-    #   um + (dt/2) lap(um) - dt f_ex + dt q,  f_ex = 1.5 f(um) - 0.5 f(u_{m-1})
-    # so it rounds exactly as that expression does
-    lap = np.empty(n - 1)
-    work = np.empty(n - 1)
-
-    u = np.zeros((_BLOCK + 1, n + 1))
-    if u0 is not None:
-        u[0] = u0
-    # the boundary columns are known up front; r * phi enters the end rows
-    bc = data.table(bpts, times)
-    r_bc = r * bc[1:]
-    f_prev = None
-    for m0 in range(0, nt, _BLOCK):
-        m1 = min(m0 + _BLOCK, nt)
-        if m0:
-            u[0] = u[_BLOCK]
-        # only the end columns are set here: a step writes every interior
-        # value of its new row, and f_prev may alias an interior
-        u[:m1 - m0 + 1, 0], u[:m1 - m0 + 1, -1] = bc[m0:m1 + 1, 0], bc[m0:m1 + 1, 1]
-        if source is not None:
-            q_dt = dt * _source_rows(source, grid, times[m0:m1] + half_dt)[:, 1:-1]
-        for m in range(m0, m1):
-            um = u[m - m0]
-            inner = um[1:-1]
-            rhs = u[m - m0 + 1, 1:-1]
-            np.multiply(2.0, inner, out=lap)
-            np.subtract(um[:-2], lap, out=lap)
-            np.add(lap, um[2:], out=lap)
-            np.divide(lap, h2, out=lap)
-            np.multiply(half_dt, lap, out=lap)
-            np.add(inner, lap, out=rhs)
-            if reaction is not None:
-                fm = reaction(um)[1:-1]
-                if f_prev is None:
-                    np.multiply(dt, fm, out=work)
-                else:
-                    np.multiply(1.5, fm, out=work)
-                    np.multiply(0.5, f_prev, out=lap)
-                    np.subtract(work, lap, out=work)
-                    np.multiply(dt, work, out=work)
-                np.subtract(rhs, work, out=rhs)
-                f_prev = fm
-            if source is not None:
-                np.add(rhs, q_dt[m - m0], out=rhs)
-            rhs[0] += r_bc[m, 0]
-            rhs[-1] += r_bc[m, 1]
-            # gttrs overwrites rhs when it can; storing its result covers a copy
-            rhs[...] = gttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)[0]
-        # a non-finite right-hand side always gives a non-finite solve, so
-        # the first non-finite row is the step that diverged
-        _check_rows(u[1:m1 - m0 + 1, 1:-1], times, m0)
-        yield m0, u[:m1 - m0 + 1]
+def _index(*axes):
+    """axes as an index: numpy takes a bare slice faster than a 1-tuple."""
+    return axes[0] if len(axes) == 1 else axes
 
 
-def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+def _stencil_views(w: np.ndarray, hs: tuple[float, ...]):
+    """The views of w the Laplacian reads, the grid axes of spacings hs
+    being its last len(hs) axes: the interior, and per grid axis the
+    nodes one before and one after it, with h^2."""
+    lead, inner = (slice(None),) * (w.ndim - len(hs)), (slice(1, -1),) * len(hs)
+    return w[lead + inner], [(w[lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]],
+                              w[lead + inner[:d] + (slice(2, None),) + inner[d + 1:]], h * h)
+                             for d, h in enumerate(hs)]
+
+
+def _laplacian(out: np.ndarray, inner: np.ndarray, taps) -> np.ndarray:
+    """The stencil into out from _stencil_views: sum over the grid axes
+    of (before - 2 inner + after) / h^2, in that operation order."""
+    for d, (lo, hi, h2) in enumerate(taps):
+        term = np.empty_like(out) if d else out
+        np.multiply(2.0, inner, out=term)
+        np.subtract(lo, term, out=term)
+        np.add(term, hi, out=term)
+        np.divide(term, h2, out=term)
+        if d:
+            np.add(out, term, out=out)
+    return out
+
+
+def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """The 3-point (interval) or 5-point (rectangle) Laplacian of w at the
     interior nodes. The grid axes are the trailing axes of w and leading
     axes (time) are carried along, so the result is w with every grid
-    axis shortened by one node at each end."""
-    dim = grid.domain.dim
-    lead = (slice(None),) * (w.ndim - dim)
-    inner = (slice(1, -1),) * dim
-    lap = None
-    for d, h in enumerate(grid.h):
-        lo = lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]
-        hi = lead + inner[:d] + (slice(2, None),) + inner[d + 1:]
-        term = (w[lo] - 2.0 * w[lead + inner] + w[hi]) / (h * h)
-        lap = term if lap is None else lap + term
-    return lap
+    axis shortened by one node at each end. With out, any array or view
+    of that shape, the same values are written there and returned."""
+    inner, taps = _stencil_views(w, grid.h)
+    return _laplacian(np.empty(inner.shape) if out is None else out, inner, taps)
 
 
 def rect_laplacian_matrix(grid: SpatialGrid):
     """Sparse 5-point Laplacian on the interior nodes of a rectangle grid,
-    in the C order of the (nx-1, ny-1) interior. The boundary values enter
-    as interior_laplacian of a field that holds them and is zero inside."""
+    in the C order of the (nx-1, ny-1) interior. It holds no boundary
+    values: the march adds r_d phi, r_d = dt / (2 h_d^2), to the interior
+    nodes next to each face, and the harmonic extension takes the
+    interior_laplacian of a field that holds them and is zero inside."""
     nx, ny = grid.n
     hx, hy = grid.h
 
@@ -245,51 +185,104 @@ def rect_laplacian_matrix(grid: SpatialGrid):
     return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
 
 
-def _solve_2d(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
-              source: SourceFn | None, u0: np.ndarray | None):
-    nx, ny = grid.n
-    T = data.final_time
-    dt = T / nt
-    times = _times(data, nt)
-    A = rect_laplacian_matrix(grid).tocsc()
-    ni = (nx - 1) * (ny - 1)
-    lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
+def _step_solver(grid: SpatialGrid, dt: float):
+    """solve(b) overwrites b, the interior of a time row, with
+    (I - dt/2 lap)^-1 b, from one factorization: LAPACK's gttrf with a
+    gttrs per step on the interval, a sparse LU on the rectangle."""
+    if grid.domain.dim == 1:
+        n, h = grid.n[0], grid.h[0]
+        r = dt / (2.0 * h * h)
+        off = np.full(n - 2, -r)
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (off,))
+        dl, d, du, du2, ipiv, _ = gttrf(off, np.full(n - 1, 1.0 + 2.0 * r), off)
 
-    # one table of boundary values per side; the y = 0 and y = L faces are
-    # written last, so theirs are the corner values
-    points = grid.points
-    faces = [(face, data.table(points[face], times))
-             for face in (grid.face(s)[1:] for s in range(4))]
+        def solve(b: np.ndarray) -> None:
+            # gttrs solves in b when it can, and else returns a copy
+            x = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+            if x is not b:
+                b[...] = x
+        return solve
+    A = rect_laplacian_matrix(grid).tocsc()
+    lu = splu(identity(A.shape[0], format="csc") - (dt / 2.0) * A)
+
+    def solve(b: np.ndarray) -> None:
+        b[...] = lu.solve(b.ravel()).reshape(b.shape)
+    return solve
+
+
+def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
+           source: SourceFn | None, u0: np.ndarray | None):
+    """The march of `march` on either domain, reaction being f or None.
+
+    Each right-hand side is built in place in its new row, in the
+    operation order of the expression
+        um + (dt/2) lap(um) - dt f_ex + dt q,  f_ex = 1.5 f(um) - 0.5 f(u_{m-1}),
+    so it rounds exactly as that expression does; then each face s, on
+    axis d = s // 2, adds r_d phi, r_d = dt / (2 h_d^2), to the interior
+    nodes next to it (face[1:] of the interior).
+    """
+    dim = grid.domain.dim
+    dt = data.final_time / nt
+    half_dt = 0.5 * dt
+    times = _times(data, nt)
+    solve = _step_solver(grid, dt)
+    inner = (slice(1, -1),) * dim
+    interior = _index(*inner)
+    faces = [grid.face(s) for s in range(2 * dim)]
+    ring = np.ones(grid.shape, dtype=bool)
+    ring[interior] = False
+    # phi at every boundary node and time, from one call of data.fn
+    bc = data.table(grid.points[ring], times)
+    r = [dt / (2.0 * h * h) for h in grid.h]
+    lap = np.empty(tuple(k - 1 for k in grid.n))
+    work = np.empty_like(lap)
+
     u = np.zeros((_BLOCK + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    for face, table in faces:
-        u[0][face] = table[0]
+    # each buffer row with its stencil views, taken once per solve
+    inner_rows, taps_rows = _stencil_views(u, grid.h)
+    views = [(u[k], inner_rows[k], [(lo[k], hi[k], h2) for lo, hi, h2 in taps_rows])
+             for k in range(len(u))]
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
+        rows = u[:m1 - m0 + 1]
         if m0:
             u[0] = u[_BLOCK]
+        # only the boundary is set here: a step writes every interior value
+        # of its new row, and f_prev may alias an interior
+        rows[:, ring] = bc[m0:m1 + 1]
+        couplings = [(_index(*face[1:]), r[s // 2] * rows[face][(slice(1, None),) + inner[1:]])
+                     for s, face in enumerate(faces)]
         if source is not None:
-            q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[:, 1:-1, 1:-1]
-        for m in range(m0, m1):
-            um, new = u[m - m0], u[m - m0 + 1]
-            # the new row holds only its faces until it is solved, so its
-            # interior Laplacian is the boundary coupling of the step; it
-            # is never the row f_prev may alias
-            new[1:-1, 1:-1] = 0.0
-            for face, table in faces:
-                new[face] = table[m + 1]
-            fm = reaction(um) if reaction is not None else np.zeros_like(um)
-            f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-            rhs = (um[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(um, grid)
-                   - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * interior_laplacian(new, grid))
+            q_dt = dt * _source_rows(source, grid, times[m0:m1] + half_dt)[(slice(None),) + inner]
+        for k in range(m1 - m0):
+            um, um_inner, um_taps = views[k]
+            rhs = views[k + 1][1]
+            _laplacian(lap, um_inner, um_taps)
+            np.multiply(half_dt, lap, out=lap)
+            np.add(um_inner, lap, out=rhs)
+            if reaction is not None:
+                fm = reaction(um)[interior]
+                if f_prev is None:
+                    np.multiply(dt, fm, out=work)
+                else:
+                    np.multiply(1.5, fm, out=work)
+                    np.multiply(0.5, f_prev, out=lap)
+                    np.subtract(work, lap, out=work)
+                    np.multiply(dt, work, out=work)
+                np.subtract(rhs, work, out=rhs)
+                f_prev = fm
             if source is not None:
-                rhs = rhs + q_dt[m - m0]
-            new[1:-1, 1:-1] = lhs.solve(rhs.ravel()).reshape(nx - 1, ny - 1)
-            f_prev = fm
-        _check_rows(u[1:m1 - m0 + 1, 1:-1, 1:-1], times, m0)
-        yield m0, u[:m1 - m0 + 1]
+                np.add(rhs, q_dt[k], out=rhs)
+            for near, coupling in couplings:
+                rhs[near] += coupling[k]
+            solve(rhs)
+        # a non-finite right-hand side always gives a non-finite solve, so
+        # the first non-finite row is the step that diverged
+        _check_rows(rows[(slice(1, None),) + inner], times, m0)
+        yield m0, rows
 
 
 def march(grid: SpatialGrid, reaction: Nonlinearity | None, data: DirichletData,
@@ -302,9 +295,8 @@ def march(grid: SpatialGrid, reaction: Nonlinearity | None, data: DirichletData,
     keeps what it reads and copies what it must hold."""
     if nt < 2:
         raise ConfigurationError(f"need at least 2 time steps, got {nt}")
-    body = _solve_1d if grid.domain.kind is DomainKind.INTERVAL else _solve_2d
     fn = reaction.fn if reaction is not None else None
-    return body(grid, fn, data, nt, source, u0)
+    return _march(grid, fn, data, nt, source, u0)
 
 
 def _field(grid: SpatialGrid, data: DirichletData, nt: int, blocks) -> SolutionField:

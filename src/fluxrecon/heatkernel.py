@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigenbasis import axis_modes
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_fields
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
 from .numerics import gauss_legendre, trapezoid_weights
@@ -60,6 +60,9 @@ class KernelConfig:
     crossover_time: float | None = None
 
     def __post_init__(self):
+        crossover = () if self.crossover_time is None else ("crossover_time",)
+        check_fields("kernel", self, integers=("k_max", "image_count"),
+                     reals=("tail_tol",) + crossover)
         if self.k_max < 2:
             raise ConfigurationError(f"k_max must be >= 2, got {self.k_max}")
         if not (0.0 < self.tail_tol < 1.0):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from .eigenbasis import EigenBasis, make_basis
-from .errors import ConfigurationError, InputError, NumericalError
+from .errors import ConfigurationError, InputError, NumericalError, check_fields
 from .fields import BoundaryTrace, SolutionField
 from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux,
                       neumann_trace, rect_laplacian_matrix, solve_linear_heat)
@@ -57,10 +57,8 @@ class ReconstructionConfig:
     compare_extensions: bool = False
 
     def __post_init__(self):
-        for key in ("monotone", "compare_extensions"):
-            if not isinstance(getattr(self, key), bool):
-                raise ConfigurationError(
-                    f"{key} must be true or false, got {getattr(self, key)!r}")
+        check_fields("reconstruction", self, integers=("k_modes", "diff_halfwidth", "bins"),
+                     reals=("q_lo", "q_hi"), flags=("monotone", "compare_extensions"))
         if self.extension not in EXTENSIONS:
             raise ConfigurationError(
                 f"unknown extension {self.extension!r}, expected one of {EXTENSIONS}")

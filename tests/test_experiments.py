@@ -160,6 +160,13 @@ class TestObservationIO:
         with pytest.raises(InputError, match="not valid JSON"):
             load_observation(path)
 
+    def test_noise_level_and_seed_come_from_the_config(self, cheap_obs, tmp_path):
+        scenario, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        meta.update(noise_level="x", seed="abc")
+        obs, _ = load_observation(_write_pair(tmp_path / "d", csv_text, json.dumps(meta)))
+        assert (obs.noise_level, obs.seed) == (float(scenario.noise_level), scenario.seed)
+
     def test_wrong_schema(self, cheap_obs, tmp_path):
         _, csv_text, meta_text = cheap_obs
         meta = json.loads(meta_text)
@@ -359,7 +366,13 @@ class TestCli:
         {"reaction": {"family": "linear", "coeff": "x"}},
         {"reconstruction": {"bins": "many"}},
         {"reconstruction": {"compare_extensions": "no"}},
-        {"reconstruction": {"monotone": "false"}}])
+        {"reconstruction": {"monotone": "false"}},
+        {"reconstruction": {"bins": 12.5}}, {"reconstruction": {"diff_halfwidth": 2.5}},
+        {"reconstruction": {"k_modes": 8.5}}, {"reconstruction": {"diff_halfwidth": True}},
+        {"reconstruction": {"kernel": {"k_max": 200.5}}},
+        {"reconstruction": {"kernel": {"image_count": 2.5}}},
+        {"reconstruction": {"kernel": {"crossover_time": float("nan")}}},
+        {"reconstruction": {"kernel": {"crossover_time": float("inf")}}}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))
@@ -383,6 +396,24 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 2
         assert f"{key!r} must be a" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    # synthesize writes noise_level and seed both beside the config and in it
+    @pytest.mark.parametrize("edit", [
+        None, {"seed": "abc"}, {"noise_level": None}, {"noise_level": "x"}, {"f_label": 7}],
+        ids=["list", "seed-str", "noise_level-null", "noise_level-str", "f_label-int"])
+    def test_malformed_meta_exits_2(self, cheap_obs, tmp_path, capsys, edit):
+        _, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        if edit is None:
+            meta = [meta]
+        else:
+            meta.update(edit)
+            meta["config"].update({k: v for k, v in edit.items() if k in meta["config"]})
+        path = _write_pair(tmp_path / "d", csv_text, json.dumps(meta))
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "run" / "metrics.json").exists()
 
     def test_missing_observation_exits_2(self, tmp_path, capsys):
         assert main(["reconstruct", "--observation",

@@ -9,10 +9,10 @@ from scipy.sparse.linalg import splu
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
-                               difference_residual, march_flux, neumann_trace,
-                               rect_laplacian_matrix, solve_linear_heat, solve_semilinear,
-                               synthesize_observation)
+from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
+                               difference_residual, interior_laplacian, march_flux,
+                               neumann_trace, rect_laplacian_matrix, solve_linear_heat,
+                               solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual_study, mms_spatial_errors,
                               mms_temporal_errors)
@@ -212,11 +212,13 @@ class TestMarchMatchesReference:
 
 def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
     """The rectangle march as a fresh boundary ring, one phi call per side
-    and per step, and two divergence checks per step."""
+    and per step, and two divergence checks per step. The ring enters as
+    r_d phi on the interior nodes next to each face, after the source."""
     nx, ny = grid.n
     hx, hy = grid.h
     T = data.final_time
     dt = T / nt
+    rx, ry = dt / (2.0 * hx * hx), dt / (2.0 * hy * hy)
     times = np.linspace(0.0, T, nt + 1)
     A = rect_laplacian_matrix(grid).tocsc()
     ni = (nx - 1) * (ny - 1)
@@ -226,14 +228,6 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         out = np.zeros_like(w)
         out[1:-1, 1:-1] = ((w[:-2, 1:-1] - 2 * w[1:-1, 1:-1] + w[2:, 1:-1]) / (hx * hx)
                            + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
-        return out
-
-    def coupling(ring):
-        out = np.zeros((nx - 1, ny - 1))
-        out[0, :] += ring[0, 1:-1] / (hx * hx)
-        out[-1, :] += ring[-1, 1:-1] / (hx * hx)
-        out[:, 0] += ring[1:-1, 0] / (hy * hy)
-        out[:, -1] += ring[1:-1, -1] / (hy * hy)
         return out
 
     def ring(t):
@@ -260,10 +254,13 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         fm = reaction(um) if reaction is not None else np.zeros_like(um)
         f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
         ring_new = ring(times[m + 1])
-        rhs = (um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1]
-               - dt * f_ex[1:-1, 1:-1] + 0.5 * dt * coupling(ring_new))
+        rhs = um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1] - dt * f_ex[1:-1, 1:-1]
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
+        rhs[0, :] += rx * ring_new[0, 1:-1]
+        rhs[-1, :] += rx * ring_new[-1, 1:-1]
+        rhs[:, 0] += ry * ring_new[1:-1, 0]
+        rhs[:, -1] += ry * ring_new[1:-1, -1]
         if not np.all(np.isfinite(rhs)):
             raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         u_new = lhs.solve(rhs.ravel())
@@ -283,9 +280,9 @@ def _rect_mms_source(grid, t):
 
 
 class TestRectangleMarchMatchesReference:
-    """The rectangle march fills its boundary faces from one table per side
-    and writes each interior in place; its output must equal the per-step
-    loop above bit for bit."""
+    """The rectangle march fills its boundary faces from one table over all
+    sides and writes each interior in place; its output must equal the
+    per-step loop above bit for bit."""
 
     # 9 x 10 cells on a 0.9 x 1.3 box and 48 or 130 steps make h and dt
     # non-dyadic; 130 steps cross two blocks of time rows
@@ -362,7 +359,7 @@ class TestTabulatedInputs:
         fn.calls = 0
         solve_semilinear(build_grid(rectangle(), 8), make_reaction({"family": "linear"}),
                          data, 300)
-        assert fn.calls == 4  # one table per side
+        assert fn.calls == 1  # one table over all four sides
 
     def test_source_called_once_per_block(self):
         reaction, exact, source, data = _mms_instance()
@@ -371,6 +368,10 @@ class TestTabulatedInputs:
         solve_semilinear(grid, reaction, data, 130, source=counted,
                          u0=exact(grid.axes[0], 0.0))
         assert counted.calls == 3  # rows 0-63, 64-127, 128-129
+        counted = _counting(_rect_mms_source)
+        grid = build_grid(rectangle(0.9, 1.3), (9, 10))
+        solve_semilinear(grid, reaction, _ramp(grid.domain), 130, source=counted)
+        assert counted.calls == 3
 
     @pytest.mark.parametrize("domain", [interval(), rectangle()], ids=["interval", "rectangle"])
     def test_scalar_only_boundary_data_is_an_input_error(self, domain):
@@ -385,6 +386,40 @@ class TestTabulatedInputs:
         with pytest.raises(InputError, match="must broadcast over a column of times"):
             solve_linear_heat(grid, _ramp(interval()), 16,
                               source=lambda g, t: np.full(g.shape, t))
+
+
+class TestInteriorLaplacian:
+    """interior_laplacian writes into out exactly what it returns without."""
+
+    @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
+                             ids=["interval", "rectangle"])
+    def test_out_equals_the_allocating_call(self, domain, n, rng):
+        grid = build_grid(domain, n)
+        w = rng.standard_normal((5,) + grid.shape)
+        # out is a strided view, as the interior of a time row is in the march
+        buf = np.full((5,) + grid.shape, np.nan)
+        out = buf[(slice(None),) + (slice(1, -1),) * grid.domain.dim]
+        got = interior_laplacian(w, grid, out=out)
+        assert got is out
+        assert np.array_equal(out, interior_laplacian(w, grid))
+        assert np.array_equal(out[2], interior_laplacian(w[2], grid))
+
+
+class TestStepSolver:
+    """solve(b) leaves its result in b, also where LAPACK cannot solve in
+    place, and on both domains."""
+
+    @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
+                             ids=["interval", "rectangle"])
+    def test_solves_in_b_whatever_its_layout(self, domain, n, rng):
+        grid = build_grid(domain, n)
+        solve = _step_solver(grid, 0.01)
+        rhs = rng.standard_normal(tuple(k - 1 for k in grid.n))
+        contiguous, strided = rhs.copy(), np.repeat(rhs, 2, axis=-1)[..., ::2]
+        solve(contiguous)
+        solve(strided)
+        assert np.array_equal(strided, contiguous)
+        assert not np.array_equal(contiguous, rhs)
 
 
 class TestNeumannTrace:

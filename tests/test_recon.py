@@ -7,7 +7,7 @@ from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace
 from fluxrecon.forward import (ObservedData, neumann_trace, solve_linear_heat,
                                solve_semilinear, synthesize_observation)
-from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
+from fluxrecon.geometry import DomainKind, boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.heatkernel import KernelEvaluator
 from fluxrecon.recon import (CoefficientSeries, CurveEstimate, ReconstructionConfig,
                              assemble_series, build_curve, compute_data_functional,
@@ -187,18 +187,22 @@ class TestShapedExtension:
             assert np.all(ext[1:, mid] < ext[1:, 0])
             assert np.ptp(ext[-1]) > 1e-3
 
-    def test_reconstruct_never_solves_the_semilinear_equation(self, small_obs, monkeypatch):
-        # every solve goes through _solve_1d; only the linear one passes no reaction
+    def test_reconstruct_never_solves_the_semilinear_equation(self, small_obs, small_rect_obs,
+                                                               monkeypatch):
+        # every solve on either domain goes through _march; only the linear
+        # one passes no reaction
         import fluxrecon.forward as forward
-        solve = forward._solve_1d
-        reactions = []
+        solve = forward._march
+        calls = []
 
         def spy(grid, reaction, *args):
-            reactions.append(reaction)
+            calls.append((grid.domain.kind, reaction))
             return solve(grid, reaction, *args)
-        monkeypatch.setattr(forward, "_solve_1d", spy)
-        reconstruct(small_obs, ReconstructionConfig(grid_n=16, compare_extensions=True))
-        assert reactions and all(r is None for r in reactions)
+        monkeypatch.setattr(forward, "_march", spy)
+        for obs, n in ((small_obs, 16), (small_rect_obs, 8)):
+            reconstruct(obs, ReconstructionConfig(grid_n=n, compare_extensions=True))
+        assert {kind for kind, _ in calls} == {DomainKind.INTERVAL, DomainKind.RECTANGLE}
+        assert all(reaction is None for _, reaction in calls)
 
 
 class TestFluxDifference:
@@ -391,6 +395,15 @@ def small_obs():
     phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
     return synthesize_observation(dom, make_reaction({"family": "linear"}), phi,
                                   fine_n=64, fine_nt=512, sub_nt=64)
+
+
+@pytest.fixture(scope="module")
+def small_rect_obs():
+    dom = rectangle()
+    phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
+    return synthesize_observation(dom, make_reaction({"family": "saturating"}), phi,
+                                  fine_n=16, fine_nt=64, sub_nt=16,
+                                  nodes=boundary_nodes(dom, m=4))
 
 
 class TestReconstructPipeline:
