@@ -4,9 +4,8 @@ from .eigenbasis import EigenBasis, make_basis, verify_orthonormality
 from .errors import ConfigurationError, FluxreconError, InputError, NumericalError
 from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace, SolutionField
-from .forward import (DirichletData, Nonlinearity, ObservedData,
-                      difference_residual, neumann_trace, solve_linear_heat,
-                      solve_semilinear, synthesize_observation)
+from .forward import (DirichletData, Nonlinearity, ObservedData, neumann_trace,
+                      solve_linear_heat, solve_semilinear, synthesize_observation)
 from .geometry import (BoundaryNodeSet, DomainKind, DomainSpec, SpatialGrid,
                        boundary_nodes, build_grid, interval, rectangle)
 from .heatkernel import KernelConfig, KernelEvaluator

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, InputError, check_fields, is_finite_real
 from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace
-from .forward import ObservedData, synthesize_observation
-from .geometry import DomainKind, DomainSpec, boundary_nodes
+from .forward import ObservedData, default_trace_nodes, synthesize_observation
+from .geometry import DomainKind, DomainSpec, build_grid
 from .heatkernel import KernelConfig
 from .recon import (ReconstructionConfig, ReconstructionResult, evaluate_curve,
                     reconstruct)
@@ -137,14 +137,22 @@ def _require(ok: bool, key: str, kind: str) -> None:
         raise ConfigurationError(f"scenario value {key!r} must be {kind}")
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def _read(path: Path, what: str, parse=str):
+    """parse(text of the file at path), what naming the file in the
+    InputError raised when it is missing, cannot be read or decoded, is
+    not valid JSON or holds an integer past Python's digit limit."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return parse(path.read_text())
     except FileNotFoundError:
-        raise InputError(f"scenario file not found: {path}") from None
+        raise InputError(f"{what} not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise InputError(f"scenario file {path} is not valid JSON: {exc}") from None
-    return ScenarioConfig.from_dict(raw)
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{what} {path} cannot be read: {exc}") from None
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    return ScenarioConfig.from_dict(_read(Path(path), "scenario file", json.loads))
 
 
 # -- deterministic writers ----------------------------------------------
@@ -168,7 +176,10 @@ def _json_text(payload: dict) -> str:
 def output_dir(explicit: str | None) -> Path:
     base = explicit or os.environ.get(OUTPUT_ENV_VAR) or "fluxrecon_out"
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"output directory {path} cannot be made: {exc}") from None
     return path
 
 
@@ -205,24 +216,15 @@ def write_observation(obs: ObservedData, scenario: ScenarioConfig, outdir: Path
 
 
 def _expected_nodes(scenario: ScenarioConfig):
-    dom = scenario.domain()
-    if dom.kind is DomainKind.INTERVAL:
-        return boundary_nodes(dom)
-    return boundary_nodes(dom, m=scenario.recon_n // 2)
+    return default_trace_nodes(build_grid(scenario.domain(), scenario.recon_n))
 
 
 def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig]:
     """Rebuild an observation from observation.csv + its sibling meta file."""
     csv_path = Path(csv_path)
     meta_path = csv_path.with_name(csv_path.stem + "_meta.json")
-    if not csv_path.exists():
-        raise InputError(f"observation file not found: {csv_path}")
-    if not meta_path.exists():
-        raise InputError(f"observation metadata not found: {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"metadata {meta_path} is not valid JSON: {exc}") from None
+    text = _read(csv_path, "observation file")
+    meta = _read(meta_path, "observation metadata", json.loads)
     if not isinstance(meta, dict):
         raise InputError(f"metadata {meta_path} must be a JSON object")
     if meta.get("schema") != SCHEMA_VERSION:
@@ -234,7 +236,7 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     dom = scenario.domain()
     coord_cols = ["x", "y"][:dom.dim]
 
-    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     reader = csv.reader(lines)
     header = next(reader, None)
     expected_header = ["node_id", *coord_cols, "t", "value"]

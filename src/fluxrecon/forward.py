@@ -373,68 +373,6 @@ def march_flux(grid: SpatialGrid, reaction: Nonlinearity | None, data: Dirichlet
     return BoundaryTrace(nodes=nodes, times=_times(data, nt), values=values), u_max
 
 
-@dataclass(frozen=True)
-class DifferenceResidualReport:
-    """Discrete residual of the difference field w = u - v, which should
-    satisfy w_t - lap(w) + f(u) = 0 with zero boundary and initial data."""
-
-    interior_max: float
-    boundary_max: float
-    initial_max: float
-
-
-def _residual_report(blocks, grid: SpatialGrid, dt: float,
-                     reaction: Nonlinearity) -> DifferenceResidualReport:
-    """The residual of w = u - v over row blocks (u_rows, v_rows) that carry
-    one halo row each side: the first block starts at t = 0, the last ends
-    at t = T, and the interior rows of the blocks are every interior time
-    once. The peaks are maxima, so the block size does not change them."""
-    inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
-    faces = [grid.face(s) for s in range(2 * grid.domain.dim)]
-    interior, boundary, initial = [], [], None
-    for ub, vb in blocks:
-        w = ub - vb
-        if initial is None:
-            initial = float(np.max(np.abs(w[0])))
-        wt = (w[2:] - w[:-2]) / (2.0 * dt)
-        res = wt[inner] - interior_laplacian(w, grid)[1:-1] + reaction.fn(ub[1:-1][inner])
-        interior.append(np.max(np.abs(res)))
-        boundary.extend(np.max(np.abs(w[face])) for face in faces)
-    return DifferenceResidualReport(interior_max=float(np.max(interior)),
-                                    boundary_max=float(np.max(boundary)),
-                                    initial_max=initial)
-
-
-def difference_residual(u: SolutionField, v: SolutionField,
-                        reaction: Nonlinearity) -> DifferenceResidualReport:
-    """Check w = u - v against its evolution law with discrete operators
-    (centered time derivative, 3/5-point Laplacian) on interior nodes and
-    interior times, a block of time rows at a time."""
-    if u.values.shape != v.values.shape or not np.allclose(u.times, v.times):
-        raise InputError("fields must share grid and time sampling")
-    dt = float(u.times[1] - u.times[0])
-    last = len(u.times) - 1
-    spans = [(j0 - 1, min(j0 + _BLOCK, last) + 1) for j0 in range(1, last, _BLOCK)]
-    blocks = ((u.values[a:b], v.values[a:b]) for a, b in spans)
-    return _residual_report(blocks, u.grid, dt, reaction)
-
-
-def march_difference_residual(grid: SpatialGrid, reaction: Nonlinearity,
-                              data: DirichletData, nt: int) -> DifferenceResidualReport:
-    """difference_residual of u = solve_semilinear and v = solve_linear_heat
-    on (grid, data, nt), from two lockstep marches: no field is stored."""
-    times = _times(data, nt)
-
-    def blocks():
-        halo = None
-        for (_, ru), (_, rv) in zip(march(grid, reaction, data, nt),
-                                     march(grid, None, data, nt)):
-            yield (ru, rv) if halo is None else (np.concatenate([halo[0], ru]),
-                                                 np.concatenate([halo[1], rv]))
-            halo = ru[-2:-1].copy(), rv[-2:-1].copy()
-    return _residual_report(blocks(), grid, float(times[1] - times[0]), reaction)
-
-
 @dataclass(frozen=True, eq=False)
 class ObservedData:
     """A synthetic measurement: known boundary data plus observed flux.

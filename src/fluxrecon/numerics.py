@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lstsq
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -69,7 +69,8 @@ def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.n
     Parameters
     ----------
     lam : (K,) nonnegative decay rates.
-    times : (nt+1,) increasing sample times.
+    times : (nt+1,) uniformly spaced sample times, else InputError; the
+        step weights are computed once, from the first step.
     coeffs : (nt+1, K) coefficient samples.
     """
     lam = np.asarray(lam, dtype=float)
@@ -80,16 +81,12 @@ def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.n
     if nt < 1:
         return p
     dts = np.diff(times)
-    uniform = np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)
-    if uniform:
-        E, A, B = _exp_step_weights(lam, float(dts[0]))
+    if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
+        raise InputError("exp_convolve needs a uniform time grid")
+    E, A, B = _exp_step_weights(lam, float(dts[0]))
     for j in range(nt):
-        dt = float(dts[j])
-        if not uniform:
-            E, A, B = _exp_step_weights(lam, dt)
-        a = coeffs[j]
-        b = (coeffs[j + 1] - coeffs[j]) / dt
-        p[j + 1] = E * p[j] + a * A + b * B
+        b = (coeffs[j + 1] - coeffs[j]) / float(dts[j])
+        p[j + 1] = E * p[j] + coeffs[j] * A + b * B
     return p
 
 

@@ -36,6 +36,12 @@ def _write_pair(d, csv_text, meta_text):
     return d / "observation.csv"
 
 
+def _with_huge_int(payload, key):
+    """payload as JSON text with key set to an integer of 5001 digits, past
+    Python's limit for converting a string to an int."""
+    return json.dumps({**payload, key: "HUGE"}).replace('"HUGE"', "1" * 5001)
+
+
 class TestScenarioConfig:
     def test_round_trip(self):
         scenario = ScenarioConfig(**CHEAP, noise_level=0.01, seed=3)
@@ -418,6 +424,47 @@ class TestCli:
     def test_missing_observation_exits_2(self, tmp_path, capsys):
         assert main(["reconstruct", "--observation",
                      str(tmp_path / "observation.csv")]) == 2
+
+    # files that cannot be read or decoded, and an --out that cannot be a
+    # directory, are input errors
+    @pytest.mark.parametrize("case", ["huge_int", "utf16_bom", "config_is_dir", "csv_byte",
+                                      "meta_huge_seed", "out_is_file", "out_under_file"])
+    def test_unreadable_input_exits_2(self, cheap_obs, tmp_path, capsys, case):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(CHEAP))
+        _, csv_text, meta_text = cheap_obs
+        obs = _write_pair(tmp_path / "obs", csv_text, meta_text)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = tmp_path / "run"
+        if case == "huge_int":
+            config.write_text(_with_huge_int(CHEAP, "final_time"))
+        elif case == "utf16_bom":
+            config.write_bytes(b"\xff\xfe" + json.dumps(CHEAP).encode())
+        elif case == "config_is_dir":
+            config = tmp_path
+        elif case == "csv_byte":
+            obs.write_bytes(csv_text.encode() + b"\xff")
+        elif case == "meta_huge_seed":
+            obs.with_name("observation_meta.json").write_text(
+                _with_huge_int(json.loads(meta_text), "seed"))
+        else:
+            out = blocker if case == "out_is_file" else blocker / "run"
+        if case in ("csv_byte", "meta_huge_seed"):
+            argv = ["reconstruct", "--observation", str(obs)]
+        else:
+            argv = ["synthesize", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rectangle_trace_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rect.json"
+        path.write_text(json.dumps({**CHEAP, "domain_kind": "rectangle",
+                                    "lengths": [1.0, 1.0], "recon_n": 9, "fine_n": 36}))
+        assert main(["synthesize", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "rectangle traces need an even, equal cell count per axis, got (9, 9)" \
+            in capsys.readouterr().err
 
     def test_seed_flag_overrides_scenario(self, tmp_path, capsys):
         cfg = dict(CHEAP, noise_level=0.01, seed=3)

@@ -10,12 +10,12 @@ from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
-                               difference_residual, interior_laplacian, march_flux,
-                               neumann_trace, rect_laplacian_matrix, solve_linear_heat,
-                               solve_semilinear, synthesize_observation)
+                               interior_laplacian, march_flux, neumann_trace,
+                               rect_laplacian_matrix, solve_linear_heat, solve_semilinear,
+                               synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.suites import (_mms_instance, difference_residual_study, mms_spatial_errors,
-                              mms_temporal_errors)
+from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
+                              mms_spatial_errors, mms_temporal_errors)
 
 
 def _ramp(domain, T=1.0):
@@ -542,91 +542,80 @@ def _reference_residual(u, v, reaction):
     return (float(np.max(np.abs(res))), float(boundary), float(np.max(np.abs(w[0]))))
 
 
+def _peaks(row):
+    return row["interior_max"], row["boundary_max"], row["initial_max"]
+
+
+def _stored_residual(grid, reaction, phi, nt):
+    """_reference_residual of the stored u and v fields."""
+    return _reference_residual(solve_semilinear(grid, reaction, phi, nt),
+                               solve_linear_heat(grid, phi, nt), reaction)
+
+
 class TestDifferenceResidual:
     # 600 and 300 steps cross blocks of time rows, including a last,
-    # partial one
-    @pytest.mark.parametrize("domain,n,nt", [(interval(), 24, 600), (rectangle(), 8, 300)],
-                             ids=["interval", "rectangle"])
+    # partial one; 130 steps cross two block edges and 512 steps end on a
+    # full block, as the study's levels do
+    @pytest.mark.parametrize("domain,n,nt", [(interval(), 24, 600), (rectangle(), 8, 300),
+                                             (interval(), 12, 130), (interval(), 128, 512)],
+                             ids=["interval", "rectangle", "interval-130", "interval-512"])
     def test_blocks_match_whole_field(self, domain, n, nt):
         grid = build_grid(domain, n)
         phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
                                   "slope": 0.5}, domain, 1.0)
         reaction = make_reaction({"family": "saturating", "coeff": 2.0})
-        u = solve_semilinear(grid, reaction, phi, nt)
-        v = solve_linear_heat(grid, phi, nt)
-        rep = difference_residual(u, v, reaction)
-        assert (rep.interior_max, rep.boundary_max, rep.initial_max) == \
-            _reference_residual(u, v, reaction)
+        row = difference_residual(grid, reaction, phi, nt)
+        assert row["n"] == n and row["nt"] == nt
+        assert _peaks(row) == _stored_residual(grid, reaction, phi, nt)
 
-    # a spike at each block edge and at the last interior time must be seen
+    # a spike of the data at one time makes the residual peak at that
+    # row; the peak must be seen at each block edge and at the first and
+    # last interior time
     @pytest.mark.parametrize("row", [1, 255, 256, 257, 258, 599])
-    def test_every_row_is_covered(self, row, rng):
+    def test_every_row_is_covered(self, row):
         grid = build_grid(interval(), 16)
-        times = np.linspace(0.0, 1.0, 601)
-        u = rng.random((601, 17))
-        u[row, 5] += 1e3
-        v = rng.random((601, 17))
-        uf = SolutionField(grid=grid, times=times, values=u)
-        vf = SolutionField(grid=grid, times=times, values=v)
-        reaction = make_reaction({"family": "saturating", "coeff": 2.0})
-        rep = difference_residual(uf, vf, reaction)
-        assert (rep.interior_max, rep.boundary_max, rep.initial_max) == \
-            _reference_residual(uf, vf, reaction)
+        t_row = row / 600
 
-    # 130 steps cross two block edges; 512 steps end on a full block
+        def fn(pts, t):
+            return t + np.where(np.abs(t - t_row) < 1e-6, 1e3, 0.0)
+        phi = DirichletData(fn=fn, final_time=1.0)
+        reaction = make_reaction({"family": "saturating", "coeff": 2.0})
+        peaks = _peaks(difference_residual(grid, reaction, phi, 600))
+        assert peaks == _stored_residual(grid, reaction, phi, 600)
+
     def test_streamed_study_equals_stored_fields(self):
         levels = ((12, 130), (128, 512))
         dom = interval()
         phi = _ramp(dom)
         reaction = make_reaction({"family": "linear", "coeff": 1.0})
         for row, (n, nt) in zip(difference_residual_study(levels), levels):
-            grid = build_grid(dom, n)
-            rep = difference_residual(solve_semilinear(grid, reaction, phi, nt),
-                                      solve_linear_heat(grid, phi, nt), reaction)
-            assert row == {"n": n, "nt": nt, "interior_max": rep.interior_max,
-                           "boundary_max": rep.boundary_max,
-                           "initial_max": rep.initial_max}
+            assert row["n"] == n and row["nt"] == nt
+            assert _peaks(row) == _stored_residual(build_grid(dom, n), reaction, phi, nt)
 
     def test_zero_for_identical_fields(self):
+        # with the zero law u and v are the same field
         dom = interval()
-        grid = build_grid(dom, 16)
-        v = solve_linear_heat(grid, _ramp(dom), 16)
-        rep = difference_residual(v, v, make_reaction({"family": "zero"}))
-        assert rep.interior_max == 0.0
-        assert rep.boundary_max == 0.0
-        assert rep.initial_max == 0.0
+        row = difference_residual(build_grid(dom, 16), make_reaction({"family": "zero"}),
+                                  _ramp(dom), 16)
+        assert _peaks(row) == (0.0, 0.0, 0.0)
 
     def test_linear_instance_residual_small(self):
         dom = interval()
-        grid = build_grid(dom, 128)
-        phi = _ramp(dom)
-        reaction = make_reaction({"family": "linear", "coeff": 1.0})
-        u = solve_semilinear(grid, reaction, phi, 512)
-        v = solve_linear_heat(grid, phi, 512)
-        rep = difference_residual(u, v, reaction)
-        assert rep.interior_max < 1e-2
-        assert rep.boundary_max < 1e-12
-        assert rep.initial_max < 1e-12
+        row = difference_residual(build_grid(dom, 128),
+                                  make_reaction({"family": "linear", "coeff": 1.0}),
+                                  _ramp(dom), 512)
+        assert row["interior_max"] < 1e-2
+        assert row["boundary_max"] < 1e-12
+        assert row["initial_max"] < 1e-12
 
     def test_rectangle_shares_zero_boundary(self):
         dom = rectangle()
-        grid = build_grid(dom, 16)
-        phi = _ramp(dom)
-        reaction = make_reaction({"family": "linear", "coeff": 1.0})
-        u = solve_semilinear(grid, reaction, phi, 64)
-        v = solve_linear_heat(grid, phi, 64)
-        rep = difference_residual(u, v, reaction)
-        assert rep.boundary_max < 1e-12
-        assert rep.initial_max < 1e-12
-        assert np.isfinite(rep.interior_max)
-
-    def test_rejects_mismatched_fields(self):
-        dom = interval()
-        grid = build_grid(dom, 16)
-        u = solve_linear_heat(grid, _ramp(dom), 16)
-        v = solve_linear_heat(grid, _ramp(dom), 32)
-        with pytest.raises(InputError):
-            difference_residual(u, v, make_reaction({"family": "zero"}))
+        row = difference_residual(build_grid(dom, 16),
+                                  make_reaction({"family": "linear", "coeff": 1.0}),
+                                  _ramp(dom), 64)
+        assert row["boundary_max"] < 1e-12
+        assert row["initial_max"] < 1e-12
+        assert np.isfinite(row["interior_max"])
 
 
 class TestAdmissibility:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.signal import savgol_filter
 
 import fluxrecon
-from fluxrecon.errors import ConfigurationError
+from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.numerics import (_exp_step_weights, exp_convolve, gauss_legendre,
                                 isotonic_nondecreasing, sliding_derivative, smoothstep,
                                 trapezoid_weights)
@@ -99,6 +99,11 @@ class TestExpConvolve:
     def test_empty_series(self):
         p = exp_convolve(np.array([1.0]), np.array([0.0]), np.zeros((1, 1)))
         assert p.shape == (1, 1) and p[0, 0] == 0.0
+
+    def test_rejects_non_uniform_grid(self):
+        times = np.array([0.0, 0.1, 0.3, 0.6])
+        with pytest.raises(InputError, match="uniform time grid"):
+            exp_convolve(np.array([1.0]), times, np.ones((4, 1)))
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=3, max_size=12),
            st.floats(0.0, 50.0))
