@@ -8,7 +8,7 @@ from .forward import (DirichletData, Nonlinearity, ObservedData, neumann_trace,
                       solve_linear_heat, solve_semilinear, synthesize_observation)
 from .geometry import (BoundaryNodeSet, DomainKind, DomainSpec, SpatialGrid,
                        boundary_nodes, build_grid, interval, rectangle)
-from .heatkernel import KernelConfig, KernelEvaluator
+from .heatkernel import KernelEvaluator
 from .recon import (CoefficientSeries, CurveEstimate, ReconstructionConfig,
                     ReconstructionResult, assemble_series, build_curve,
                     compute_data_functional, differentiate_coefficients,

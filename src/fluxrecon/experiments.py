@@ -8,6 +8,7 @@ key of metrics.json; everything else is reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -24,19 +25,16 @@ from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace
 from .forward import ObservedData, default_trace_nodes, synthesize_observation
 from .geometry import DomainKind, DomainSpec, build_grid
-from .heatkernel import KernelConfig
 from .recon import (ReconstructionConfig, ReconstructionResult, evaluate_curve,
                     reconstruct)
-from .suites import (difference_residual_study, forward_checks, mms_spatial_errors,
-                     mms_temporal_errors, run_suite)
+from .suites import (difference_residual_study, forward_checks, forward_table,
+                     mms_spatial_errors, mms_temporal_errors, run_suite)
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FLUXRECON_OUT"
 
-# the keys of a scenario's reconstruction block and of its kernel block;
-# grid_n is the scenario's recon_n
+# the keys of a scenario's reconstruction block; grid_n is the scenario's recon_n
 _RECON_KEYS = {f.name for f in fields(ReconstructionConfig)} - {"grid_n"}
-_KERNEL_KEYS = {f.name for f in fields(KernelConfig)}
 # integer keys with their least value
 _INT_KEYS = {"fine_n": 1, "fine_nt": 1, "recon_n": 1, "recon_nt": 1, "seed": 0}
 
@@ -63,8 +61,6 @@ class ScenarioConfig:
         scenario fails here as a ConfigurationError and not in a later run."""
         for key in ("phi", "reaction", "reconstruction"):
             _require(isinstance(getattr(self, key), dict), key, "an object")
-        _require(isinstance(self.reconstruction.get("kernel", {}), dict),
-                 "reconstruction.kernel", "an object")
         check_fields("scenario", self, integers=_INT_KEYS, reals=("final_time", "noise_level"))
         for key, least in _INT_KEYS.items():
             _require(getattr(self, key) >= least, key, f"an integer >= {least}")
@@ -85,9 +81,6 @@ class ScenarioConfig:
         unknown = set(self.reconstruction) - _RECON_KEYS
         if unknown:
             raise ConfigurationError(f"unknown reconstruction keys {sorted(unknown)}")
-        unknown = set(self.reconstruction.get("kernel", {})) - _KERNEL_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown kernel keys {sorted(unknown)}")
         for key, build in (("phi", self.build_phi), ("reaction", self.build_reaction),
                            ("reconstruction", self.recon_config)):
             try:
@@ -109,9 +102,7 @@ class ScenarioConfig:
         return make_reaction(self.reaction)
 
     def recon_config(self) -> ReconstructionConfig:
-        opts = dict(self.reconstruction)
-        kernel = KernelConfig(**opts.pop("kernel")) if "kernel" in opts else KernelConfig()
-        return ReconstructionConfig(grid_n=self.recon_n, kernel=kernel, **opts)
+        return ReconstructionConfig(grid_n=self.recon_n, **self.reconstruction)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -159,10 +150,17 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write through path.tmp and a rename. An OSError becomes an
+    InputError naming path, and path.tmp is not left behind."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise InputError(f"output {path} cannot be written: {exc}") from None
 
 
 def _fmt(v: float) -> str:
@@ -426,28 +424,11 @@ def run_convergence(outdir: Path | None = None) -> dict:
     time plus the difference-problem residual under parabolic refinement,
     passed by the forward suite's checks. The returned summary adds those
     checks and the table to what `convergence.json` holds."""
-    spatial_cells = (16, 32, 64)
-    temporal_steps = (16, 32, 64)
-    es = mms_spatial_errors(spatial_cells)
-    et = mms_temporal_errors(temporal_steps)
+    es = mms_spatial_errors()
+    et = mms_temporal_errors()
     rows = difference_residual_study()
     checks = forward_checks(es, et, rows)
-
-    def rates(errs):
-        return [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
-
-    table = []
-    for i, n in enumerate(spatial_cells):
-        table.append({"study": "mms_spatial", "n": n, "nt": 4096, "error": es[i],
-                      "rate": rates(es)[i - 1] if i else float("nan")})
-    for i, nt in enumerate(temporal_steps):
-        table.append({"study": "mms_temporal", "n": 128, "nt": nt, "error": et[i],
-                      "rate": rates(et)[i - 1] if i else float("nan")})
-    werrs = [r["interior_max"] for r in rows]
-    for i, r in enumerate(rows):
-        table.append({"study": "difference_residual", "n": r["n"], "nt": r["nt"],
-                      "error": werrs[i],
-                      "rate": rates(werrs)[i - 1] if i else float("nan")})
+    table = forward_table(es, et, rows)
     values = {c["name"]: c["value"] for c in checks}
     summary = {
         "schema": SCHEMA_VERSION,

@@ -24,10 +24,6 @@ class SolutionField:
             raise InputError(
                 f"field shape {self.values.shape} does not match {expected}")
 
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTrace:

@@ -5,7 +5,7 @@ rectangle it is the product of the interval kernels of its two axes, so
 every evaluation goes through one per-axis factor, the interval kernel
 of side L from every x to every y, in one of two exact representations:
 
-  * cosine series:  sum_{m < k_max} exp(-lambda_m tau) w_m(x) w_m(y) over
+  * cosine series:  sum_{m < _K_MAX} exp(-lambda_m tau) w_m(x) w_m(y) over
     the interval modes w_m of eigenbasis.axis_modes, lambda_m = (m pi / L)^2;
     accurate once the tail exp(-lambda_top tau) is negligible, so used for
     tau >= crossover;
@@ -13,16 +13,21 @@ of side L from every x to every y, in one of two exact representations:
     G(z) = exp(-z^2 / 4 tau) / sqrt(4 pi tau), whose truncation error
     dies like exp(-L^2/tau), so used for tau < crossover.
 
-k_max counts modes per axis. The default crossover is
-2 ln(1/tail_tol) / lambda_top, with lambda_top = ((k_max - 1) pi / L)^2
-of the longest axis, the smallest top eigenvalue over the axes. It keeps
-every axis's series tail below tail_tol^2 at the crossover itself and
-below tail_tol at half the crossover, where the two branches are compared.
+The evaluator takes no settings. It keeps _K_MAX = 200 modes per axis,
+_IMAGE_COUNT = 5 images on each side, _GL_ORDER = 4 Gauss points per
+sigma panel and _MASS_CELLS = 1024 trapezoid cells per axis in `mass`.
+These are constants because the data functional needs the kernel only
+to rounding accuracy, which these values give, and no run needs others.
+The crossover is 2 ln(1/_TAIL_TOL) / lambda_top with _TAIL_TOL = 1e-12
+and lambda_top = ((_K_MAX - 1) pi / L)^2 of the longest axis, the
+smallest top eigenvalue over the axes. It keeps every
+axis's series tail below _TAIL_TOL^2 at the crossover itself and below
+_TAIL_TOL at half the crossover, where the two branches are compared.
 
 The boundary data functional (boundary_propagate_trace) is a lag
 operator: on a uniform time grid starting at 0 its sigma = sqrt(t - s)
 panels depend only on the lag j - i, so the kernel is tabulated once
-per lag (nt * gl_order time gaps for every point/node pair) and the
+per lag (nt * _GL_ORDER time gaps for every point/node pair) and the
 functional is a causal O(nt^2 * npts * nb) sum over lags. The scalar
 boundary_propagate evaluates the same quadrature at one (point, time)
 and is kept as its reference.
@@ -31,66 +36,34 @@ and is kept as its reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .eigenbasis import axis_modes
-from .errors import ConfigurationError, InputError, check_fields
+from .errors import InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
 from .numerics import gauss_legendre, trapezoid_weights
 
 # modes with lambda * tau above this contribute < 1e-26 relative and are dropped
 _MODE_CUTOFF = 60.0
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Evaluation parameters for the kernel.
-
-    k_max is the number of cosine modes per axis. crossover_time = None
-    derives the spectral/images switch point from tail_tol as described
-    in the module docstring.
-    """
-
-    k_max: int = 200
-    tail_tol: float = 1e-12
-    image_count: int = 5
-    crossover_time: float | None = None
-
-    def __post_init__(self):
-        crossover = () if self.crossover_time is None else ("crossover_time",)
-        check_fields("kernel", self, integers=("k_max", "image_count"),
-                     reals=("tail_tol",) + crossover)
-        if self.k_max < 2:
-            raise ConfigurationError(f"k_max must be >= 2, got {self.k_max}")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ConfigurationError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        if self.image_count < 1:
-            raise ConfigurationError(f"image_count must be >= 1, got {self.image_count}")
-        if self.crossover_time is not None and self.crossover_time <= 0:
-            raise ConfigurationError("crossover_time must be positive")
+# the fixed evaluation constants of the module docstring
+_K_MAX = 200
+_TAIL_TOL = 1e-12
+_IMAGE_COUNT = 5
+_GL_ORDER = 4
+_MASS_CELLS = 1024
 
 
 class KernelEvaluator:
     """Evaluates the Neumann heat kernel and its propagation integrals."""
 
-    def __init__(self, domain: DomainSpec, config: KernelConfig = KernelConfig()):
+    def __init__(self, domain: DomainSpec):
         self.domain = domain
-        self.config = config
-        # per-axis eigenvalues lambda_m = (m pi / L)^2, m < k_max
-        self._lambdas = [(np.arange(config.k_max) * np.pi / L) ** 2 for L in domain.lengths]
+        # per-axis eigenvalues lambda_m = (m pi / L)^2, m < _K_MAX
+        self._lambdas = [(np.arange(_K_MAX) * np.pi / L) ** 2 for L in domain.lengths]
         lam_top = min(float(lam[-1]) for lam in self._lambdas)
-        if config.crossover_time is None:
-            self.crossover = 2.0 * math.log(1.0 / config.tail_tol) / lam_top
-        else:
-            self.crossover = float(config.crossover_time)
-        # construction fails rather than silently evaluating a truncated tail
-        if math.exp(-lam_top * self.crossover) > config.tail_tol:
-            raise ConfigurationError(
-                f"spectral tail exp(-{lam_top:.4g} * {self.crossover:.4g}) exceeds "
-                f"tail_tol={config.tail_tol:g}; raise k_max or crossover_time")
+        self.crossover = 2.0 * math.log(1.0 / _TAIL_TOL) / lam_top
 
     # -- the kernel core ---------------------------------------------------
 
@@ -108,7 +81,7 @@ class KernelEvaluator:
             wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
             out = np.exp(-np.outer(taus, lam[:keep])) @ wxy
             return out.reshape(len(taus), len(xs), len(ys))
-        shifts = 2.0 * L * np.arange(-self.config.image_count, self.config.image_count + 1)
+        shifts = 2.0 * L * np.arange(-_IMAGE_COUNT, _IMAGE_COUNT + 1)
         zs = np.concatenate([xs[:, None, None] - ys[None, :, None] - shifts,
                              xs[:, None, None] + ys[None, :, None] - shifts], axis=2)
         tt = taus[:, None, None, None]
@@ -177,7 +150,7 @@ class KernelEvaluator:
 
     # -- integral rules ---------------------------------------------------
 
-    def mass(self, x, tau: float, cells: int = 1024) -> float:
+    def mass(self, x, tau: float) -> float:
         """Quadrature of U(x, .; tau) over the domain.
 
         The kernel factors over axes, so the integral is the product of
@@ -189,13 +162,12 @@ class KernelEvaluator:
         taus = np.array([float(tau)])
         total = 1.0
         for d, L in enumerate(self.domain.lengths):
-            ys = np.linspace(0.0, L, cells + 1)
+            ys = np.linspace(0.0, L, _MASS_CELLS + 1)
             vals = self._axis(d, xp[:, d], ys, taus, tau >= self.crossover)[0, 0]
-            total *= float(trapezoid_weights(cells, L) @ vals)
+            total *= float(trapezoid_weights(_MASS_CELLS, L) @ vals)
         return total
 
-    def boundary_propagate(self, g: BoundaryTrace, x, t: float,
-                           gl_order: int = 4) -> float:
+    def boundary_propagate(self, g: BoundaryTrace, x, t: float) -> float:
         """int_0^t int_bnd U(x, t; y, s) g(y, s) dS(y) ds.
 
         The substitution sigma = sqrt(t - s) removes the tau^(-1/2)
@@ -210,7 +182,7 @@ class KernelEvaluator:
         knots = g.times[g.times < t - 1e-14]
         knots = np.append(knots, t)
         sig_edges = np.sqrt(np.maximum(t - knots, 0.0))[::-1]  # ascending in sigma
-        xi, wq = gauss_legendre(gl_order)
+        xi, wq = gauss_legendre(_GL_ORDER)
         half = 0.5 * np.diff(sig_edges)
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])
         sigma = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
@@ -221,8 +193,7 @@ class KernelEvaluator:
                        for b in range(g.nodes.count)], axis=1)
         return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
 
-    def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray,
-                                 gl_order: int = 4) -> np.ndarray:
+    def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray) -> np.ndarray:
         """boundary_propagate at every (point, sample time of g); (nt+1, npts).
 
         Same quadrature as `boundary_propagate`, evaluated as a lag
@@ -236,7 +207,7 @@ class KernelEvaluator:
 
             a[j] = sum_{l<j} W_up[l] g[j-l] + W_lo[l] g[j-l-1],  a[0] = 0.
 
-        Cost: nt * gl_order kernel evaluations per (point, node) pair
+        Cost: nt * _GL_ORDER kernel evaluations per (point, node) pair
         plus an O(nt^2 * npts * nb) causal sum. Raises InputError unless
         the time grid of g is uniform and starts at 0.
         """
@@ -253,7 +224,7 @@ class KernelEvaluator:
             raise InputError("lag operator needs a uniform time grid")
 
         sig_edges = np.sqrt(np.arange(nt + 1) * dt)
-        xi, wq = gauss_legendre(gl_order)
+        xi, wq = gauss_legendre(_GL_ORDER)
         half = 0.5 * np.diff(sig_edges)[:, None]
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
         sigma = mid + half * xi[None, :]                          # (nt, q)
@@ -262,7 +233,7 @@ class KernelEvaluator:
         c_up = quad * (1.0 - theta_lo)
         c_lo = quad * theta_lo
         kv = self._block(pts, g.nodes.nodes, (sigma**2).ravel())
-        kv = kv.reshape(nt, gl_order, len(pts), -1) * g.nodes.weights   # (nt, q, npts, nb)
+        kv = kv.reshape(nt, _GL_ORDER, len(pts), -1) * g.nodes.weights   # (nt, q, npts, nb)
         w_up = np.einsum("lq,lqib->lib", c_up, kv)
         w_lo = np.einsum("lq,lqib->lib", c_lo, kv)
 

@@ -35,7 +35,7 @@ from .fields import BoundaryTrace, SolutionField
 from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux,
                       neumann_trace, rect_laplacian_matrix, solve_linear_heat)
 from .geometry import DomainKind, SpatialGrid, build_grid
-from .heatkernel import KernelConfig, KernelEvaluator
+from .heatkernel import KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
 
 EXTENSIONS = ("harmonic", "normal_constant")
@@ -53,7 +53,6 @@ class ReconstructionConfig:
     monotone: bool = True
     q_lo: float = 0.1
     q_hi: float = 0.9
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     compare_extensions: bool = False
 
     def __post_init__(self):
@@ -425,7 +424,7 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     grid = build_grid(obs.domain, config.grid_n)
     v_phi = solve_linear_heat(grid, obs.phi, len(obs.flux.times) - 1)
     gap = flux_difference(obs, grid, v_phi)
-    kernel = KernelEvaluator(obs.domain, config.kernel)
+    kernel = KernelEvaluator(obs.domain)
     functional = compute_data_functional(gap, kernel)
     basis = make_basis(obs.domain, config.k_modes)
     phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)

@@ -32,10 +32,14 @@ def _wrap(suite: str, checks: list[dict]) -> dict:
             "passed": bool(all(c["passed"] for c in checks))}
 
 
+def _halving_rates(errors: list[float]) -> list[float]:
+    """log2(e_i / e_{i+1}) between successive levels of a refinement sequence."""
+    return [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
+
+
 def _rate(errors: list[float]) -> float:
     """Least favorable halving rate along a refinement sequence."""
-    rs = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    return float(min(rs))
+    return min(_halving_rates(errors))
 
 
 # -- eigenbasis --------------------------------------------------------
@@ -158,6 +162,11 @@ def representation_suite(n: int = 512, nt: int = 2048, time_samples: int = 33) -
 
 # -- forward solver ----------------------------------------------------
 
+# the manufactured-solution levels: cells in space at SPATIAL_NT steps,
+# steps in time at TEMPORAL_N cells
+SPATIAL_CELLS, SPATIAL_NT = (16, 32, 64), 4096
+TEMPORAL_STEPS, TEMPORAL_N = (16, 32, 64), 128
+
 
 def _mms_instance():
     """Smooth manufactured solution with a linear reaction term."""
@@ -184,7 +193,7 @@ def _final_row(grid, reaction, data, nt, source, u0) -> np.ndarray:
     return rows[-1]
 
 
-def mms_spatial_errors(cells=(16, 32, 64), nt: int = 4096) -> list[float]:
+def mms_spatial_errors(cells=SPATIAL_CELLS, nt: int = SPATIAL_NT) -> list[float]:
     reaction, exact, source, data = _mms_instance()
     dom = interval()
     errs = []
@@ -196,7 +205,7 @@ def mms_spatial_errors(cells=(16, 32, 64), nt: int = 4096) -> list[float]:
     return errs
 
 
-def mms_temporal_errors(steps=(16, 32, 64), n: int = 128, ref_steps: int = 8192
+def mms_temporal_errors(steps=TEMPORAL_STEPS, n: int = TEMPORAL_N, ref_steps: int = 8192
                         ) -> list[float]:
     """Error against a time-converged solve on the same grid, which removes
     the h^2 floor and isolates the order in dt."""
@@ -263,6 +272,19 @@ def forward_checks(es: list[float], et: list[float], rows: list[dict]) -> list[d
         _check("difference_boundary_max", max(r["boundary_max"] for r in rows), 1e-12),
         _check("difference_initial_max", max(r["initial_max"] for r in rows), 1e-12),
     ]
+
+
+def forward_table(es: list[float], et: list[float], rows: list[dict]) -> list[dict]:
+    """The three refinement studies at their default levels as rows
+    {"study", "n", "nt", "error", "rate"}, each rate taken from the
+    level before (NaN on a study's first level)."""
+    studies = (("mms_spatial", [(n, SPATIAL_NT) for n in SPATIAL_CELLS], es),
+               ("mms_temporal", [(TEMPORAL_N, nt) for nt in TEMPORAL_STEPS], et),
+               ("difference_residual", [(r["n"], r["nt"]) for r in rows],
+                [r["interior_max"] for r in rows]))
+    return [{"study": study, "n": n, "nt": nt, "error": err, "rate": rate}
+            for study, levels, errs in studies
+            for (n, nt), err, rate in zip(levels, errs, [float("nan")] + _halving_rates(errs))]
 
 
 def forward_suite() -> dict:

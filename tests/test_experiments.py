@@ -9,7 +9,6 @@ from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
                                    load_scenario, run_convergence, run_reconstruct,
                                    run_synthesize, run_verify, write_observation)
-from fluxrecon.heatkernel import KernelConfig
 from fluxrecon.recon import ReconstructionConfig
 
 CHEAP = dict(domain_kind="interval", lengths=[1.0], final_time=1.0,
@@ -57,7 +56,9 @@ class TestScenarioConfig:
             ScenarioConfig(reconstruction={"smoothing": 3})
 
     def test_unknown_kernel_key(self):
-        with pytest.raises(ConfigurationError, match="unknown kernel keys"):
+        # the kernel takes no settings, so a kernel block is an unknown key
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown reconstruction keys \['kernel'\]"):
             ScenarioConfig(reconstruction={"kernel": {"nterms": 5}})
 
     def test_time_grid_divisibility(self):
@@ -81,13 +82,11 @@ class TestScenarioConfig:
             ScenarioConfig(domain_kind="disc").domain()
 
     def test_recon_config_overrides(self):
-        scenario = ScenarioConfig(reconstruction={
-            "k_modes": 8, "bins": 12, "kernel": {"k_max": 64}})
+        scenario = ScenarioConfig(reconstruction={"k_modes": 8, "bins": 12})
         cfg = scenario.recon_config()
         assert cfg.grid_n == scenario.recon_n
         assert cfg.k_modes == 8
         assert cfg.bins == 12
-        assert cfg.kernel.k_max == 64
 
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ConfigurationError):
@@ -101,14 +100,8 @@ class TestScenarioConfig:
         {f.name for f in fields(ReconstructionConfig)} - {"grid_n"}))
     def test_every_reconstruction_field_is_a_key(self, name):
         default = getattr(ReconstructionConfig(), name)
-        scenario = ScenarioConfig(reconstruction={name: {} if name == "kernel" else default})
+        scenario = ScenarioConfig(reconstruction={name: default})
         assert getattr(scenario.recon_config(), name) == default
-
-    @pytest.mark.parametrize("name", sorted(f.name for f in fields(KernelConfig)))
-    def test_every_kernel_field_is_a_key(self, name):
-        default = getattr(KernelConfig(), name)
-        scenario = ScenarioConfig(reconstruction={"kernel": {name: default}})
-        assert getattr(scenario.recon_config().kernel, name) == default
 
 
 class TestLoadScenario:
@@ -456,6 +449,17 @@ class TestCli:
             argv = ["synthesize", "--config", str(config)]
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_failed_output_write_exits_2(self, tmp_path, capsys):
+        # the rename onto a directory fails after the temp file is written
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(CHEAP))
+        out = tmp_path / "run"
+        (out / "observation.csv").mkdir(parents=True)
+        assert main(["synthesize", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out / "observation.csv") in err
+        assert not (out / "observation.csv.tmp").exists()
 
     def test_rectangle_trace_grid_exits_2(self, tmp_path, capsys):
         path = tmp_path / "rect.json"

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from fluxrecon.errors import ConfigurationError, InputError
+from fluxrecon.errors import InputError
 from fluxrecon.fields import BoundaryTrace
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.heatkernel import KernelConfig, KernelEvaluator
+from fluxrecon.heatkernel import KernelEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -15,25 +15,10 @@ def ev():
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            KernelConfig(k_max=1)
-        with pytest.raises(ConfigurationError):
-            KernelConfig(tail_tol=0.0)
-        with pytest.raises(ConfigurationError):
-            KernelConfig(image_count=0)
-        with pytest.raises(ConfigurationError):
-            KernelConfig(crossover_time=-1.0)
-
     def test_default_crossover_value(self, ev):
         # 2 ln(1/tail_tol) / lambda_200 on the unit interval
         lam_top = (199 * np.pi) ** 2
         assert np.isclose(ev.crossover, 2.0 * np.log(1e12) / lam_top, rtol=1e-12)
-
-    def test_construction_rejects_unresolvable_tail(self):
-        # a crossover far below the spectral resolution limit must fail loudly
-        with pytest.raises(ConfigurationError):
-            KernelEvaluator(interval(), KernelConfig(k_max=4, crossover_time=1e-6))
 
 
 class TestPointValues:
