@@ -56,15 +56,18 @@ class EigenBasis:
         """Evaluate all modes on the tensor grid; returns (K, *grid.shape)."""
         return self.values_at(grid.points)
 
+    def quadrature_modes(self, grid: SpatialGrid) -> np.ndarray:
+        """The modes times the quadrature weights, flattened over the
+        grid; (K, grid size). A field flattened the same way, times its
+        transpose, gives the projection."""
+        return (self.sample_on_grid(grid) * grid.weights).reshape(self.size, -1)
+
     def project(self, grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, omega_k); values may carry
         leading axes, modes are returned on the last axis."""
-        samples = self.sample_on_grid(grid)          # (K, *shape)
-        weighted = samples * grid.weights            # (K, *shape)
-        flat = weighted.reshape(self.size, -1)
         v = np.asarray(values, dtype=float)
         lead = v.shape[:v.ndim - grid.weights.ndim]
-        return v.reshape(lead + (-1,)) @ flat.T
+        return v.reshape(lead + (-1,)) @ self.quadrature_modes(grid).T
 
 
 def _candidate_modes(domain: DomainSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import identity, kron, diags
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
@@ -173,7 +171,11 @@ def rect_laplacian_matrix(grid: SpatialGrid):
     in the C order of the (nx-1, ny-1) interior. It holds no boundary
     values: the march adds r_d phi, r_d = dt / (2 h_d^2), to the interior
     nodes next to each face, and the harmonic extension takes the
-    interior_laplacian of a field that holds them and is zero inside."""
+    interior_laplacian of a field that holds them and is zero inside.
+    scipy.sparse is imported here and in the rectangle's solvers only, so
+    interval runs never load it."""
+    from scipy.sparse import diags, identity, kron
+
     nx, ny = grid.n
     hx, hy = grid.h
 
@@ -202,6 +204,9 @@ def _step_solver(grid: SpatialGrid, dt: float):
             if x is not b:
                 b[...] = x
         return solve
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+
     A = rect_laplacian_matrix(grid).tocsc()
     lu = splu(identity(A.shape[0], format="csc") - (dt / 2.0) * A)
 

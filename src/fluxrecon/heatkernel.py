@@ -28,7 +28,10 @@ The boundary data functional (boundary_propagate_trace) is a lag
 operator: on a uniform time grid starting at 0 its sigma = sqrt(t - s)
 panels depend only on the lag j - i, so the kernel is tabulated once
 per lag (nt * _GL_ORDER time gaps for every point/node pair) and the
-functional is a causal O(nt^2 * npts * nb) sum over lags. The scalar
+functional is a causal O(nt^2 * npts * nb) sum over lags. The table is
+built _LAG_BLOCK = 256 lags at a time, each block with its own mode
+cutoff from its own shortest gap, so its size does not grow with nt
+and the blocks of long gaps keep few modes. The scalar
 boundary_propagate evaluates the same quadrature at one (point, time)
 and is kept as its reference.
 """
@@ -53,6 +56,8 @@ _TAIL_TOL = 1e-12
 _IMAGE_COUNT = 5
 _GL_ORDER = 4
 _MASS_CELLS = 1024
+# lags per kernel table of boundary_propagate_trace
+_LAG_BLOCK = 256
 
 
 class KernelEvaluator:
@@ -79,8 +84,10 @@ class KernelEvaluator:
                     if tmin > 0 else len(lam))
             wx, wy = axis_modes(xs, keep, L), axis_modes(ys, keep, L)
             wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
-            out = np.exp(-np.outer(taus, lam[:keep])) @ wxy
-            return out.reshape(len(taus), len(xs), len(ys))
+            # the table exp(-tau lambda_m), built in place
+            table = np.outer(-taus, lam[:keep])
+            np.exp(table, out=table)
+            return (table @ wxy).reshape(len(taus), len(xs), len(ys))
         shifts = 2.0 * L * np.arange(-_IMAGE_COUNT, _IMAGE_COUNT + 1)
         zs = np.concatenate([xs[:, None, None] - ys[None, :, None] - shifts,
                              xs[:, None, None] + ys[None, :, None] - shifts], axis=2)
@@ -207,9 +214,10 @@ class KernelEvaluator:
 
             a[j] = sum_{l<j} W_up[l] g[j-l] + W_lo[l] g[j-l-1],  a[0] = 0.
 
-        Cost: nt * _GL_ORDER kernel evaluations per (point, node) pair
-        plus an O(nt^2 * npts * nb) causal sum. Raises InputError unless
-        the time grid of g is uniform and starts at 0.
+        Cost: nt * _GL_ORDER kernel evaluations per (point, node) pair,
+        tabulated _LAG_BLOCK lags at a time, plus an O(nt^2 * npts * nb)
+        causal sum. Raises InputError unless the time grid of g is uniform
+        and starts at 0.
         """
         pts = np.asarray(points, dtype=float)
         times = g.times
@@ -232,10 +240,14 @@ class KernelEvaluator:
         quad = 2.0 * sigma * half * wq[None, :]
         c_up = quad * (1.0 - theta_lo)
         c_lo = quad * theta_lo
-        kv = self._block(pts, g.nodes.nodes, (sigma**2).ravel())
-        kv = kv.reshape(nt, _GL_ORDER, len(pts), -1) * g.nodes.weights   # (nt, q, npts, nb)
-        w_up = np.einsum("lq,lqib->lib", c_up, kv)
-        w_lo = np.einsum("lq,lqib->lib", c_lo, kv)
+        nb = g.nodes.count
+        w_up, w_lo = np.empty((nt, len(pts), nb)), np.empty((nt, len(pts), nb))
+        for l0 in range(0, nt, _LAG_BLOCK):
+            lags = slice(l0, min(l0 + _LAG_BLOCK, nt))
+            kv = self._block(pts, g.nodes.nodes, (sigma[lags] ** 2).ravel())
+            kv = kv.reshape(-1, _GL_ORDER, len(pts), nb) * g.nodes.weights  # (lags, q, npts, nb)
+            np.einsum("lq,lqib->lib", c_up[lags], kv, out=w_up[lags])
+            np.einsum("lq,lqib->lib", c_lo[lags], kv, out=w_lo[lags])
 
         gv = g.values
         for lag in range(nt):

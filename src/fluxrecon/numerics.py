@@ -84,9 +84,14 @@ def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.n
     if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
         raise InputError("exp_convolve needs a uniform time grid")
     E, A, B = _exp_step_weights(lam, float(dts[0]))
+    # the two data terms of every step at once; the loop adds them in the
+    # order of E p[j] + c[j] A + b[j] B, so it rounds as that expression
+    head = coeffs[:-1] * A
+    slope = (coeffs[1:] - coeffs[:-1]) / dts[:, None] * B
     for j in range(nt):
-        b = (coeffs[j + 1] - coeffs[j]) / float(dts[j])
-        p[j + 1] = E * p[j] + coeffs[j] * A + b * B
+        row = np.multiply(E, p[j], out=p[j + 1])
+        row += head[j]
+        row += slope[j]
     return p
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError, check_fields
@@ -194,6 +193,8 @@ def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 
 def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
+    from scipy.sparse.linalg import splu  # loaded by rectangle runs only
+
     rings = _rect_rings(a, grid)
     lu = splu(-rect_laplacian_matrix(grid).tocsc())
     # the rings are zero inside, so their interior Laplacian is the
@@ -284,24 +285,38 @@ def assemble_series(series: CoefficientSeries, basis: EigenBasis,
     return combo @ basis.values_at(pts)
 
 
-def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
-                    ) -> tuple[CoefficientSeries, CoefficientSeries]:
+def volterra_blocks(grid: SpatialGrid, times: np.ndarray, blocks, reaction: Nonlinearity,
+                    basis: EigenBasis) -> tuple[CoefficientSeries, CoefficientSeries]:
     """Oracle modal data from a known interior state: source coefficients
     c_k(s) = (f(u(s)), omega_k) and their Volterra responses
 
         p_k(t) = int_0^t exp(-lambda_k (t - s)) c_k(s) ds
 
     computed by the exponentially-weighted trapezoid rule (exact for
-    piecewise-linear c_k). On the true state u this is an oracle the
-    inverse problem cannot run, since u is not observed; on the
-    reaction-free state v_phi with a curve estimate it gives the interior
-    shape of reaction_free_response.
+    piecewise-linear c_k). The state u on the grid at the times comes in
+    blocks (m0, rows) of `march`, rows = u[m0 : m0 + len(rows)], where
+    row 0 of every block after the first repeats the last row before it;
+    each block is projected as it comes, so no field is kept.
     """
-    source = basis.project(u.grid, reaction.fn(u.values))
-    response = exp_convolve(basis.lambdas, u.times, source)
-    c = CoefficientSeries(times=u.times, lambdas=basis.lambdas.copy(), values=source)
-    p = CoefficientSeries(times=u.times, lambdas=basis.lambdas.copy(), values=response)
+    modes = basis.quadrature_modes(grid).T
+    source = np.empty((len(times), basis.size))
+    for m0, rows in blocks:
+        first = 1 if m0 else 0  # row 0 of a later block is the block before's last
+        fu = reaction.fn(rows[first:])
+        source[m0 + first:m0 + len(rows)] = fu.reshape(len(fu), -1) @ modes
+    response = exp_convolve(basis.lambdas, times, source)
+    c = CoefficientSeries(times=times, lambdas=basis.lambdas.copy(), values=source)
+    p = CoefficientSeries(times=times, lambdas=basis.lambdas.copy(), values=response)
     return c, p
+
+
+def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
+                    ) -> tuple[CoefficientSeries, CoefficientSeries]:
+    """volterra_blocks of a stored field, fed as one block. On the true
+    state u this is an oracle the inverse problem cannot run, since u is
+    not observed; on the reaction-free state v_phi with a curve estimate
+    it gives the interior shape of reaction_free_response."""
+    return volterra_blocks(u.grid, u.times, [(0, u.values)], reaction, basis)
 
 
 # -- curve aggregation -------------------------------------------------

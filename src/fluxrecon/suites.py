@@ -12,11 +12,10 @@ import numpy as np
 from .eigenbasis import make_basis, verify_orthonormality
 from .errors import ConfigurationError
 from .families import make_boundary_data, make_reaction
-from .forward import (DirichletData, Nonlinearity, interior_laplacian, march, march_flux,
-                      solve_semilinear)
+from .forward import DirichletData, Nonlinearity, interior_laplacian, march, march_flux
 from .geometry import SpatialGrid, boundary_nodes, build_grid, interval, rectangle
 from .heatkernel import KernelEvaluator
-from .recon import differentiate_coefficients, volterra_oracle
+from .recon import differentiate_coefficients, volterra_blocks
 
 SUITES = ("eigenbasis", "kernel", "representation", "forward", "volterra")
 
@@ -299,15 +298,16 @@ def volterra_suite(k: int = 8, n: int = 256, nt: int = 8192) -> dict:
     """On a known smooth instance the response coefficients must satisfy
     p_k' + lambda_k p_k = c_k; checked with the sliding-window
     derivative, normalized per mode by max |c_k|. The coefficients come
-    from the pipeline's own volterra_oracle and differentiate_coefficients."""
+    from the pipeline's own volterra_blocks, fed by the march block by
+    block so no field is stored, and differentiate_coefficients."""
     dom = interval()
     phi = make_boundary_data({"family": "ramp", "profile": "affine", "slope": 1.0},
                              dom, 1.0)
     reaction = make_reaction({"family": "linear", "coeff": 1.0})
     grid = build_grid(dom, n)
-    u = solve_semilinear(grid, reaction, phi, nt)
-    basis = make_basis(dom, k)
-    c, p = volterra_oracle(u, reaction, basis)
+    times = np.linspace(0.0, phi.final_time, nt + 1)
+    c, p = volterra_blocks(grid, times, march(grid, reaction, phi, nt), reaction,
+                           make_basis(dom, k))
     p = differentiate_coefficients(p, halfwidth=3)
     resid = p.derivs + p.values * p.lambdas[None, :] - c.values
     checks = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from fluxrecon.errors import InputError
 from fluxrecon.fields import BoundaryTrace
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.heatkernel import KernelEvaluator
+from fluxrecon.numerics import gauss_legendre
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,53 @@ class TestBoundaryPropagate:
                         for t in times])
         assert got.shape == ref.shape == (nt + 1, nodes.count)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _one_table_trace(ev, g, pts):
+        """The lag operator with the kernel of every lag from one _block call."""
+        nt = len(g.times) - 1
+        dt = float(g.times[-1]) / nt
+        sig_edges = np.sqrt(np.arange(nt + 1) * dt)
+        xi, wq = gauss_legendre(4)
+        half = 0.5 * np.diff(sig_edges)[:, None]
+        mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
+        sigma = mid + half * xi[None, :]
+        theta_lo = sigma**2 / dt - np.arange(nt)[:, None]
+        quad = 2.0 * sigma * half * wq[None, :]
+        kv = ev._block(pts, g.nodes.nodes, (sigma**2).ravel())
+        kv = kv.reshape(nt, 4, len(pts), -1) * g.nodes.weights
+        w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
+        w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
+        out = np.zeros((nt + 1, len(pts)))
+        for lag in range(nt):
+            out[lag + 1:] += (g.values[1:nt + 1 - lag] @ w_up[lag].T
+                              + g.values[:nt - lag] @ w_lo[lag].T)
+        return out
+
+    @pytest.mark.parametrize("nt", [256, 2048])
+    def test_lag_blocks_match_one_table(self, ev, nt):
+        # 256 lags are one block of the table, the same bits as one call;
+        # at 2048 the later blocks keep fewer modes, which moves rounding
+        rng = np.random.default_rng(3)
+        g = self._trace(lambda ts: ts * (1.0 + 0.1 * rng.standard_normal(ts.shape)), nt)
+        pts = np.array([[0.0], [0.3], [1.0]])
+        got = ev.boundary_propagate_trace(g, pts)
+        ref = self._one_table_trace(ev, g, pts)
+        if nt == 256:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_trace_table_is_blocked(self, ev):
+        # one table of all 8192 gaps against 200 modes would take 13 MB
+        g = self._trace(lambda ts: ts, nt=2048)
+        tracemalloc.start()
+        try:
+            ev.boundary_propagate_trace(g, g.nodes.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_trace_rejects_nonuniform_grid(self, ev):
         g = self._trace(lambda ts: ts, nt=8)
