@@ -1,9 +1,9 @@
 """Reconstruct one observation with both extension methods and report
 how far the recovered curves disagree.
 
-The primary curve uses the scenario's configured extension (harmonic by
-default); the alternate method runs on the same data functional and the
-sup discrepancy over the shared trusted band is printed and stored in
+The primary curve uses the harmonic extension and the alternate one the
+normal-constant extension, both on the same data functional; the sup
+discrepancy over the shared trusted band is printed and stored in
 diagnostics.json.
 """
 

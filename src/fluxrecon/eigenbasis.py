@@ -101,21 +101,8 @@ def make_basis(domain: DomainSpec, k: int) -> EigenBasis:
                       modes=np.asarray(modes, dtype=int))
 
 
-@dataclass(frozen=True)
-class OrthonormalityReport:
-    max_deviation: float
-    under_resolved: bool
-
-
-def verify_orthonormality(basis: EigenBasis, grid: SpatialGrid) -> OrthonormalityReport:
-    """Max deviation of the quadrature Gram matrix from the identity.
-
-    An under-resolved basis (fewer than ~8 points per wavelength of the
-    highest mode) is flagged rather than rejected.
-    """
+def verify_orthonormality(basis: EigenBasis, grid: SpatialGrid) -> float:
+    """Max deviation of the quadrature Gram matrix from the identity."""
     samples = basis.sample_on_grid(grid).reshape(basis.size, -1)
     gram = (samples * grid.weights.ravel()) @ samples.T
-    dev = float(np.max(np.abs(gram - np.eye(basis.size))))
-    under = any(int(np.max(basis.modes[:, d])) * 4 > grid.n[d]
-                for d in range(basis.domain.dim))
-    return OrthonormalityReport(max_deviation=dev, under_resolved=under)
+    return float(np.max(np.abs(gram - np.eye(basis.size))))

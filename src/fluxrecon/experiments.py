@@ -227,7 +227,9 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         raise InputError(f"metadata {meta_path} must be a JSON object")
     if meta.get("schema") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema {meta.get('schema')!r} in {meta_path}")
-    scenario = ScenarioConfig.from_dict(meta.get("config", {}))
+    if "config" not in meta:
+        raise InputError(f"metadata {meta_path} has no 'config' key")
+    scenario = ScenarioConfig.from_dict(meta["config"])
     f_label = meta.get("f_label")
     if not (f_label is None or isinstance(f_label, str)):
         raise InputError(f"f_label in {meta_path} must be a string or null, got {f_label!r}")

@@ -30,6 +30,8 @@ A source written with elementwise numpy operations on t meets this."""
 # time rows per block of the marches: per source evaluation, per
 # divergence check and per block a caller reads
 _BLOCK = 64
+# rounding slack of the sampled admissibility checks of f and phi
+_ADMISSIBLE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,16 @@ class Nonlinearity:
     fn: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
 
-    def check_admissible(self, u_max: float, samples: int = 257, tol: float = 1e-10) -> None:
-        """Sampled admissibility: f(0) = 0, f >= 0 and nondecreasing on [0, u_max]."""
-        us = np.linspace(0.0, max(u_max, 1e-12), samples)
+    def check_admissible(self, u_max: float) -> None:
+        """Admissibility at 257 points of [0, u_max]: f(0) = 0, f >= 0 and
+        nondecreasing."""
+        us = np.linspace(0.0, max(u_max, 1e-12), 257)
         vals = np.asarray(self.fn(us), dtype=float)
-        if abs(float(vals[0])) > tol:
+        if abs(float(vals[0])) > _ADMISSIBLE_TOL:
             raise InputError(f"reaction law must vanish at 0, got f(0) = {vals[0]:g}")
-        if np.min(vals) < -tol:
+        if np.min(vals) < -_ADMISSIBLE_TOL:
             raise InputError("reaction law must be nonnegative on the data range")
-        if np.min(np.diff(vals)) < -tol:
+        if np.min(np.diff(vals)) < -_ADMISSIBLE_TOL:
             raise InputError("reaction law must be nondecreasing on the data range")
 
 
@@ -85,16 +88,16 @@ class DirichletData:
                 f"fn(points (N, dim), t (T, 1)) must give values that broadcast to "
                 f"(T, N) = {shape} ({exc})") from exc
 
-    def check_admissible(self, nodes: BoundaryNodeSet, time_samples: int = 65,
-                         tol: float = 1e-10) -> None:
-        """Sampled admissibility: phi(., 0) = 0, phi >= 0, phi not identically 0."""
-        ts = np.linspace(0.0, self.final_time, time_samples)
+    def check_admissible(self, nodes: BoundaryNodeSet) -> None:
+        """Admissibility at the nodes and 65 times of [0, T]: phi(., 0) = 0,
+        phi >= 0, phi not identically 0."""
+        ts = np.linspace(0.0, self.final_time, 65)
         vals = self.table(nodes.nodes, ts)
-        if np.max(np.abs(vals[0])) > tol:
+        if np.max(np.abs(vals[0])) > _ADMISSIBLE_TOL:
             raise InputError("boundary data must vanish at t = 0")
-        if np.min(vals) < -tol:
+        if np.min(vals) < -_ADMISSIBLE_TOL:
             raise InputError("boundary data must be nonnegative")
-        if np.max(np.abs(vals)) <= tol:
+        if np.max(np.abs(vals)) <= _ADMISSIBLE_TOL:
             raise InputError("boundary data must not vanish identically")
 
 

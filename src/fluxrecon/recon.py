@@ -37,38 +37,27 @@ from .geometry import DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
 
+# the primary extension, then the one compare_extensions reruns with
 EXTENSIONS = ("harmonic", "normal_constant")
+# eigenmodes of the projection, half width of the derivative window,
+# bins of the curve, and the phi quantiles that bound its trusted range
+_K_MODES = 16
+_DIFF_HALFWIDTH = 2
+_BINS = 24
+_Q_LO, _Q_HI = 0.1, 0.9
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Tunable parameters of the reconstruction pipeline."""
+    """The settings of one reconstruction: cells per axis of its grid, and
+    whether to rerun the pipeline with the other extension."""
 
     grid_n: int = 128
-    k_modes: int = 16
-    extension: str = "harmonic"
-    diff_halfwidth: int = 2
-    bins: int = 24
-    monotone: bool = True
-    q_lo: float = 0.1
-    q_hi: float = 0.9
     compare_extensions: bool = False
 
     def __post_init__(self):
-        check_fields("reconstruction", self, integers=("k_modes", "diff_halfwidth", "bins"),
-                     reals=("q_lo", "q_hi"), flags=("monotone", "compare_extensions"))
-        if self.extension not in EXTENSIONS:
-            raise ConfigurationError(
-                f"unknown extension {self.extension!r}, expected one of {EXTENSIONS}")
-        if self.k_modes < 2:
-            raise ConfigurationError(f"k_modes must be >= 2, got {self.k_modes}")
-        if self.bins < 8:
-            raise ConfigurationError(f"need at least 8 bins, got {self.bins}")
-        if not (0.0 <= self.q_lo < self.q_hi <= 1.0):
-            raise ConfigurationError(
-                f"quantile band must satisfy 0 <= lo < hi <= 1, got ({self.q_lo}, {self.q_hi})")
-        if self.diff_halfwidth < 1:
-            raise ConfigurationError("diff_halfwidth must be >= 1")
+        check_fields("reconstruction", self, integers=("grid_n",),
+                     flags=("compare_extensions",))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,14 +311,13 @@ def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
 # -- curve aggregation -------------------------------------------------
 
 
-def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray,
-                config: ReconstructionConfig) -> CurveEstimate:
+def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray) -> CurveEstimate:
     """Aggregate (phi, F) pairs into a monotone curve estimate.
 
     Bins [0, max phi] uniformly, takes per-bin medians, anchors the
-    curve at (0, 0) and projects onto nondecreasing sequences (PAV)
-    when monotone is set. The trusted range is the [q_lo, q_hi]
-    quantile band of the phi samples.
+    curve at (0, 0) and projects onto nondecreasing sequences (PAV).
+    The trusted range is the [_Q_LO, _Q_HI] quantile band of the phi
+    samples.
     """
     phi = np.asarray(phi_samples, dtype=float).ravel()
     fv = np.asarray(series_samples, dtype=float).ravel()
@@ -338,14 +326,14 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray,
     ok = np.isfinite(phi) & np.isfinite(fv)
     phi, fv = phi[ok], fv[ok]
     pmax = float(np.max(phi)) if len(phi) else 0.0
-    if len(phi) < 3 * config.bins or pmax <= 0:
+    if len(phi) < 3 * _BINS or pmax <= 0:
         raise NumericalError(
             f"degenerate sample set for curve fitting ({len(phi)} samples, "
             f"max phi {pmax:g})")
-    edges = np.linspace(0.0, pmax, config.bins + 1)
-    idx = np.clip(np.digitize(phi, edges) - 1, 0, config.bins - 1)
+    edges = np.linspace(0.0, pmax, _BINS + 1)
+    idx = np.clip(np.digitize(phi, edges) - 1, 0, _BINS - 1)
     knots, meds, counts, spreads = [0.0], [0.0], [0.0], [0.0]
-    for b in range(config.bins):
+    for b in range(_BINS):
         sel = idx == b
         cnt = int(np.sum(sel))
         if cnt == 0:
@@ -361,16 +349,15 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray,
     values = np.asarray(meds)
     counts = np.asarray(counts, dtype=float)
     spreads = np.asarray(spreads)
-    if config.monotone:
-        weights = counts.copy()
-        weights[0] = np.sum(counts)  # pin the exact anchor f(0) = 0
-        values = isotonic_nondecreasing(values, weights)
-        # the admissible class has f >= 0, so negative pooled levels
-        # (possible when early-bin medians dip below zero) clip to zero;
-        # this keeps the sequence nondecreasing with the anchor at 0
-        values = np.maximum(values, 0.0)
-        values[0] = 0.0
-    lo, hi = np.quantile(phi, [config.q_lo, config.q_hi])
+    weights = counts.copy()
+    weights[0] = np.sum(counts)  # pin the exact anchor f(0) = 0
+    values = isotonic_nondecreasing(values, weights)
+    # the admissible class has f >= 0, so negative pooled levels
+    # (possible when early-bin medians dip below zero) clip to zero;
+    # this keeps the sequence nondecreasing with the anchor at 0
+    values = np.maximum(values, 0.0)
+    values[0] = 0.0
+    lo, hi = np.quantile(phi, [_Q_LO, _Q_HI])
     return CurveEstimate(knots=knots, values=values, counts=counts, spreads=spreads,
                          trusted_lo=float(lo), trusted_hi=float(hi))
 
@@ -394,14 +381,13 @@ def evaluate_curve(curve: CurveEstimate, u) -> tuple[np.ndarray, np.ndarray]:
 class ReconstructionResult:
     curve: CurveEstimate
     diagnostics: dict = field(default_factory=dict)
-    alt_curve: CurveEstimate | None = None
 
 
-def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis,
-              config: ReconstructionConfig, method: str, shape: np.ndarray | None = None):
+def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis, method: str,
+              shape: np.ndarray | None = None):
     extended = extend_boundary_data(a, grid, method, shape)
     series = project_coefficients(extended, grid, basis, a.times)
-    series = differentiate_coefficients(series, config.diff_halfwidth)
+    series = differentiate_coefficients(series, _DIFF_HALFWIDTH)
     fvals = assemble_series(series, basis, a.nodes.nodes)
     return series, fvals
 
@@ -421,13 +407,13 @@ def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
 
 
 def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasis,
-                        config: ReconstructionConfig, method: str, phi_vals: np.ndarray):
+                        method: str, phi_vals: np.ndarray):
     """A first pass with the plain extension gives a curve f0; one more
     pass extends with the reaction-free response to f0 as interior shape."""
-    _, first = _pipeline(a, v_phi.grid, basis, config, method)
-    shape = reaction_free_response(v_phi, build_curve(phi_vals, first, config), basis)
-    series, fvals = _pipeline(a, v_phi.grid, basis, config, method, shape)
-    return series, build_curve(phi_vals, fvals, config)
+    _, first = _pipeline(a, v_phi.grid, basis, method)
+    shape = reaction_free_response(v_phi, build_curve(phi_vals, first), basis)
+    series, fvals = _pipeline(a, v_phi.grid, basis, method, shape)
+    return series, build_curve(phi_vals, fvals)
 
 
 def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> ReconstructionResult:
@@ -441,10 +427,10 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     gap = flux_difference(obs, grid, v_phi)
     kernel = KernelEvaluator(obs.domain)
     functional = compute_data_functional(gap, kernel)
-    basis = make_basis(obs.domain, config.k_modes)
+    basis = make_basis(obs.domain, _K_MODES)
     phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
-    series, curve = _corrected_pipeline(functional, v_phi, basis, config,
-                                        config.extension, phi_vals)
+    method, other = EXTENSIONS
+    series, curve = _corrected_pipeline(functional, v_phi, basis, method, phi_vals)
 
     energy = np.max(np.abs(series.values), axis=0)
     tail = float(np.max(energy[3 * len(energy) // 4:]) / max(np.max(energy), 1e-300))
@@ -454,17 +440,14 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
         "mode_energy": energy.tolist(),
         "tail_energy_ratio": tail,
         "tail_energy_flagged": bool(tail > 0.1),
-        "extension_method": config.extension,
+        "extension_method": method,
     }
-    alt_curve = None
     if config.compare_extensions:
-        other = "normal_constant" if config.extension == "harmonic" else "harmonic"
-        _, alt_curve = _corrected_pipeline(functional, v_phi, basis, config, other,
-                                           phi_vals)
+        _, alt_curve = _corrected_pipeline(functional, v_phi, basis, other, phi_vals)
         us = np.linspace(max(curve.trusted_lo, alt_curve.trusted_lo),
                          min(curve.trusted_hi, alt_curve.trusted_hi), 101)
         v1, _ = evaluate_curve(curve, us)
         v2, _ = evaluate_curve(alt_curve, us)
         diagnostics["extension_discrepancy"] = float(np.max(np.abs(v1 - v2)))
         diagnostics["alt_extension_method"] = other
-    return ReconstructionResult(curve=curve, diagnostics=diagnostics, alt_curve=alt_curve)
+    return ReconstructionResult(curve=curve, diagnostics=diagnostics)

@@ -53,7 +53,7 @@ def linear_obs():
 
 def test_criterion_01_eigenbasis():
     t0 = time.perf_counter()
-    report = eigenbasis_suite(k=16, n=512)
+    report = eigenbasis_suite()
     elapsed = time.perf_counter() - t0
     checks = _by_name(report)
     ortho = checks["interval_orthonormality_max_dev"]
@@ -83,7 +83,7 @@ def test_criterion_02_kernel():
 
 def test_criterion_03_representation_roundtrip():
     t0 = time.perf_counter()
-    report = representation_suite(n=512, nt=2048)
+    report = representation_suite()
     elapsed = time.perf_counter() - t0
     assert len(report["checks"]) == 2
     for check in report["checks"]:
@@ -109,7 +109,7 @@ def test_criterion_04_forward_convergence():
 
 def test_criterion_05_volterra_identity():
     t0 = time.perf_counter()
-    report = volterra_suite(k=8)
+    report = volterra_suite()
     elapsed = time.perf_counter() - t0
     check = _by_name(report)["volterra_identity_rel_max"]
     assert check["tolerance"] == 1e-2

@@ -82,11 +82,10 @@ class TestScenarioConfig:
             ScenarioConfig(domain_kind="disc").domain()
 
     def test_recon_config_overrides(self):
-        scenario = ScenarioConfig(reconstruction={"k_modes": 8, "bins": 12})
+        scenario = ScenarioConfig(recon_n=32, reconstruction={"compare_extensions": True})
         cfg = scenario.recon_config()
-        assert cfg.grid_n == scenario.recon_n
-        assert cfg.k_modes == 8
-        assert cfg.bins == 12
+        assert cfg.grid_n == 32
+        assert cfg.compare_extensions is True
 
     def test_from_dict_rejects_non_object(self):
         with pytest.raises(ConfigurationError):
@@ -414,9 +413,38 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "run" / "metrics.json").exists()
 
+    def test_meta_without_config_exits_2(self, tmp_path, capsys):
+        # the data fit the default scenario's grids, so only the missing
+        # key tells that they were made with another phi
+        scenario = ScenarioConfig(**dict(CHEAP, recon_nt=256, phi={
+            "family": "saturating_ramp", "profile": "const"}))
+        paths = run_synthesize(scenario, tmp_path / "obs")
+        meta_path = tmp_path / "obs" / "observation_meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["config"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(["reconstruct", "--observation", paths["observation"],
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{meta_path} has no 'config' key" in err
+        assert not (tmp_path / "run" / "metrics.json").exists()
+
     def test_missing_observation_exits_2(self, tmp_path, capsys):
         assert main(["reconstruct", "--observation",
                      str(tmp_path / "observation.csv")]) == 2
+
+    # the pipeline's fixed settings are constants, and a scenario that still
+    # sets one, even to its value, is rejected before anything runs
+    @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k) for k, v in {
+        "bins": 24, "diff_halfwidth": 2, "extension": "harmonic", "k_modes": 16,
+        "monotone": True, "q_hi": 0.9, "q_lo": 0.1}.items()])
+    def test_removed_reconstruction_key_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**CHEAP, "reconstruction": {key: value}}))
+        assert main(["synthesize", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert f"unknown reconstruction keys [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     # files that cannot be read or decoded, and an --out that cannot be a
     # directory, are input errors
@@ -496,16 +524,17 @@ class TestCli:
         out = tmp_path / "base"
         assert main(["synthesize", "--config", str(config_path),
                      "--out", str(out)]) == 0
-        override = dict(CHEAP, reconstruction={"bins": 12,
-                                               "extension": "normal_constant"})
+        override = dict(CHEAP, recon_n=32, reconstruction={"compare_extensions": True})
         override_path = tmp_path / "override.json"
         override_path.write_text(json.dumps(override))
         assert main(["reconstruct", "--observation", str(out / "observation.csv"),
                      "--config", str(override_path), "--out", str(out)]) == 0
         capsys.readouterr()
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["config"]["reconstruction"]["bins"] == 12
-        assert diag["diagnostics"]["extension_method"] == "normal_constant"
+        assert diag["config"]["recon_n"] == 32
+        assert diag["config"]["reconstruction"] == {"compare_extensions": True}
+        assert diag["diagnostics"]["extension_method"] == "harmonic"
+        assert diag["diagnostics"]["alt_extension_method"] == "normal_constant"
 
     def test_verify_exit_codes(self, monkeypatch, capsys):
         assert main(["verify", "--suite", "eigenbasis"]) == 0

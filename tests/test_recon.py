@@ -360,55 +360,46 @@ class TestVolterraBlocks:
 
 
 class TestBuildCurve:
-    def _config(self, **kw):
-        return ReconstructionConfig(**kw)
-
     def test_recovers_linear_law(self, rng):
         phi = rng.uniform(0.0, 1.0, size=4000)
         series = 2.0 * phi + rng.normal(0.0, 0.01, size=4000)
-        curve = build_curve(phi, series, self._config())
+        curve = build_curve(phi, series)
         mid = (curve.knots > 0.2) & (curve.knots < 0.8)
         assert np.max(np.abs(curve.values[mid] - 2.0 * curve.knots[mid])) < 0.02
 
     def test_anchor_and_monotonicity(self, rng):
         phi = rng.uniform(0.0, 1.0, size=1000)
         series = np.sin(phi) - 0.3  # negative near zero
-        curve = build_curve(phi, series, self._config())
+        curve = build_curve(phi, series)
         assert curve.knots[0] == 0.0 and curve.values[0] == 0.0
         assert np.min(np.diff(curve.values)) >= 0.0
 
-    def test_monotone_off_keeps_medians(self, rng):
-        phi = rng.uniform(0.0, 1.0, size=1000)
-        series = -phi
-        curve = build_curve(phi, series, self._config(monotone=False))
-        assert np.min(np.diff(curve.values)) < 0.0
-
     def test_trusted_band_is_quantile_range(self, rng):
         phi = rng.uniform(0.0, 1.0, size=5000)
-        curve = build_curve(phi, phi, self._config(q_lo=0.2, q_hi=0.8))
-        assert abs(curve.trusted_lo - np.quantile(phi, 0.2)) < 1e-12
-        assert abs(curve.trusted_hi - np.quantile(phi, 0.8)) < 1e-12
+        curve = build_curve(phi, phi)
+        assert abs(curve.trusted_lo - np.quantile(phi, 0.1)) < 1e-12
+        assert abs(curve.trusted_hi - np.quantile(phi, 0.9)) < 1e-12
 
     def test_rejects_few_samples(self):
         with pytest.raises(NumericalError):
-            build_curve(np.linspace(0, 1, 10), np.zeros(10), self._config())
+            build_curve(np.linspace(0, 1, 10), np.zeros(10))
 
     def test_rejects_degenerate_range(self):
         with pytest.raises(NumericalError):
-            build_curve(np.zeros(100), np.zeros(100), self._config())
+            build_curve(np.zeros(100), np.zeros(100))
 
     def test_nonfinite_samples_dropped(self, rng):
         phi = rng.uniform(0.0, 1.0, size=1000)
         series = phi.copy()
         series[::7] = np.nan
-        curve = build_curve(phi, series, self._config())
+        curve = build_curve(phi, series)
         assert np.all(np.isfinite(curve.values))
 
 
 class TestEvaluateCurve:
     def _curve(self):
         phi = np.linspace(0.0, 1.0, 1000)
-        return build_curve(phi, phi, ReconstructionConfig())
+        return build_curve(phi, phi)
 
     def test_clamps_and_flags(self):
         curve = self._curve()
@@ -427,16 +418,11 @@ class TestEvaluateCurve:
 
 class TestReconstructionConfig:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReconstructionConfig(extension="fourier")
-        with pytest.raises(ConfigurationError):
-            ReconstructionConfig(k_modes=1)
-        with pytest.raises(ConfigurationError):
-            ReconstructionConfig(bins=4)
-        with pytest.raises(ConfigurationError):
-            ReconstructionConfig(q_lo=0.9, q_hi=0.1)
-        with pytest.raises(ConfigurationError):
-            ReconstructionConfig(diff_halfwidth=0)
+        for bad in ({"grid_n": 16.5}, {"grid_n": True}, {"grid_n": "16"},
+                    {"compare_extensions": "no"}, {"compare_extensions": 1}):
+            with pytest.raises(ConfigurationError, match=repr(next(iter(bad)))):
+                ReconstructionConfig(**bad)
+        assert ReconstructionConfig(grid_n=16, compare_extensions=True).grid_n == 16
 
 
 @pytest.fixture(scope="module")
@@ -466,11 +452,11 @@ class TestReconstructPipeline:
                     "tail_energy_ratio", "extension_method"):
             assert key in result.diagnostics
         assert result.diagnostics["functional_initial_max"] == 0.0
-        assert result.alt_curve is None
+        assert result.diagnostics["extension_method"] == "harmonic"
+        assert "extension_discrepancy" not in result.diagnostics
 
     def test_compare_extensions(self, small_obs):
         config = ReconstructionConfig(grid_n=16, compare_extensions=True)
         result = reconstruct(small_obs, config)
-        assert result.alt_curve is not None
         assert result.diagnostics["alt_extension_method"] == "normal_constant"
         assert np.isfinite(result.diagnostics["extension_discrepancy"])
