@@ -169,31 +169,33 @@ def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
     return _laplacian(np.empty(inner.shape) if out is None else out, inner, taps)
 
 
-def rect_laplacian_matrix(grid: SpatialGrid):
-    """Sparse 5-point Laplacian on the interior nodes of a rectangle grid,
-    in the C order of the (nx-1, ny-1) interior. It holds no boundary
-    values: the march adds r_d phi, r_d = dt / (2 h_d^2), to the interior
-    nodes next to each face, and the harmonic extension takes the
-    interior_laplacian of a field that holds them and is zero inside.
-    scipy.sparse is imported here and in the rectangle's solvers only, so
-    interval runs never load it."""
-    from scipy.sparse import diags, identity, kron
+def rect_sine_solver(grid: SpatialGrid, shift: float, scale: float):
+    """solve(b) overwrites b, interior values of a rectangle grid of shape
+    (nx-1, ny-1) after any leading axes, with (shift I - scale lap)^-1 b,
+    lap the 5-point Dirichlet Laplacian of interior_laplacian. The sine
+    tables S_d = sqrt(2/n_d) sin(pi j k / n_d) (S_d S_d = I) diagonalise
+    it with eigenvalues -(mu_x + mu_y), mu_k = (4/h^2) sin^2(pi k / 2n),
+    so a solve is four small matrix products:
+        b <- S_x ((S_x b S_y) / (shift + scale (mu_x + mu_y))) S_y."""
+    tables = []
+    for n, h in zip(grid.n, grid.h):
+        k = np.arange(1, n)
+        # j k reduced mod 2n keeps each sine argument below 2 pi, so that
+        # S_d S_d = I holds to rounding
+        tables.append((np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n))),
+                       4.0 / (h * h) * np.sin(np.pi / (2 * n) * k) ** 2))
+    (sx, mux), (sy, muy) = tables
+    inv = 1.0 / (shift + scale * (mux[:, None] + muy))
 
-    nx, ny = grid.n
-    hx, hy = grid.h
-
-    def lap1(n, h):
-        return diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n - 1, n - 1)) / (h * h)
-
-    ix = identity(nx - 1, format="csr")
-    iy = identity(ny - 1, format="csr")
-    return kron(lap1(nx, hx), iy) + kron(ix, lap1(ny, hy))
+    def solve(b: np.ndarray) -> None:
+        b[...] = sx @ ((sx @ b @ sy) * inv) @ sy
+    return solve
 
 
 def _step_solver(grid: SpatialGrid, dt: float):
     """solve(b) overwrites b, the interior of a time row, with
-    (I - dt/2 lap)^-1 b, from one factorization: LAPACK's gttrf with a
-    gttrs per step on the interval, a sparse LU on the rectangle."""
+    (I - dt/2 lap)^-1 b: LAPACK's gttrf once with a gttrs per step on the
+    interval, rect_sine_solver on the rectangle."""
     if grid.domain.dim == 1:
         n, h = grid.n[0], grid.h[0]
         r = dt / (2.0 * h * h)
@@ -207,15 +209,7 @@ def _step_solver(grid: SpatialGrid, dt: float):
             if x is not b:
                 b[...] = x
         return solve
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
-
-    A = rect_laplacian_matrix(grid).tocsc()
-    lu = splu(identity(A.shape[0], format="csc") - (dt / 2.0) * A)
-
-    def solve(b: np.ndarray) -> None:
-        b[...] = lu.solve(b.ravel()).reshape(b.shape)
-    return solve
+    return rect_sine_solver(grid, 1.0, dt / 2.0)
 
 
 def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,

@@ -32,7 +32,7 @@ from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError, check_fields
 from .fields import BoundaryTrace, SolutionField
 from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux,
-                      neumann_trace, rect_laplacian_matrix, solve_linear_heat)
+                      neumann_trace, rect_sine_solver, solve_linear_heat)
 from .geometry import DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelEvaluator
 from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
@@ -182,16 +182,12 @@ def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
 
 
 def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
-    from scipy.sparse.linalg import splu  # loaded by rectangle runs only
-
-    rings = _rect_rings(a, grid)
-    lu = splu(-rect_laplacian_matrix(grid).tocsc())
+    out = _rect_rings(a, grid)
     # the rings are zero inside, so their interior Laplacian is the
     # boundary coupling of every time row; one solve takes all the rows
-    coupling = interior_laplacian(rings, grid)
-    sol = lu.solve(coupling.reshape(len(rings), -1).T)
-    out = rings.copy()
-    out[:, 1:-1, 1:-1] = sol.T.reshape(coupling.shape)
+    inner = interior_laplacian(out, grid)
+    rect_sine_solver(grid, 0.0, 1.0)(inner)
+    out[:, 1:-1, 1:-1] = inner
     return out
 
 

@@ -3,15 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse import identity
-from scipy.sparse.linalg import splu
 
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
                                interior_laplacian, march_flux, neumann_trace,
-                               rect_laplacian_matrix, solve_linear_heat, solve_semilinear,
+                               rect_sine_solver, solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
@@ -220,9 +218,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
     dt = T / nt
     rx, ry = dt / (2.0 * hx * hx), dt / (2.0 * hy * hy)
     times = np.linspace(0.0, T, nt + 1)
-    A = rect_laplacian_matrix(grid).tocsc()
-    ni = (nx - 1) * (ny - 1)
-    lhs = splu(identity(ni, format="csc") - (dt / 2.0) * A)
+    solve = rect_sine_solver(grid, 1.0, dt / 2.0)
 
     def lap_full(w):
         out = np.zeros_like(w)
@@ -263,11 +259,11 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         rhs[:, -1] += ry * ring_new[1:-1, -1]
         if not np.all(np.isfinite(rhs)):
             raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
-        u_new = lhs.solve(rhs.ravel())
-        if not np.all(np.isfinite(u_new)):
+        solve(rhs)
+        if not np.all(np.isfinite(rhs)):
             raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         full = ring_new.copy()
-        full[1:-1, 1:-1] = u_new.reshape(nx - 1, ny - 1)
+        full[1:-1, 1:-1] = rhs
         u[m + 1] = full
         f_prev = fm
     return u
@@ -420,6 +416,44 @@ class TestStepSolver:
         solve(strided)
         assert np.array_equal(strided, contiguous)
         assert not np.array_equal(contiguous, rhs)
+
+
+def _dense_laplacian(grid):
+    """The 5-point Dirichlet Laplacian on the interior nodes of a rectangle
+    grid, in the C order of the (nx-1, ny-1) interior."""
+    def second_difference(n, h):
+        return (np.eye(n - 1, k=-1) - 2.0 * np.eye(n - 1) + np.eye(n - 1, k=1)) / (h * h)
+
+    (nx, ny), (hx, hy) = grid.n, grid.h
+    return (np.kron(second_difference(nx, hx), np.eye(ny - 1))
+            + np.kron(np.eye(nx - 1), second_difference(ny, hy)))
+
+
+class TestRectSineSolver:
+    """rect_sine_solver inverts shift I - scale lap in sine space: as the
+    Crank-Nicolson step (1, dt/2) and as the Laplace solve (0, 1) of the
+    harmonic extension."""
+
+    @pytest.mark.parametrize("shift,scale", [(1.0, 0.5 / 64), (0.0, 1.0)], ids=["step", "laplace"])
+    @pytest.mark.parametrize("domain,n", [(rectangle(0.9, 1.3), (9, 10)), (rectangle(), 32)],
+                             ids=["box", "square32"])
+    def test_matches_dense_solve(self, domain, n, shift, scale, rng):
+        grid = build_grid(domain, n)
+        b = rng.standard_normal(tuple(k - 1 for k in grid.n))
+        matrix = shift * np.eye(b.size) - scale * _dense_laplacian(grid)
+        ref = np.linalg.solve(matrix, b.ravel()).reshape(b.shape)
+        rect_sine_solver(grid, shift, scale)(b)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_leading_axis_solves_each_row(self, rng):
+        grid = build_grid(rectangle(0.9, 1.3), (9, 10))
+        solve = rect_sine_solver(grid, 0.0, 1.0)
+        stack = rng.standard_normal((3, 8, 9))
+        rows = stack.copy()
+        for row in rows:
+            solve(row)
+        solve(stack)
+        assert np.array_equal(stack, rows)
 
 
 class TestNeumannTrace:

@@ -182,24 +182,27 @@ class TestSlidingDerivative:
 
 
 def test_import_graph_leaves_out_heavy_scipy(tmp_path):
-    # the package needs numpy, scipy.linalg and, for the rectangle only,
-    # scipy.sparse; any of the heavy ones would add hundreds of modules to
-    # the start-up of every command, and an interval synthesize and
-    # reconstruct and every verify suite run without scipy.sparse
+    # the package needs numpy and scipy.linalg only; any of the heavy
+    # modules would add hundreds of modules to the start-up of every
+    # command, and synthesize and reconstruct on the interval and on the
+    # rectangle and every verify suite run without scipy.sparse
     heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
              "scipy.ndimage"]
     src = str(Path(fluxrecon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    scenario = Path(__file__).resolve().parents[1] / "configs" / "linear_interval.json"
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    scenarios = [str(configs / f"{name}.json")
+                 for name in ("linear_interval", "saturating_rectangle")]
     code = ("import sys\n"
             "from pathlib import Path\n"
             "import fluxrecon.cli, fluxrecon.suites, fluxrecon.recon\n"
             f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
             "from fluxrecon import experiments as ex\n"
-            f"out = Path({str(tmp_path)!r})\n"
-            f"paths = ex.run_synthesize(ex.load_scenario({str(scenario)!r}), out)\n"
-            "ex.run_reconstruct(paths['observation'], out)\n"
+            f"for i, scenario in enumerate({scenarios!r}):\n"
+            f"    out = Path({str(tmp_path)!r}) / str(i)\n"
+            "    paths = ex.run_synthesize(ex.load_scenario(scenario), out)\n"
+            "    ex.run_reconstruct(paths['observation'], out)\n"
             "assert ex.run_verify('all')['passed']\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
