@@ -5,7 +5,9 @@ discretized by Crank-Nicolson in the diffusion term and a two-step
 Adams-Bashforth extrapolation of the reaction term (first step
 bootstrapped with f(u^0)), which keeps the scheme second order in both
 h and dt without nonlinear solves. Boundary values are imposed
-strongly.
+strongly. With A = I - (dt/2) lap, the explicit half I + (dt/2) lap is
+2I - A, so a step is one solve with A and no stencil:
+u_{m+1} = A^-1 (2 u_m + explicit terms + boundary coupling) - u_m.
 """
 
 from __future__ import annotations
@@ -134,39 +136,21 @@ def _index(*axes):
     return axes[0] if len(axes) == 1 else axes
 
 
-def _stencil_views(w: np.ndarray, hs: tuple[float, ...]):
-    """The views of w the Laplacian reads, the grid axes of spacings hs
-    being its last len(hs) axes: the interior, and per grid axis the
-    nodes one before and one after it, with h^2."""
-    lead, inner = (slice(None),) * (w.ndim - len(hs)), (slice(1, -1),) * len(hs)
-    return w[lead + inner], [(w[lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]],
-                              w[lead + inner[:d] + (slice(2, None),) + inner[d + 1:]], h * h)
-                             for d, h in enumerate(hs)]
-
-
-def _laplacian(out: np.ndarray, inner: np.ndarray, taps) -> np.ndarray:
-    """The stencil into out from _stencil_views: sum over the grid axes
-    of (before - 2 inner + after) / h^2, in that operation order."""
-    for d, (lo, hi, h2) in enumerate(taps):
-        term = np.empty_like(out) if d else out
-        np.multiply(2.0, inner, out=term)
-        np.subtract(lo, term, out=term)
-        np.add(term, hi, out=term)
-        np.divide(term, h2, out=term)
-        if d:
-            np.add(out, term, out=out)
-    return out
-
-
-def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """The 3-point (interval) or 5-point (rectangle) Laplacian of w at the
-    interior nodes. The grid axes are the trailing axes of w and leading
+    interior nodes: the sum over the grid axes of (before - 2 inner +
+    after) / h^2. The grid axes are the trailing axes of w and leading
     axes (time) are carried along, so the result is w with every grid
-    axis shortened by one node at each end. With out, any array or view
-    of that shape, the same values are written there and returned."""
-    inner, taps = _stencil_views(w, grid.h)
-    return _laplacian(np.empty(inner.shape) if out is None else out, inner, taps)
+    axis shortened by one node at each end."""
+    lead = (slice(None),) * (w.ndim - grid.domain.dim)
+    inner = (slice(1, -1),) * grid.domain.dim
+    out = None
+    for d, h in enumerate(grid.h):
+        lo = w[lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]]
+        hi = w[lead + inner[:d] + (slice(2, None),) + inner[d + 1:]]
+        term = (lo - 2.0 * w[lead + inner] + hi) / (h * h)
+        out = term if out is None else out + term
+    return out
 
 
 def rect_sine_solver(grid: SpatialGrid, shift: float, scale: float):
@@ -193,19 +177,20 @@ def rect_sine_solver(grid: SpatialGrid, shift: float, scale: float):
 
 
 def _step_solver(grid: SpatialGrid, dt: float):
-    """solve(b) overwrites b, the interior of a time row, with
-    (I - dt/2 lap)^-1 b: LAPACK's gttrf once with a gttrs per step on the
-    interval, rect_sine_solver on the rectangle."""
+    """solve(b) overwrites b, the interior of a time row, with A^-1 b,
+    A = I - dt/2 lap: on the interval A is symmetric positive definite
+    and tridiagonal, factored once by LAPACK's pttrf with a pttrs per
+    step; on the rectangle rect_sine_solver."""
     if grid.domain.dim == 1:
         n, h = grid.n[0], grid.h[0]
         r = dt / (2.0 * h * h)
-        off = np.full(n - 2, -r)
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (off,))
-        dl, d, du, du2, ipiv, _ = gttrf(off, np.full(n - 1, 1.0 + 2.0 * r), off)
+        diag = np.full(n - 1, 1.0 + 2.0 * r)
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (diag,))
+        d, e, _ = pttrf(diag, np.full(n - 2, -r))
 
         def solve(b: np.ndarray) -> None:
-            # gttrs solves in b when it can, and else returns a copy
-            x = gttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
+            # pttrs solves in b when it can, and else returns a copy
+            x = pttrs(d, e, b, overwrite_b=1)[0]
             if x is not b:
                 b[...] = x
         return solve
@@ -216,16 +201,17 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
            source: SourceFn | None, u0: np.ndarray | None):
     """The march of `march` on either domain, reaction being f or None.
 
-    Each right-hand side is built in place in its new row, in the
-    operation order of the expression
-        um + (dt/2) lap(um) - dt f_ex + dt q,  f_ex = 1.5 f(um) - 0.5 f(u_{m-1}),
-    so it rounds exactly as that expression does; then each face s, on
-    axis d = s // 2, adds r_d phi, r_d = dt / (2 h_d^2), to the interior
-    nodes next to it (face[1:] of the interior).
+    With A = I - (dt/2) lap the matrix of _step_solver, the explicit half
+    I + (dt/2) lap of Crank-Nicolson is 2I - A, so a step is
+        u_{m+1} = A^-1 (2 um - dt f_ex + dt q + c_m) - um,
+        f_ex = 1.5 f(um) - 0.5 f(u_{m-1}),
+    and applies no stencil. Each right-hand side is built in place in its
+    new row in that operation order; c_m adds, for each face s on axis
+    d = s // 2, r_d (phi_m + phi_{m+1}), r_d = dt / (2 h_d^2), to the
+    interior nodes next to it (face[1:] of the interior), face by face.
     """
     dim = grid.domain.dim
     dt = data.final_time / nt
-    half_dt = 0.5 * dt
     times = _times(data, nt)
     solve = _step_solver(grid, dt)
     inner = (slice(1, -1),) * dim
@@ -236,16 +222,14 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     # phi at every boundary node and time, from one call of data.fn
     bc = data.table(grid.points[ring], times)
     r = [dt / (2.0 * h * h) for h in grid.h]
-    lap = np.empty(tuple(k - 1 for k in grid.n))
-    work = np.empty_like(lap)
+    work = np.empty(tuple(k - 1 for k in grid.n))
+    half_f = np.empty_like(work)
 
     u = np.zeros((_BLOCK + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    # each buffer row with its stencil views, taken once per solve
-    inner_rows, taps_rows = _stencil_views(u, grid.h)
-    views = [(u[k], inner_rows[k], [(lo[k], hi[k], h2) for lo, hi, h2 in taps_rows])
-             for k in range(len(u))]
+    # each buffer row with its interior, taken once per solve
+    views = [(row, row[interior]) for row in u]
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
@@ -255,24 +239,24 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         # only the boundary is set here: a step writes every interior value
         # of its new row, and f_prev may alias an interior
         rows[:, ring] = bc[m0:m1 + 1]
-        couplings = [(_index(*face[1:]), r[s // 2] * rows[face][(slice(1, None),) + inner[1:]])
-                     for s, face in enumerate(faces)]
+        couplings = []
+        for s, face in enumerate(faces):
+            phi = rows[face][(slice(None),) + inner[1:]]
+            couplings.append((_index(*face[1:]), r[s // 2] * (phi[:-1] + phi[1:])))
         if source is not None:
-            q_dt = dt * _source_rows(source, grid, times[m0:m1] + half_dt)[(slice(None),) + inner]
+            q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[(slice(None),) + inner]
         for k in range(m1 - m0):
-            um, um_inner, um_taps = views[k]
+            um, um_inner = views[k]
             rhs = views[k + 1][1]
-            _laplacian(lap, um_inner, um_taps)
-            np.multiply(half_dt, lap, out=lap)
-            np.add(um_inner, lap, out=rhs)
+            np.multiply(2.0, um_inner, out=rhs)
             if reaction is not None:
                 fm = reaction(um)[interior]
                 if f_prev is None:
                     np.multiply(dt, fm, out=work)
                 else:
                     np.multiply(1.5, fm, out=work)
-                    np.multiply(0.5, f_prev, out=lap)
-                    np.subtract(work, lap, out=work)
+                    np.multiply(0.5, f_prev, out=half_f)
+                    np.subtract(work, half_f, out=work)
                     np.multiply(dt, work, out=work)
                 np.subtract(rhs, work, out=rhs)
                 f_prev = fm
@@ -281,8 +265,9 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
             for near, coupling in couplings:
                 rhs[near] += coupling[k]
             solve(rhs)
-        # a non-finite right-hand side always gives a non-finite solve, so
-        # the first non-finite row is the step that diverged
+            np.subtract(rhs, um_inner, out=rhs)
+        # a non-finite right-hand side always gives a non-finite solve, and
+        # um is finite, so the first non-finite row is the step that diverged
         _check_rows(rows[(slice(1, None),) + inner], times, m0)
         yield m0, rows
 

@@ -8,9 +8,8 @@ from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
-                               interior_laplacian, march_flux, neumann_trace,
-                               rect_sine_solver, solve_linear_heat, solve_semilinear,
-                               synthesize_observation)
+                               march_flux, neumann_trace, rect_sine_solver, solve_linear_heat,
+                               solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
                               mms_spatial_errors, mms_temporal_errors)
@@ -86,8 +85,49 @@ class TestSolvers:
 
 
 def _reference_1d(grid, reaction, data, nt, source=None, u0=None):
-    """The 1-D march written as plain array expressions, one tridiagonal
-    factor-and-solve (gtsv) and two divergence checks per step."""
+    """The 1-D march written as plain array expressions: with A = I - dt/2
+    lap, u_new = A^-1 (2 um - dt f_ex + dt q + c) - um, c adding
+    r (phi_m + phi_{m+1}) next to each end, with one symmetric positive
+    definite factor-and-solve (ptsv) and two divergence checks per step."""
+    n, h, T = grid.n[0], grid.h[0], data.final_time
+    dt = T / nt
+    times = np.linspace(0.0, T, nt + 1)
+    xs = grid.axes[0]
+    bpts = np.array([[xs[0]], [xs[-1]]])
+    r = dt / (2.0 * h * h)
+    diag, off = np.full(n - 1, 1.0 + 2.0 * r), np.full(n - 2, -r)
+    ptsv, = get_lapack_funcs(("ptsv",), (diag,))
+    u = np.zeros((nt + 1, n + 1))
+    if u0 is not None:
+        u[0] = u0
+    u[0, 0], u[0, -1] = data(bpts, 0.0)
+    f_prev = None
+    for m in range(nt):
+        um = u[m]
+        fm = reaction(um) if reaction is not None else np.zeros_like(um)
+        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
+        rhs = 2.0 * um[1:-1] - dt * f_ex[1:-1]
+        if source is not None:
+            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1]
+        bc_old, bc_new = data(bpts, times[m]), data(bpts, times[m + 1])
+        rhs[0] += r * (bc_old[0] + bc_new[0])
+        rhs[-1] += r * (bc_old[1] + bc_new[1])
+        if not np.all(np.isfinite(rhs)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        u_new = ptsv(diag, off, rhs)[2] - um[1:-1]
+        if not np.all(np.isfinite(u_new)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        u[m + 1, 1:-1] = u_new
+        u[m + 1, 0], u[m + 1, -1] = bc_new
+        f_prev = fm
+    return u
+
+
+def _textbook_1d(grid, reaction, data, nt, source=None, u0=None):
+    """The textbook 1-D Crank-Nicolson step as plain array expressions,
+    the explicit half (I + dt/2 lap) um applied with the stencil, one
+    tridiagonal factor-and-solve (gtsv) and two divergence checks per
+    step. The march computes the same step in another operation order."""
     n, h, T = grid.n[0], grid.h[0], data.final_time
     dt = T / nt
     times = np.linspace(0.0, T, nt + 1)
@@ -208,11 +248,73 @@ class TestMarchMatchesReference:
         assert str(got.value) == str(expected.value)
 
 
-def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
-    """The rectangle march as a fresh boundary ring, one phi call per side
-    and per step, and two divergence checks per step. The ring enters as
-    r_d phi on the interior nodes next to each face, after the source."""
+def _rect_ring(grid, data, t):
+    """phi on the boundary ring of a rectangle grid at time t, one phi call
+    per side, zero inside."""
     nx, ny = grid.n
+    vals = np.zeros((nx + 1, ny + 1))
+    xg, yg = grid.axes
+    for idx, pts in [
+        ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
+        ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
+        ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
+        ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
+    ]:
+        vals[idx] = data(pts, t)
+    return vals
+
+
+def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
+    """The rectangle march as a fresh boundary ring per step and two
+    divergence checks per step: with A = I - dt/2 lap, u_new =
+    A^-1 (2 um - dt f_ex + dt q + c) - um, where c enters after the
+    source as r_d (phi_m + phi_{m+1}) on the interior nodes next to each
+    face, and A^-1 is rect_sine_solver."""
+    hx, hy = grid.h
+    T = data.final_time
+    dt = T / nt
+    rx, ry = dt / (2.0 * hx * hx), dt / (2.0 * hy * hy)
+    times = np.linspace(0.0, T, nt + 1)
+    solve = rect_sine_solver(grid, 1.0, dt / 2.0)
+    u = np.zeros((nt + 1,) + grid.shape)
+    if u0 is not None:
+        u[0] = u0
+    ring_old = _rect_ring(grid, data, 0.0)
+    u[0][0, :], u[0][-1, :] = ring_old[0, :], ring_old[-1, :]
+    u[0][:, 0], u[0][:, -1] = ring_old[:, 0], ring_old[:, -1]
+    f_prev = None
+    for m in range(nt):
+        um = u[m]
+        fm = reaction(um) if reaction is not None else np.zeros_like(um)
+        f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
+        ring_new = _rect_ring(grid, data, times[m + 1])
+        rhs = 2.0 * um[1:-1, 1:-1] - dt * f_ex[1:-1, 1:-1]
+        if source is not None:
+            rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
+        rhs[0, :] += rx * (ring_old[0, 1:-1] + ring_new[0, 1:-1])
+        rhs[-1, :] += rx * (ring_old[-1, 1:-1] + ring_new[-1, 1:-1])
+        rhs[:, 0] += ry * (ring_old[1:-1, 0] + ring_new[1:-1, 0])
+        rhs[:, -1] += ry * (ring_old[1:-1, -1] + ring_new[1:-1, -1])
+        if not np.all(np.isfinite(rhs)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        solve(rhs)
+        u_new = rhs - um[1:-1, 1:-1]
+        if not np.all(np.isfinite(u_new)):
+            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
+        full = ring_new.copy()
+        full[1:-1, 1:-1] = u_new
+        u[m + 1] = full
+        f_prev = fm
+        ring_old = ring_new
+    return u
+
+
+def _textbook_2d(grid, reaction, data, nt, source=None, u0=None):
+    """The textbook rectangle Crank-Nicolson step: the explicit half
+    (I + dt/2 lap) um applied with the stencil, r_d phi_{m+1} on the
+    interior nodes next to each face after the source, and one
+    rect_sine_solver solve per step. The march computes the same step in
+    another operation order."""
     hx, hy = grid.h
     T = data.final_time
     dt = T / nt
@@ -226,22 +328,10 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
                            + (w[1:-1, :-2] - 2 * w[1:-1, 1:-1] + w[1:-1, 2:]) / (hy * hy))
         return out
 
-    def ring(t):
-        vals = np.zeros((nx + 1, ny + 1))
-        xg, yg = grid.axes
-        for idx, pts in [
-            ((0, slice(None)), np.column_stack([np.zeros(ny + 1), yg])),
-            ((-1, slice(None)), np.column_stack([np.full(ny + 1, xg[-1]), yg])),
-            ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
-            ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
-        ]:
-            vals[idx] = data(pts, t)
-        return vals
-
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    ring0 = ring(0.0)
+    ring0 = _rect_ring(grid, data, 0.0)
     u[0][0, :], u[0][-1, :] = ring0[0, :], ring0[-1, :]
     u[0][:, 0], u[0][:, -1] = ring0[:, 0], ring0[:, -1]
     f_prev = None
@@ -249,7 +339,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         um = u[m]
         fm = reaction(um) if reaction is not None else np.zeros_like(um)
         f_ex = fm if f_prev is None else 1.5 * fm - 0.5 * f_prev
-        ring_new = ring(times[m + 1])
+        ring_new = _rect_ring(grid, data, times[m + 1])
         rhs = um[1:-1, 1:-1] + 0.5 * dt * lap_full(um)[1:-1, 1:-1] - dt * f_ex[1:-1, 1:-1]
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1, 1:-1]
@@ -257,11 +347,7 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
         rhs[-1, :] += rx * ring_new[-1, 1:-1]
         rhs[:, 0] += ry * ring_new[1:-1, 0]
         rhs[:, -1] += ry * ring_new[1:-1, -1]
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         solve(rhs)
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"solver diverged at step {m + 1} (t = {times[m + 1]:g})")
         full = ring_new.copy()
         full[1:-1, 1:-1] = rhs
         u[m + 1] = full
@@ -334,6 +420,45 @@ class TestRectangleMarchMatchesReference:
         assert str(got.value) == str(expected.value)
 
 
+def _rel_gap(u, ref):
+    return np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+
+
+class TestMarchMatchesTextbookStep:
+    """The march computes (I - dt/2 lap)^-1 ((I + dt/2 lap) um + ...) as
+    A^-1 (2 um + ...) - um; the two orders agree to rounding, relative to
+    the largest |u|, and a lost boundary term shows at order one."""
+
+    @pytest.mark.parametrize("n,nt", [(12, 48), (512, 48), (12, 2048), (512, 2048)])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_interval(self, n, nt, law):
+        dom = interval()
+        grid = build_grid(dom, n)
+        phi = _ramp(dom)
+        reaction = None if LAWS[law] is None else make_reaction(LAWS[law])
+        u = (solve_linear_heat(grid, phi, nt) if reaction is None
+             else solve_semilinear(grid, reaction, phi, nt))
+        ref = _textbook_1d(grid, None if reaction is None else reaction.fn, phi, nt)
+        assert _rel_gap(u.values, ref) <= 1e-11
+
+    @pytest.mark.parametrize("n,nt", [(12, 48), (512, 2048)])
+    def test_interval_mms_source_and_initial_state(self, n, nt):
+        reaction, exact, source, data = _mms_instance()
+        grid = build_grid(interval(), n)
+        u0 = exact(grid.axes[0], 0.0)
+        u = solve_semilinear(grid, reaction, data, nt, source=source, u0=u0)
+        ref = _textbook_1d(grid, reaction.fn, data, nt, source=source, u0=u0)
+        assert _rel_gap(u.values, ref) <= 1e-11
+
+    def test_rectangle(self):
+        dom = rectangle()
+        grid = build_grid(dom, 16)
+        reaction = make_reaction(LAWS["saturating"])
+        u = solve_semilinear(grid, reaction, _ramp(dom), 64)
+        ref = _textbook_2d(grid, reaction.fn, _ramp(dom), 64)
+        assert _rel_gap(u.values, ref) <= 1e-11
+
+
 def _counting(fn):
     def counted(*args):
         counted.calls += 1
@@ -384,26 +509,10 @@ class TestTabulatedInputs:
                               source=lambda g, t: np.full(g.shape, t))
 
 
-class TestInteriorLaplacian:
-    """interior_laplacian writes into out exactly what it returns without."""
-
-    @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
-                             ids=["interval", "rectangle"])
-    def test_out_equals_the_allocating_call(self, domain, n, rng):
-        grid = build_grid(domain, n)
-        w = rng.standard_normal((5,) + grid.shape)
-        # out is a strided view, as the interior of a time row is in the march
-        buf = np.full((5,) + grid.shape, np.nan)
-        out = buf[(slice(None),) + (slice(1, -1),) * grid.domain.dim]
-        got = interior_laplacian(w, grid, out=out)
-        assert got is out
-        assert np.array_equal(out, interior_laplacian(w, grid))
-        assert np.array_equal(out[2], interior_laplacian(w[2], grid))
-
-
 class TestStepSolver:
     """solve(b) leaves its result in b, also where LAPACK cannot solve in
-    place, and on both domains."""
+    place, and on both domains; on the interval it is the solve with
+    I - dt/2 lap (the rectangle's is TestRectSineSolver)."""
 
     @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
                              ids=["interval", "rectangle"])
@@ -417,16 +526,30 @@ class TestStepSolver:
         assert np.array_equal(strided, contiguous)
         assert not np.array_equal(contiguous, rhs)
 
+    # 12 cells and dt 0.01 are non-dyadic; 512 cells and 1/2048 are the
+    # fine interval march of synthesis
+    @pytest.mark.parametrize("dt", [0.01, 1.0 / 2048])
+    @pytest.mark.parametrize("n", [12, 512])
+    def test_interval_matches_dense_solve(self, n, dt, rng):
+        grid = build_grid(interval(), n)
+        b = rng.standard_normal(n - 1)
+        ref = np.linalg.solve(np.eye(n - 1) - 0.5 * dt * _second_difference(n, grid.h[0]), b)
+        _step_solver(grid, dt)(b)
+        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _second_difference(n, h):
+    """The 3-point Dirichlet second difference on the n - 1 interior nodes
+    of n cells of width h, as a dense matrix."""
+    return (np.eye(n - 1, k=-1) - 2.0 * np.eye(n - 1) + np.eye(n - 1, k=1)) / (h * h)
+
 
 def _dense_laplacian(grid):
     """The 5-point Dirichlet Laplacian on the interior nodes of a rectangle
     grid, in the C order of the (nx-1, ny-1) interior."""
-    def second_difference(n, h):
-        return (np.eye(n - 1, k=-1) - 2.0 * np.eye(n - 1) + np.eye(n - 1, k=1)) / (h * h)
-
     (nx, ny), (hx, hy) = grid.n, grid.h
-    return (np.kron(second_difference(nx, hx), np.eye(ny - 1))
-            + np.kron(np.eye(nx - 1), second_difference(ny, hy)))
+    return (np.kron(_second_difference(nx, hx), np.eye(ny - 1))
+            + np.kron(np.eye(nx - 1), _second_difference(ny, hy)))
 
 
 class TestRectSineSolver:
