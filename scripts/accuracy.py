@@ -1,0 +1,75 @@
+"""Score the reconstruction on a fixed matrix of cases and print one JSON
+document to stdout.
+
+The matrix has 40 cases:
+  config/<stem>               every configs/*.json as it stands
+  clean/<law>/<phi>           linear_interval's grids, 3 laws x 3 boundary data
+  noise/<law>/<level>/<seed>  the same grids and laws, 3 noise levels x 3 seeds
+Each case runs synthesize and reconstruct in a temporary directory with
+compare_extensions on. It records the errors of the paper's curve against
+the true law on the trusted band (rel_sup_error is null for the zero law)
+and the sup discrepancy of the two extensions. Values keep 6 significant
+digits, which is all an accuracy comparison reads and keeps the file from
+moving with last-bit rounding; keys are sorted and no timing is kept, so
+two runs print the same bytes. The output is committed at the repo root
+as the accuracy baseline, ACCURACY_<n>.json:
+
+    PYTHONPATH=src python3 scripts/accuracy.py > ACCURACY_<n>.json
+"""
+
+import argparse
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from fluxrecon.experiments import ScenarioConfig, load_scenario, run_reconstruct, run_synthesize
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+LAWS = {"linear": {"family": "linear", "coeff": 1.0},
+        "power": {"family": "power", "coeff": 1.0, "exponent": 2.0},
+        "saturating": {"family": "saturating", "coeff": 1.0}}
+PHIS = {"ramp": {"family": "ramp", "profile": "const", "amplitude": 1.0},
+        "affine": {"family": "ramp", "profile": "affine", "slope": 1.0},
+        "saturating_affine": {"family": "saturating_ramp", "profile": "affine", "slope": 0.5}}
+NOISE_LEVELS = (0.005, 0.01, 0.02)
+SEEDS = (0, 1, 2)
+PAPER_KEYS = ("rel_sup_error", "sup_error", "l2_error", "curve_sup")
+
+
+def cases() -> dict[str, ScenarioConfig]:
+    configs = {f"config/{p.stem}": load_scenario(p) for p in sorted(CONFIG_DIR.glob("*.json"))}
+    base = configs["config/linear_interval"]
+    clean = {f"clean/{law}/{phi}": replace(base, reaction=LAWS[law], phi=PHIS[phi])
+             for law in LAWS for phi in PHIS}
+    noise = {f"noise/{law}/{level:g}/{seed}": replace(base, reaction=LAWS[law],
+                                                      noise_level=level, seed=seed)
+             for law in LAWS for level in NOISE_LEVELS for seed in SEEDS}
+    return {**configs, **clean, **noise}
+
+
+def _round(value):
+    return None if value is None else float(f"{value:.6g}")
+
+
+def run_case(scenario: ScenarioConfig) -> dict:
+    scenario = replace(scenario, reconstruction={**scenario.reconstruction,
+                                                 "compare_extensions": True})
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = run_reconstruct(run_synthesize(scenario, Path(tmp))["observation"], Path(tmp))
+        metrics = json.loads(Path(paths["metrics"]).read_text())
+        diag = json.loads(Path(paths["diagnostics"]).read_text())["diagnostics"]
+    return {"paper": {key: _round(metrics[key]) for key in PAPER_KEYS},
+            "extension_discrepancy": _round(diag["extension_discrepancy"])}
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    report = {name: run_case(scenario) for name, scenario in cases().items()}
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -70,6 +70,8 @@ class ScenarioConfig:
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         if self.final_time <= 0:
             raise ConfigurationError(f"final_time must be positive, got {self.final_time}")
+        if self.noise_level < 0:
+            raise ConfigurationError(f"noise_level must be >= 0, got {self.noise_level}")
         if self.fine_nt % self.recon_nt != 0 or self.fine_nt < 2 * self.recon_nt:
             raise ConfigurationError(
                 "synthesis time grid must refine the reconstruction grid by an "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_finite_real
 from .forward import DirichletData, Nonlinearity
 from .geometry import DomainSpec
 
@@ -26,28 +26,21 @@ def make_reaction(spec: dict) -> Nonlinearity:
     if family == "zero":
         return Nonlinearity(fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                             label=label)
+    if family not in ("linear", "power", "saturating"):
+        raise ConfigurationError(f"unknown reaction family {family!r}")
+    c = _param(spec, "coeff", 1.0, least=0.0)
     if family == "linear":
-        c = float(spec.get("coeff", 1.0))
-        _nonneg(c, "coeff")
         return Nonlinearity(fn=lambda u: c * np.asarray(u, dtype=float), label=label)
     if family == "power":
-        c = float(spec.get("coeff", 1.0))
-        p = float(spec.get("exponent", 2.0))
-        _nonneg(c, "coeff")
-        if p < 1.0:
-            raise ConfigurationError(f"power exponent must be >= 1, got {p}")
+        p = _param(spec, "exponent", 2.0, least=1.0)
         def fn(u, c=c, p=p):
             up = np.maximum(np.asarray(u, dtype=float), 0.0)
             return c * up ** p
         return Nonlinearity(fn=fn, label=label)
-    if family == "saturating":
-        c = float(spec.get("coeff", 1.0))
-        _nonneg(c, "coeff")
-        def fn(u, c=c):
-            up = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return c * up / (1.0 + up)
-        return Nonlinearity(fn=fn, label=label)
-    raise ConfigurationError(f"unknown reaction family {family!r}")
+    def fn(u, c=c):
+        up = np.maximum(np.asarray(u, dtype=float), 0.0)
+        return c * up / (1.0 + up)
+    return Nonlinearity(fn=fn, label=label)
 
 
 def make_boundary_data(spec: dict, domain: DomainSpec, final_time: float) -> DirichletData:
@@ -60,8 +53,8 @@ def make_boundary_data(spec: dict, domain: DomainSpec, final_time: float) -> Dir
     """
     family = spec.get("family")
     profile = spec.get("profile", "const")
-    amp = float(spec.get("amplitude", 1.0))
-    slope = float(spec.get("slope", 0.0))
+    amp = _param(spec, "amplitude", 1.0)
+    slope = _param(spec, "slope", 0.0)
     if amp <= 0:
         raise ConfigurationError(f"amplitude must be positive, got {amp}")
     if profile == "const":
@@ -79,7 +72,7 @@ def make_boundary_data(spec: dict, domain: DomainSpec, final_time: float) -> Dir
     if family == "ramp":
         fn = lambda pts, t: t * g(pts)
     elif family == "saturating_ramp":
-        scale = float(spec.get("scale", 1.0))
+        scale = _param(spec, "scale", 1.0)
         if scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {scale}")
         fn = lambda pts, t: -np.expm1(-t / scale) * g(pts)
@@ -96,6 +89,13 @@ def _label(spec: dict) -> str:
     return ",".join(parts)
 
 
-def _nonneg(value: float, name: str) -> None:
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
+def _param(spec: dict, key: str, default: float, least: float = -np.inf) -> float:
+    """spec[key], or default when it is absent, as a float; a
+    ConfigurationError naming the key when it is not a finite real (a
+    bool is not) or is below least."""
+    value = spec.get(key, default)
+    if not is_finite_real(value):
+        raise ConfigurationError(f"parameter {key!r} must be a finite number, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"parameter {key!r} must be >= {least:g}, got {value}")
+    return float(value)

@@ -1,0 +1,36 @@
+"""The accuracy harness runs a fixed case matrix and prints reproducible
+bytes; here its case list and one cheap case, not the whole matrix."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+HARNESS = ROOT / "scripts" / "accuracy.py"
+
+
+def _load_harness():
+    spec = importlib.util.spec_from_file_location("accuracy_harness", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_case_matrix():
+    names = list(_load_harness().cases())
+    assert len(names) == len(set(names)) == 40
+    stems = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert sorted(n for n in names if n.startswith("config/")) == [f"config/{s}" for s in stems]
+    assert sum(n.startswith("clean/") for n in names) == 9
+    assert sum(n.startswith("noise/") for n in names) == 27
+
+
+def test_case_record_is_reproducible():
+    harness = _load_harness()
+    scenario = harness.cases()["config/zero_interval"]
+    first, second = (json.dumps(harness.run_case(scenario), sort_keys=True)
+                     for _ in range(2))
+    assert first == second
+    record = json.loads(first)
+    assert record["paper"]["rel_sup_error"] is None
+    assert "timings" not in record and "timings" not in record["paper"]

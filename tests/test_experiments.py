@@ -370,7 +370,13 @@ class TestCli:
         {"reconstruction": {"kernel": {"k_max": 200.5}}},
         {"reconstruction": {"kernel": {"image_count": 2.5}}},
         {"reconstruction": {"kernel": {"crossover_time": float("nan")}}},
-        {"reconstruction": {"kernel": {"crossover_time": float("inf")}}}])
+        {"reconstruction": {"kernel": {"crossover_time": float("inf")}}},
+        {"reaction": {"family": "linear", "coeff": float("nan")}},
+        {"reaction": {"family": "saturating", "coeff": True}},
+        {"reaction": {"family": "power", "exponent": float("inf")}},
+        {"phi": {"family": "ramp", "amplitude": float("inf")}},
+        {"phi": {"family": "ramp", "profile": "affine", "slope": float("nan")}},
+        {"phi": {"family": "saturating_ramp", "scale": float("nan")}}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))
@@ -427,6 +433,17 @@ class TestCli:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{meta_path} has no 'config' key" in err
+        assert not (tmp_path / "run" / "metrics.json").exists()
+
+    def test_meta_with_negative_noise_level_exits_2(self, cheap_obs, tmp_path, capsys):
+        _, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        meta["config"]["noise_level"] = -0.5
+        path = _write_pair(tmp_path / "d", csv_text, json.dumps(meta))
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "noise_level must be >= 0" in err
         assert not (tmp_path / "run" / "metrics.json").exists()
 
     def test_missing_observation_exits_2(self, tmp_path, capsys):
