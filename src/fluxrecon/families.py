@@ -12,6 +12,12 @@ from .errors import ConfigurationError, is_finite_real
 from .forward import DirichletData, Nonlinearity
 from .geometry import DomainSpec
 
+# the parameters each family reads; a spec that sets any other key is rejected
+_REACTION_KEYS = {"zero": (), "linear": ("coeff",), "saturating": ("coeff",),
+                  "power": ("coeff", "exponent")}
+_PROFILE_KEYS = ("profile", "amplitude", "slope")
+_BOUNDARY_KEYS = {"ramp": _PROFILE_KEYS, "saturating_ramp": _PROFILE_KEYS + ("scale",)}
+
 
 def make_reaction(spec: dict) -> Nonlinearity:
     """Build a reaction law from a family selector.
@@ -19,15 +25,14 @@ def make_reaction(spec: dict) -> Nonlinearity:
     Families: zero; linear {coeff}; power {coeff, exponent >= 1};
     saturating {coeff} for coeff * u / (1 + u). Arguments below zero
     are treated as zero (the admissible range is u >= 0), keeping every
-    family nondecreasing with f(0) = 0.
+    family nondecreasing with f(0) = 0. A key the family does not read
+    is a ConfigurationError.
     """
-    family = spec.get("family")
+    family = _family(spec, "reaction", _REACTION_KEYS)
     label = _label(spec)
     if family == "zero":
         return Nonlinearity(fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                             label=label)
-    if family not in ("linear", "power", "saturating"):
-        raise ConfigurationError(f"unknown reaction family {family!r}")
     c = _param(spec, "coeff", 1.0, least=0.0)
     if family == "linear":
         return Nonlinearity(fn=lambda u: c * np.asarray(u, dtype=float), label=label)
@@ -49,9 +54,10 @@ def make_boundary_data(spec: dict, domain: DomainSpec, final_time: float) -> Dir
     Time course: ramp gives phi = t * g(x); saturating_ramp gives
     phi = (1 - exp(-t / scale)) * g(x). Spatial profile g: const is the
     constant `amplitude`; affine is amplitude * (1 + slope * x1 / L1)
-    along the first axis (slope > -1 keeps the data nonnegative).
+    along the first axis (slope > -1 keeps the data nonnegative). A key
+    the family does not read (scale on ramp) is a ConfigurationError.
     """
-    family = spec.get("family")
+    family = _family(spec, "boundary", _BOUNDARY_KEYS)
     profile = spec.get("profile", "const")
     amp = _param(spec, "amplitude", 1.0)
     slope = _param(spec, "slope", 0.0)
@@ -71,14 +77,25 @@ def make_boundary_data(spec: dict, domain: DomainSpec, final_time: float) -> Dir
 
     if family == "ramp":
         fn = lambda pts, t: t * g(pts)
-    elif family == "saturating_ramp":
+    else:
         scale = _param(spec, "scale", 1.0)
         if scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {scale}")
         fn = lambda pts, t: -np.expm1(-t / scale) * g(pts)
-    else:
-        raise ConfigurationError(f"unknown boundary family {family!r}")
     return DirichletData(fn=fn, final_time=float(final_time), label=_label(spec))
+
+
+def _family(spec: dict, kind: str, keys: dict) -> str:
+    """spec["family"], once it names one of keys and spec sets no key
+    that family does not read; else a ConfigurationError naming it."""
+    family = spec.get("family")
+    if not (isinstance(family, str) and family in keys):
+        raise ConfigurationError(f"unknown {kind} family {family!r}")
+    unknown = sorted(set(spec) - {"family", *keys[family]})
+    if unknown:
+        raise ConfigurationError(
+            f"{kind} family {family!r} takes no parameter {unknown[0]!r}")
+    return family
 
 
 def _label(spec: dict) -> str:

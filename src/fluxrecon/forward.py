@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
 from .geometry import (BoundaryNodeSet, DomainKind, DomainSpec, SpatialGrid,
@@ -185,12 +185,11 @@ def _step_solver(grid: SpatialGrid, dt: float):
         n, h = grid.n[0], grid.h[0]
         r = dt / (2.0 * h * h)
         diag = np.full(n - 1, 1.0 + 2.0 * r)
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (diag,))
-        d, e, _ = pttrf(diag, np.full(n - 2, -r))
+        d, e, _ = dpttrf(diag, np.full(n - 2, -r))
 
         def solve(b: np.ndarray) -> None:
             # pttrs solves in b when it can, and else returns a copy
-            x = pttrs(d, e, b, overwrite_b=1)[0]
+            x = dpttrs(d, e, b, overwrite_b=1)[0]
             if x is not b:
                 b[...] = x
         return solve

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lstsq
 
 from .errors import ConfigurationError, InputError
 
@@ -102,9 +101,10 @@ def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) ->
     samples; the end windows use one-sided fits. Exact on quadratics.
     The result is bit for bit that of SciPy's (1.17) Savitzky-Golay filter,
     `savgol_filter(values, 2*halfwidth + 1, 2, deriv=1, delta=dt, axis=0,
-    mode="interp")`, on float64 data. It is written out here because
-    importing SciPy's signal subpackage loads some 380 more modules and
-    would triple the start-up time of every command.
+    mode="interp")`, on float64 data; `test_bit_equal_to_savgol_interp`
+    checks that. It is written out here because importing SciPy's signal
+    subpackage loads some 380 more modules and would triple the start-up
+    time of every command.
     """
     times = np.asarray(times, dtype=float)
     if halfwidth < 1:
@@ -123,13 +123,15 @@ def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) ->
 
 def _quadratic_derivative(x: np.ndarray, h: int, delta: float) -> np.ndarray:
     """savgol `interp` derivative of the columns of x, in savgol's own
-    arithmetic: its lstsq taps, ndimage's summation order in the interior
-    and scaled polyfit, polyder and Horner on the end windows."""
+    arithmetic: its least-squares taps, ndimage's summation order in the
+    interior and scaled polyfit, polyder and Horner on the end windows.
+    The fits use numpy.linalg.lstsq, which calls the same LAPACK driver,
+    gelsd, as the scipy.linalg.lstsq inside savgol."""
     n, window = x.shape[0], 2 * h + 1
     # taps on the flipped Vandermonde, reversed so w[h + k] weights x[j + k]
     t = np.arange(h, -h - 1, -1, dtype=float)
-    w = lstsq(t ** np.arange(3.0)[:, None], np.array([0.0, 1.0 / delta, 0.0]),
-              cond=_EPS * window)[0][::-1]
+    w = np.linalg.lstsq(t ** np.arange(3.0)[:, None], np.array([0.0, 1.0 / delta, 0.0]),
+                        rcond=_EPS * window)[0][::-1]
     out = np.empty_like(x)
 
     def tap(k):
@@ -154,7 +156,8 @@ def _quadratic_derivative(x: np.ndarray, h: int, delta: float) -> np.ndarray:
     scale = np.sqrt(np.sum(lhs * lhs, axis=0))
     lhs /= scale
     for start, first in ((0, 0), (n - window, h + 1)):  # window start, first row in it
-        c = lstsq(lhs, x[start:start + window], cond=_EPS * window)[0] / scale[:, None]
+        c = np.linalg.lstsq(lhs, x[start:start + window],
+                            rcond=_EPS * window)[0] / scale[:, None]
         at = np.arange(first, first + h, dtype=float)[:, None]
         y = np.zeros_like(at)  # Horner from zero, as polyval does
         for coef in c[:-1] * np.array([[2.0], [1.0]]):

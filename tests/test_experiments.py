@@ -376,7 +376,11 @@ class TestCli:
         {"reaction": {"family": "power", "exponent": float("inf")}},
         {"phi": {"family": "ramp", "amplitude": float("inf")}},
         {"phi": {"family": "ramp", "profile": "affine", "slope": float("nan")}},
-        {"phi": {"family": "saturating_ramp", "scale": float("nan")}}])
+        {"phi": {"family": "saturating_ramp", "scale": float("nan")}},
+        {"phi": {"family": "ramp", "amplitud": 2.0}},
+        {"reaction": {"family": "linear", "cofef": 3.0}},
+        {"reaction": {"family": "zero", "coeff": 1.0}},
+        {"phi": {"family": "ramp", "scale": 0.5}}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))

@@ -181,16 +181,23 @@ class TestSlidingDerivative:
             sliding_derivative(times, np.zeros(5), halfwidth=1)
 
 
-def test_import_graph_leaves_out_heavy_scipy(tmp_path):
-    # the package needs numpy and scipy.linalg only; any of the heavy
-    # modules would add hundreds of modules to the start-up of every
-    # command, and synthesize and reconstruct on the interval and on the
-    # rectangle and every verify suite run without scipy.sparse
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
-             "scipy.ndimage"]
+def _src_env():
+    """os.environ with this checkout's src first on PYTHONPATH."""
     src = str(Path(fluxrecon.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def test_import_graph_leaves_out_heavy_scipy(tmp_path):
+    # the package needs numpy and SciPy's compiled LAPACK only; any of the
+    # heavy modules would add hundreds of modules to the start-up of every
+    # command. scipy.linalg's package init alone loads numpy.f2py and
+    # numpy.testing. None of them is loaded by the imports, nor by
+    # synthesize and reconstruct on the interval and on the rectangle and
+    # every verify suite (these load numpy.ma themselves, so it is not listed)
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
+             "scipy.ndimage", "scipy.sparse", "scipy.linalg", "numpy.f2py",
+             "numpy.testing"]
     configs = Path(__file__).resolve().parents[1] / "configs"
     scenarios = [str(configs / f"{name}.json")
                  for name in ("linear_interval", "saturating_rectangle")]
@@ -204,10 +211,27 @@ def test_import_graph_leaves_out_heavy_scipy(tmp_path):
             "    paths = ex.run_synthesize(ex.load_scenario(scenario), out)\n"
             "    ex.run_reconstruct(paths['observation'], out)\n"
             "assert ex.run_verify('all')['passed']\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+            f"print(sorted(set({heavy!r}) & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True, timeout=300)
     assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("first", ["fluxrecon.forward", "scipy.linalg"])
+def test_lapack_routines_are_scipys(first):
+    # the package's dpttrs is the routine scipy.linalg hands out, whichever
+    # of the two is imported first, and the two imports share one module
+    second = "scipy.linalg" if first == "fluxrecon.forward" else "fluxrecon.forward"
+    code = (f"import {first}\n"
+            f"import {second}\n"
+            "import numpy as np\n"
+            "from fluxrecon import _lapack\n"
+            "pttrs, = scipy.linalg.get_lapack_funcs(('pttrs',), (np.zeros(2),))\n"
+            "assert _lapack.dpttrs is pttrs\n"
+            "assert _lapack._flapack is scipy.linalg.lapack._flapack\n")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 class TestIsotonic:
