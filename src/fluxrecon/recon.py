@@ -24,7 +24,7 @@ Neither pass solves the semilinear equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,21 +58,6 @@ class ReconstructionConfig:
     def __post_init__(self):
         check_fields("reconstruction", self, integers=("grid_n",),
                      flags=("compare_extensions",))
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientSeries:
-    """Eigenbasis coefficients of a space-time field, with optional time
-    derivatives filled in by differentiate_coefficients."""
-
-    times: np.ndarray = field(repr=False)
-    lambdas: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)        # (nt+1, K)
-    derivs: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def k_modes(self) -> int:
-        return len(self.lambdas)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,28 +227,22 @@ def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
 
 
 def project_coefficients(extended: np.ndarray, grid: SpatialGrid,
-                         basis: EigenBasis, times: np.ndarray) -> CoefficientSeries:
-    """Quadrature eigenbasis coefficients of the extended field per time."""
-    coeffs = basis.project(grid, extended)
-    return CoefficientSeries(times=np.asarray(times, dtype=float),
-                             lambdas=basis.lambdas.copy(), values=coeffs)
+                         basis: EigenBasis) -> np.ndarray:
+    """Quadrature eigenbasis coefficients of the extended field per time;
+    (nt+1, K)."""
+    return basis.project(grid, extended)
 
 
-def differentiate_coefficients(series: CoefficientSeries,
-                               halfwidth: int) -> CoefficientSeries:
-    """Fill in sliding-window least-squares time derivatives."""
-    derivs = sliding_derivative(series.times, series.values, halfwidth)
-    return replace(series, derivs=derivs)
+def differentiate_coefficients(times: np.ndarray, coeffs: np.ndarray,
+                               halfwidth: int) -> np.ndarray:
+    """Sliding-window least-squares time derivatives of the coefficients."""
+    return sliding_derivative(times, coeffs, halfwidth)
 
 
-def assemble_series(series: CoefficientSeries, basis: EigenBasis,
+def assemble_series(coeffs: np.ndarray, derivs: np.ndarray, basis: EigenBasis,
                     points: np.ndarray) -> np.ndarray:
     """F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x); (nt+1, npts)."""
-    if series.derivs is None:
-        raise InputError("coefficient series has no derivatives; differentiate first")
-    if basis.size != series.k_modes:
-        raise InputError(f"basis size {basis.size} != series modes {series.k_modes}")
-    combo = series.derivs + series.values * series.lambdas[None, :]
+    combo = derivs + coeffs * basis.lambdas[None, :]
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -271,17 +250,17 @@ def assemble_series(series: CoefficientSeries, basis: EigenBasis,
 
 
 def volterra_blocks(grid: SpatialGrid, times: np.ndarray, blocks, reaction: Nonlinearity,
-                    basis: EigenBasis) -> tuple[CoefficientSeries, CoefficientSeries]:
+                    basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:
     """Oracle modal data from a known interior state: source coefficients
     c_k(s) = (f(u(s)), omega_k) and their Volterra responses
 
         p_k(t) = int_0^t exp(-lambda_k (t - s)) c_k(s) ds
 
     computed by the exponentially-weighted trapezoid rule (exact for
-    piecewise-linear c_k). The state u on the grid at the times comes in
-    blocks (m0, rows) of `march`, rows = u[m0 : m0 + len(rows)], where
-    row 0 of every block after the first repeats the last row before it;
-    each block is projected as it comes, so no field is kept.
+    piecewise-linear c_k), both (nt+1, K). The state u on the grid at the
+    times comes in blocks (m0, rows) of `march`, rows = u[m0 : m0 + len(rows)],
+    where row 0 of every block after the first repeats the last row before
+    it; each block is projected as it comes, so no field is kept.
     """
     modes = basis.quadrature_modes(grid).T
     source = np.empty((len(times), basis.size))
@@ -289,14 +268,11 @@ def volterra_blocks(grid: SpatialGrid, times: np.ndarray, blocks, reaction: Nonl
         first = 1 if m0 else 0  # row 0 of a later block is the block before's last
         fu = reaction.fn(rows[first:])
         source[m0 + first:m0 + len(rows)] = fu.reshape(len(fu), -1) @ modes
-    response = exp_convolve(basis.lambdas, times, source)
-    c = CoefficientSeries(times=times, lambdas=basis.lambdas.copy(), values=source)
-    p = CoefficientSeries(times=times, lambdas=basis.lambdas.copy(), values=response)
-    return c, p
+    return source, exp_convolve(basis.lambdas, times, source)
 
 
 def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
-                    ) -> tuple[CoefficientSeries, CoefficientSeries]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """volterra_blocks of a stored field, fed as one block. On the true
     state u this is an oracle the inverse problem cannot run, since u is
     not observed; on the reaction-free state v_phi with a curve estimate
@@ -382,10 +358,9 @@ class ReconstructionResult:
 def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis, method: str,
               shape: np.ndarray | None = None):
     extended = extend_boundary_data(a, grid, method, shape)
-    series = project_coefficients(extended, grid, basis, a.times)
-    series = differentiate_coefficients(series, _DIFF_HALFWIDTH)
-    fvals = assemble_series(series, basis, a.nodes.nodes)
-    return series, fvals
+    coeffs = project_coefficients(extended, grid, basis)
+    derivs = differentiate_coefficients(a.times, coeffs, _DIFF_HALFWIDTH)
+    return coeffs, assemble_series(coeffs, derivs, basis, a.nodes.nodes)
 
 
 def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
@@ -399,7 +374,7 @@ def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
     """
     law = Nonlinearity(fn=lambda u: evaluate_curve(curve, u)[0], label="curve")
     _, response = volterra_oracle(v_phi, law, basis)
-    return np.tensordot(response.values, basis.sample_on_grid(v_phi.grid), axes=1)
+    return np.tensordot(response, basis.sample_on_grid(v_phi.grid), axes=1)
 
 
 def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasis,
@@ -408,8 +383,8 @@ def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasi
     pass extends with the reaction-free response to f0 as interior shape."""
     _, first = _pipeline(a, v_phi.grid, basis, method)
     shape = reaction_free_response(v_phi, build_curve(phi_vals, first), basis)
-    series, fvals = _pipeline(a, v_phi.grid, basis, method, shape)
-    return series, build_curve(phi_vals, fvals)
+    coeffs, fvals = _pipeline(a, v_phi.grid, basis, method, shape)
+    return coeffs, build_curve(phi_vals, fvals)
 
 
 def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> ReconstructionResult:
@@ -426,9 +401,9 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     basis = make_basis(obs.domain, _K_MODES)
     phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
     method, other = EXTENSIONS
-    series, curve = _corrected_pipeline(functional, v_phi, basis, method, phi_vals)
+    coeffs, curve = _corrected_pipeline(functional, v_phi, basis, method, phi_vals)
 
-    energy = np.max(np.abs(series.values), axis=0)
+    energy = np.max(np.abs(coeffs), axis=0)
     tail = float(np.max(energy[3 * len(energy) // 4:]) / max(np.max(energy), 1e-300))
     diagnostics = {
         "functional_min": float(np.min(functional.values)),

@@ -11,9 +11,8 @@ from fluxrecon.forward import (ObservedData, march, neumann_trace, solve_linear_
                                solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import DomainKind, boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.heatkernel import KernelEvaluator
-from fluxrecon.recon import (CoefficientSeries, CurveEstimate, ReconstructionConfig,
-                             assemble_series, build_curve, compute_data_functional,
-                             differentiate_coefficients, evaluate_curve,
+from fluxrecon.recon import (CurveEstimate, ReconstructionConfig, assemble_series, build_curve,
+                             compute_data_functional, evaluate_curve,
                              extend_boundary_data, flux_difference,
                              project_coefficients, reaction_free_response,
                              reconstruct, volterra_blocks, volterra_oracle)
@@ -276,28 +275,16 @@ class TestModalStages:
         grid = build_grid(interval(), 64)
         basis = make_basis(interval(), 4)
         times = np.linspace(0.0, 1.0, 9)
-        coeffs = np.outer(times, np.array([1.0, 0.5, 0.0, -0.25]))
+        rate = np.array([1.0, 0.5, 0.0, -0.25])
+        coeffs = np.outer(times, rate)
         field = np.einsum("tk,kx->tx", coeffs, basis.sample_on_grid(grid))
-        series = project_coefficients(field, grid, basis, times)
-        assert np.max(np.abs(series.values - coeffs)) < 1e-10
-
-    def test_assemble_requires_derivatives(self):
-        basis = make_basis(interval(), 2)
-        series = CoefficientSeries(times=np.linspace(0, 1, 5),
-                                   lambdas=basis.lambdas.copy(),
-                                   values=np.zeros((5, 2)))
-        with pytest.raises(InputError):
-            assemble_series(series, basis, np.array([[0.0]]))
-
-    def test_assemble_rejects_basis_mismatch(self):
-        basis2 = make_basis(interval(), 2)
-        basis3 = make_basis(interval(), 3)
-        series = CoefficientSeries(times=np.linspace(0, 1, 5),
-                                   lambdas=basis2.lambdas.copy(),
-                                   values=np.zeros((5, 2)))
-        series = differentiate_coefficients(series, halfwidth=1)
-        with pytest.raises(InputError):
-            assemble_series(series, basis3, np.array([[0.0]]))
+        got = project_coefficients(field, grid, basis)
+        assert np.max(np.abs(got - coeffs)) < 1e-10
+        # a_k = t c_k resums to sum_k (c_k + lambda_k t c_k) omega_k
+        x = np.array([0.0, 0.3, 1.0])
+        series = assemble_series(got, np.tile(rate, (len(times), 1)), basis, x)
+        ref = (rate + np.outer(times, rate * basis.lambdas)) @ basis.values_at(x[:, None])
+        assert np.max(np.abs(series - ref)) < 1e-9
 
     def test_volterra_oracle_closed_form(self):
         # u(x, t) = t with f = id: c_1(s) = s, p_1(t) = t^2/2, others vanish
@@ -308,9 +295,9 @@ class TestModalStages:
                           values=np.tile(times[:, None], (1, grid.shape[0])))
         c, p = volterra_oracle(u, make_reaction({"family": "linear"}),
                                make_basis(interval(), 4))
-        assert np.max(np.abs(c.values[:, 0] - times)) < 1e-12
-        assert np.max(np.abs(c.values[:, 1:])) < 1e-12
-        assert np.max(np.abs(p.values[:, 0] - times**2 / 2.0)) < 1e-12
+        assert np.max(np.abs(c[:, 0] - times)) < 1e-12
+        assert np.max(np.abs(c[:, 1:])) < 1e-12
+        assert np.max(np.abs(p[:, 0] - times**2 / 2.0)) < 1e-12
 
 
 class TestVolterraBlocks:
@@ -329,8 +316,8 @@ class TestVolterraBlocks:
         basis = make_basis(domain, 6)
         c, p = volterra_oracle(u, reaction, basis)
         source = basis.project(grid, reaction.fn(u.values))
-        assert np.array_equal(c.values, source)
-        assert np.array_equal(p.values, exp_convolve(basis.lambdas, u.times, source))
+        assert np.array_equal(c, source)
+        assert np.array_equal(p, exp_convolve(basis.lambdas, u.times, source))
 
     # 130 steps end on a partial block, 128 on a full one
     @pytest.mark.parametrize("domain,n,nt", [(interval(), 24, 130), (interval(), 24, 128),
@@ -343,8 +330,8 @@ class TestVolterraBlocks:
         times = np.linspace(0.0, 1.0, nt + 1)
         c, p = volterra_blocks(grid, times, march(grid, reaction, phi, nt), reaction, basis)
         c0, p0 = volterra_oracle(solve_semilinear(grid, reaction, phi, nt), reaction, basis)
-        assert c.values.shape == c0.values.shape == (nt + 1, 6)
-        for got, ref in ((c.values, c0.values), (p.values, p0.values)):
+        assert c.shape == c0.shape == (nt + 1, 6)
+        for got, ref in ((c, c0), (p, p0)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_suite_keeps_no_field(self):
