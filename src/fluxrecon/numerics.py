@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 
-_EPS = float(np.finfo(float).eps)
-
 
 def trapezoid_weights(n: int, length: float) -> np.ndarray:
     """Composite trapezoid weights for n cells on an interval of given length."""
@@ -97,73 +95,41 @@ def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.n
 def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Least-squares quadratic sliding-window derivative along axis 0.
 
-    Fits a quadratic over a window of 2*halfwidth + 1 uniformly spaced
-    samples; the end windows use one-sided fits. Exact on quadratics.
-    The result is bit for bit that of SciPy's (1.17) Savitzky-Golay filter,
-    `savgol_filter(values, 2*halfwidth + 1, 2, deriv=1, delta=dt, axis=0,
-    mode="interp")`, on float64 data; `test_bit_equal_to_savgol_interp`
-    checks that. It is written out here because importing SciPy's signal
-    subpackage loads some 380 more modules and would triple the start-up
-    time of every command.
+    Fits a quadratic to each window of w = 2*halfwidth + 1 uniformly
+    spaced samples (Savitzky and Golay, Anal. Chem. 36, 1964) and takes
+    its slope at the window's centre; the first and last halfwidth samples
+    take the slope of the first and last window's fit at their own place.
+    On the window offsets t = -h..h, with S2 = sum t^2 and S4 = sum t^4,
+    the fit on the orthogonal basis 1, t, t^2 - S2/w has the slope D[p] @ x
+    at offset t_p, with
+
+        D[p, j] = (t_j / S2 + 2 t_p (t_j^2 - S2/w) / (S4 - S2^2/w)) / dt.
+
+    Exact on quadratics at any dt. It agrees with SciPy's
+    `savgol_filter(values, w, 2, deriv=1, delta=dt, axis=0, mode="interp")`
+    to rounding; SciPy's signal subpackage is not used because importing
+    it loads some 380 more modules.
     """
     times = np.asarray(times, dtype=float)
     if halfwidth < 1:
         raise ConfigurationError("derivative halfwidth must be >= 1")
-    window = 2 * halfwidth + 1
+    h, window = halfwidth, 2 * halfwidth + 1
     if window > len(times):
         raise ConfigurationError(
             f"derivative window {window} exceeds {len(times)} time samples")
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ConfigurationError("sliding derivative requires a uniform time grid")
+    t = np.arange(-h, h + 1, dtype=float)
+    s2, s4 = np.sum(t * t), np.sum(t ** 4)
+    taps = (t / s2 + 2.0 * np.outer(t, t * t - s2 / window) / (s4 - s2 * s2 / window)) / dts[0]
     values = np.asarray(values, dtype=float)
-    return _quadratic_derivative(values.reshape(len(values), -1), halfwidth,
-                                 float(dts[0])).reshape(values.shape)
-
-
-def _quadratic_derivative(x: np.ndarray, h: int, delta: float) -> np.ndarray:
-    """savgol `interp` derivative of the columns of x, in savgol's own
-    arithmetic: its least-squares taps, ndimage's summation order in the
-    interior and scaled polyfit, polyder and Horner on the end windows.
-    The fits use numpy.linalg.lstsq, which calls the same LAPACK driver,
-    gelsd, as the scipy.linalg.lstsq inside savgol."""
-    n, window = x.shape[0], 2 * h + 1
-    # taps on the flipped Vandermonde, reversed so w[h + k] weights x[j + k]
-    t = np.arange(h, -h - 1, -1, dtype=float)
-    w = np.linalg.lstsq(t ** np.arange(3.0)[:, None], np.array([0.0, 1.0 / delta, 0.0]),
-                        rcond=_EPS * window)[0][::-1]
+    x = values.reshape(len(values), -1)
     out = np.empty_like(x)
-
-    def tap(k):
-        return x[h + k:n - h + k]
-
-    left, right = w[h - 1::-1], w[h + 1:]  # the taps at -k and +k, k = 1..h
-    symmetric = np.all(np.abs(right - left) <= _EPS)
-    if symmetric or np.all(np.abs(right + left) <= _EPS):
-        # ndimage's (anti)symmetric branch: the centre, then the tap pairs
-        pair = np.add if symmetric else np.subtract
-        acc = tap(0) * w[h]
-        for k in range(-h, 0):
-            acc += pair(tap(k), tap(-k)) * w[h + k]
-    else:
-        # the general branch: the last tap, then the rest left to right
-        acc = tap(h) * w[2 * h]
-        for k in range(-h, h):
-            acc += tap(k) * w[h + k]
-    out[h:n - h] = acc
-
-    lhs = np.arange(window, dtype=float)[:, None] ** np.arange(2.0, -1.0, -1.0)
-    scale = np.sqrt(np.sum(lhs * lhs, axis=0))
-    lhs /= scale
-    for start, first in ((0, 0), (n - window, h + 1)):  # window start, first row in it
-        c = np.linalg.lstsq(lhs, x[start:start + window],
-                            rcond=_EPS * window)[0] / scale[:, None]
-        at = np.arange(first, first + h, dtype=float)[:, None]
-        y = np.zeros_like(at)  # Horner from zero, as polyval does
-        for coef in c[:-1] * np.array([[2.0], [1.0]]):
-            y = y * at + coef
-        out[start + first:start + first + h] = y / delta
-    return out
+    out[:h] = taps[:h] @ x[:window]
+    out[h:len(x) - h] = np.lib.stride_tricks.sliding_window_view(x, window, axis=0) @ taps[h]
+    out[len(x) - h:] = taps[h + 1:] @ x[-window:]
+    return out.reshape(values.shape)
 
 
 def isotonic_nondecreasing(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
