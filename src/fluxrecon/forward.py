@@ -244,27 +244,30 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
             couplings.append((_index(*face[1:]), r[s // 2] * (phi[:-1] + phi[1:])))
         if source is not None:
             q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[(slice(None),) + inner]
-        for k in range(m1 - m0):
-            um, um_inner = views[k]
-            rhs = views[k + 1][1]
-            np.multiply(2.0, um_inner, out=rhs)
-            if reaction is not None:
-                fm = reaction(um)[interior]
-                if f_prev is None:
-                    np.multiply(dt, fm, out=work)
-                else:
-                    np.multiply(1.5, fm, out=work)
-                    np.multiply(0.5, f_prev, out=half_f)
-                    np.subtract(work, half_f, out=work)
-                    np.multiply(dt, work, out=work)
-                np.subtract(rhs, work, out=rhs)
-                f_prev = fm
-            if source is not None:
-                np.add(rhs, q_dt[k], out=rhs)
-            for near, coupling in couplings:
-                rhs[near] += coupling[k]
-            solve(rhs)
-            np.subtract(rhs, um_inner, out=rhs)
+        # a diverging step overflows in f or in the right-hand side, and
+        # _check_rows reports it; the caller's error state holds between blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(m1 - m0):
+                um, um_inner = views[k]
+                rhs = views[k + 1][1]
+                np.multiply(2.0, um_inner, out=rhs)
+                if reaction is not None:
+                    fm = reaction(um)[interior]
+                    if f_prev is None:
+                        np.multiply(dt, fm, out=work)
+                    else:
+                        np.multiply(1.5, fm, out=work)
+                        np.multiply(0.5, f_prev, out=half_f)
+                        np.subtract(work, half_f, out=work)
+                        np.multiply(dt, work, out=work)
+                    np.subtract(rhs, work, out=rhs)
+                    f_prev = fm
+                if source is not None:
+                    np.add(rhs, q_dt[k], out=rhs)
+                for near, coupling in couplings:
+                    rhs[near] += coupling[k]
+                solve(rhs)
+                np.subtract(rhs, um_inner, out=rhs)
         # a non-finite right-hand side always gives a non-finite solve, and
         # um is finite, so the first non-finite row is the step that diverged
         _check_rows(rows[(slice(1, None),) + inner], times, m0)

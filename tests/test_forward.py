@@ -8,8 +8,8 @@ from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
-                               march_flux, neumann_trace, rect_sine_solver, solve_linear_heat,
-                               solve_semilinear, synthesize_observation)
+                               march, march_flux, neumann_trace, rect_sine_solver,
+                               solve_linear_heat, solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
                               mms_spatial_errors, mms_temporal_errors)
@@ -64,9 +64,8 @@ class TestSolvers:
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
         blowup = Nonlinearity(fn=lambda u: -1e8 * u)
         u0 = np.sin(np.pi * grid.axes[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                solve_semilinear(grid, blowup, data, 64, u0=u0)
+        with pytest.raises(NumericalError):
+            solve_semilinear(grid, blowup, data, 64, u0=u0)
 
     def test_divergence_raises_on_rectangle(self):
         grid = build_grid(rectangle(), (9, 10))
@@ -74,9 +73,16 @@ class TestSolvers:
         blowup = Nonlinearity(fn=lambda u: -1e8 * u)
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
         u0 = np.sin(np.pi * X) * np.sin(np.pi * Y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="at step"):
-                solve_semilinear(grid, blowup, data, 64, u0=u0)
+        with pytest.raises(NumericalError, match="at step"):
+            solve_semilinear(grid, blowup, data, 64, u0=u0)
+
+    def test_caller_error_state_holds_between_blocks(self):
+        # the march ignores overflow only inside a block of steps
+        grid = build_grid(interval(), 8)
+        reaction = make_reaction({"family": "linear", "coeff": 1.0})
+        with np.errstate(over="raise", invalid="warn"):
+            for _ in march(grid, reaction, _ramp(interval()), 300):
+                assert np.geterr()["over"] == "raise" and np.geterr()["invalid"] == "warn"
 
     def test_needs_two_steps(self):
         grid = build_grid(interval(), 8)
@@ -226,11 +232,11 @@ class TestMarchMatchesReference:
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
         blowup = Nonlinearity(fn=lambda u: -3e5 * u)
         u0 = np.sin(np.pi * grid.axes[0])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the textbook step warns
             with pytest.raises(NumericalError) as expected:
                 _reference_1d(grid, blowup.fn, data, 256, u0=u0)
-            with pytest.raises(NumericalError) as got:
-                solve_semilinear(grid, blowup, data, 256, u0=u0)
+        with pytest.raises(NumericalError) as got:
+            solve_semilinear(grid, blowup, data, 256, u0=u0)
         assert int(str(expected.value).split("step ")[1].split()[0]) > 64
         assert str(got.value) == str(expected.value)
 
@@ -239,11 +245,11 @@ class TestMarchMatchesReference:
         data = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
         blowup = Nonlinearity(fn=lambda u: -1e8 * u)
         u0 = np.sin(np.pi * grid.axes[0])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the textbook step warns
             with pytest.raises(NumericalError) as expected:
                 _reference_1d(grid, blowup.fn, data, 64, u0=u0)
-            with pytest.raises(NumericalError) as got:
-                solve_semilinear(grid, blowup, data, 64, u0=u0)
+        with pytest.raises(NumericalError) as got:
+            solve_semilinear(grid, blowup, data, 64, u0=u0)
         assert "at step" in str(expected.value)
         assert str(got.value) == str(expected.value)
 
@@ -411,11 +417,11 @@ class TestRectangleMarchMatchesReference:
         blowup = Nonlinearity(fn=lambda u: -3e4 * u)
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
         u0 = np.sin(np.pi * X) * np.sin(np.pi * Y)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the textbook step warns
             with pytest.raises(NumericalError) as expected:
                 _reference_2d(grid, blowup.fn, data, 256, u0=u0)
-            with pytest.raises(NumericalError) as got:
-                solve_semilinear(grid, blowup, data, 256, u0=u0)
+        with pytest.raises(NumericalError) as got:
+            solve_semilinear(grid, blowup, data, 256, u0=u0)
         assert int(str(expected.value).split("step ")[1].split()[0]) > 64
         assert str(got.value) == str(expected.value)
 
