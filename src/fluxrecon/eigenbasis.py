@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import DomainKind, DomainSpec, SpatialGrid
+from .geometry import DomainSpec, SpatialGrid
 
 
 def axis_modes(xs: np.ndarray, count: int, L: float) -> np.ndarray:
@@ -71,24 +71,14 @@ class EigenBasis:
 
 
 def _candidate_modes(domain: DomainSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
-    if domain.kind is DomainKind.INTERVAL:
-        L = domain.lengths[0]
-        ms = np.arange(count)[:, None]
-        lams = (ms[:, 0] * np.pi / L) ** 2
-        return lams, ms
-    lx, ly = domain.lengths
-    M = int(np.ceil(np.sqrt(count))) + 2
-    while True:
-        mx, my = np.meshgrid(np.arange(M + 1), np.arange(M + 1), indexing="ij")
-        modes = np.column_stack([mx.ravel(), my.ravel()])
-        lams = (modes[:, 0] * np.pi / lx) ** 2 + (modes[:, 1] * np.pi / ly) ** 2
-        order = np.lexsort((modes[:, 1], modes[:, 0], lams))
-        lams, modes = lams[order], modes[order]
-        # the K-th value must beat anything outside the candidate box
-        boundary_lam = min(((M + 1) * np.pi / lx) ** 2, ((M + 1) * np.pi / ly) ** 2)
-        if len(lams) >= count and lams[count - 1] < boundary_lam:
-            return lams[:count], modes[:count]
-        M *= 2
+    """The first `count` eigenvalues and modes, from the box [0, count - 1]
+    of indices per axis: its modes (0..count-1, 0) alone are count, and an
+    index >= count on any axis has a larger eigenvalue than all of them."""
+    axes = np.meshgrid(*[np.arange(count)] * domain.dim, indexing="ij")
+    modes = np.column_stack([m.ravel() for m in axes])
+    lams = sum((modes[:, d] * np.pi / L) ** 2 for d, L in enumerate(domain.lengths))
+    order = np.lexsort((*modes.T[::-1], lams))
+    return lams[order[:count]], modes[order[:count]]
 
 
 @lru_cache(maxsize=64)

@@ -80,6 +80,17 @@ class TestRectangleBasis:
         assert verify_orthonormality(make_basis(rectangle(), 16),
                                      build_grid(rectangle(), 128)) < 1e-6
 
+    @pytest.mark.parametrize("aspect", [1.0, 3.0, 0.3, 1.0 + 1e-12])
+    @pytest.mark.parametrize("k", [1, 2, 7, 16, 40])
+    def test_first_modes_match_brute_force(self, aspect, k):
+        # the K smallest of a box wider than the basis searches, ordered by
+        # eigenvalue and then by mode index
+        box = sorted(((mx * np.pi) ** 2 + (my * np.pi / aspect) ** 2, mx, my)
+                     for mx in range(k + 5) for my in range(k + 5))[:k]
+        basis = make_basis(rectangle(1.0, aspect), k)
+        assert basis.modes.tolist() == [[mx, my] for _, mx, my in box]
+        assert basis.lambdas.tolist() == [lam for lam, _, _ in box]
+
 
 def test_project_with_leading_axes():
     grid = make_grid(interval(), 64)
