@@ -1,9 +1,12 @@
 """The accuracy harness runs a fixed case matrix and prints reproducible
-bytes; here its case list and one cheap case, not the whole matrix."""
+bytes; here its case list, one cheap case, and the config cases against
+the committed baseline, not the whole matrix."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 HARNESS = ROOT / "scripts" / "accuracy.py"
@@ -34,3 +37,14 @@ def test_case_record_is_reproducible():
     record = json.loads(first)
     assert record["paper"]["rel_sup_error"] is None
     assert "timings" not in record and "timings" not in record["paper"]
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in (ROOT / "configs").glob("*.json")))
+def test_config_cases_keep_the_baseline_paper_values(stem):
+    # the paper values keep 6 significant digits, so rounding-level moves
+    # of the pipeline leave them as committed
+    baseline = json.loads((ROOT / "ACCURACY_18.json").read_text())
+    name = f"config/{stem}"
+    harness = _load_harness()
+    record = harness.run_case(harness.cases()[name])
+    assert record["paper"] == baseline[name]["paper"]
