@@ -1,6 +1,11 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+import fluxrecon
 
 # numerical property tests legitimately take milliseconds per example;
 # the default deadline trips on shared CI boxes
@@ -12,3 +17,12 @@ settings.load_profile("numeric")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with this checkout's src first on PYTHONPATH, for a
+    subprocess that must import the package under test."""
+    src = str(Path(fluxrecon.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

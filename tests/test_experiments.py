@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fluxrecon
 from fluxrecon.cli import main
 from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
@@ -354,7 +352,7 @@ class TestCli:
         assert (out / "metrics.json").exists()
         assert paths["curve"] == str(out / "curve.csv")
 
-    def test_diverging_march_prints_only_its_error(self, tmp_path):
+    def test_diverging_march_prints_only_its_error(self, tmp_path, src_env):
         # numpy's overflow warnings of the diverging steps stay out of
         # stderr: the typed error names the step that diverged
         configs = Path(__file__).resolve().parents[1] / "configs"
@@ -362,12 +360,9 @@ class TestCli:
         scenario["reaction"] = {"family": "power", "coeff": 1e6, "exponent": 3}
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(scenario))
-        src = str(Path(fluxrecon.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         out = subprocess.run([sys.executable, "-m", "fluxrecon.cli", "synthesize",
                               "--config", str(path), "--out", str(tmp_path / "run")],
-                             env=env, capture_output=True, text=True, timeout=300)
+                             env=src_env, capture_output=True, text=True, timeout=300)
         assert out.returncode == 3
         assert re.fullmatch(r"numerical failure: solver diverged at step \d+ "
                             r"\(t = [0-9.]+\)\n", out.stderr), out.stderr

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 import warnings
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import savgol_filter
 
-import fluxrecon
 from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.numerics import (_exp_step_weights, exp_convolve, gauss_legendre,
                                 isotonic_nondecreasing, sliding_derivative, smoothstep,
@@ -199,14 +197,7 @@ class TestSlidingDerivative:
             sliding_derivative(times, np.zeros(5), halfwidth=1)
 
 
-def _src_env():
-    """os.environ with this checkout's src first on PYTHONPATH."""
-    src = str(Path(fluxrecon.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-
-
-def test_import_graph_leaves_out_heavy_scipy(tmp_path):
+def test_import_graph_leaves_out_heavy_scipy(tmp_path, src_env):
     # the package needs numpy and SciPy's compiled LAPACK only; any of the
     # heavy modules would add hundreds of modules to the start-up of every
     # command. scipy.linalg's package init alone loads numpy.f2py and
@@ -230,13 +221,13 @@ def test_import_graph_leaves_out_heavy_scipy(tmp_path):
             "    ex.run_reconstruct(paths['observation'], out)\n"
             "assert ex.run_verify('all')['passed']\n"
             f"print(sorted(set({heavy!r}) & set(sys.modules)))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
                          text=True, check=True, timeout=300)
     assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("first", ["fluxrecon.forward", "scipy.linalg"])
-def test_lapack_routines_are_scipys(first):
+def test_lapack_routines_are_scipys(first, src_env):
     # the package's dpttrs is the routine scipy.linalg hands out, whichever
     # of the two is imported first, and the two imports share one module
     second = "scipy.linalg" if first == "fluxrecon.forward" else "fluxrecon.forward"
@@ -247,7 +238,7 @@ def test_lapack_routines_are_scipys(first):
             "pttrs, = scipy.linalg.get_lapack_funcs(('pttrs',), (np.zeros(2),))\n"
             "assert _lapack.dpttrs is pttrs\n"
             "assert _lapack._flapack is scipy.linalg.lapack._flapack\n")
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
 
