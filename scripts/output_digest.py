@@ -3,9 +3,10 @@
 For each scenario config it runs synthesize and reconstruct and digests
 the observation, its metadata, the curve, the diagnostics and the
 metrics (without the wall-clock `timings` key). It then digests the
-`verify --suite all` report and the convergence study's files. Two trees
-that compute the same numbers print the same lines, so a refactor that
-must keep its outputs byte-identical is checked with one command:
+`verify --suite all` report, which holds the forward suite's table of
+refinement studies. Two trees that compute the same numbers print the same
+lines, so a refactor that must keep its outputs byte-identical is checked
+with one command:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
     # ... change the code ...
@@ -23,8 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from fluxrecon.experiments import (load_scenario, run_convergence, run_reconstruct,
-                                   run_synthesize, run_verify)
+from fluxrecon.experiments import load_scenario, run_reconstruct, run_synthesize, run_verify
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 OUTPUTS = ("observation", "metadata", "curve", "diagnostics", "metrics")
@@ -73,10 +73,6 @@ def main() -> int:
 
         report = run_verify("all")
         emit(f"{_sha(json.dumps(report, sort_keys=True).encode())}  verify/all")
-        outdir = Path(tmp) / "convergence"
-        run_convergence(outdir)
-        for name in ("convergence.csv", "convergence.json"):
-            emit(f"{_file_digest(outdir / name)}  convergence/{name}")
     if saved is None:
         return 0
     diff = list(difflib.unified_diff(saved, lines, str(args.against), "this run",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: synthesize, reconstruct, verify, convergence. Exit codes:
-0 success, 2 configuration or input problems, 3 numerical failures
-(including failed verification suites).
+Subcommands: synthesize, reconstruct, verify. Every run setting comes
+from the scenario file, or from the copy of it in the observation's
+metadata. Exit codes: 0 success, 2 configuration or input problems,
+3 numerical failures (including failed verification suites).
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .errors import ConfigurationError, InputError, NumericalError
-from .experiments import (load_scenario, output_dir, run_convergence,
-                          run_reconstruct, run_synthesize, run_verify)
+from .experiments import (load_scenario, output_dir, run_reconstruct, run_synthesize,
+                          run_verify)
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -31,20 +31,14 @@ def _parser() -> argparse.ArgumentParser:
     syn.add_argument("--config", required=True, help="scenario JSON file")
     syn.add_argument("--out", default=None, help="output directory "
                      "(default: $FLUXRECON_OUT or ./fluxrecon_out)")
-    syn.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     rec = sub.add_parser("reconstruct", help="recover the reaction curve from an observation")
     rec.add_argument("--observation", required=True, help="observation.csv path")
-    rec.add_argument("--config", default=None,
-                     help="optional scenario JSON overriding reconstruction settings")
     rec.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run invariant suites")
     ver.add_argument("--suite", default="all", choices=SUITES + ("all",))
     ver.add_argument("--out", default=None, help="also write verify_<suite>.json here")
-
-    conv = sub.add_parser("convergence", help="grid refinement studies")
-    conv.add_argument("--out", default=None)
     return p
 
 
@@ -52,15 +46,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "synthesize":
-            scenario = load_scenario(args.config)
-            if args.seed is not None:
-                scenario = replace(scenario, seed=args.seed)
-            paths = run_synthesize(scenario, output_dir(args.out))
+            paths = run_synthesize(load_scenario(args.config), output_dir(args.out))
             print(json.dumps(paths, sort_keys=True))
             return EXIT_OK
         if args.command == "reconstruct":
-            override = load_scenario(args.config) if args.config else None
-            paths = run_reconstruct(args.observation, output_dir(args.out), override)
+            paths = run_reconstruct(args.observation, output_dir(args.out))
             print(json.dumps(paths, sort_keys=True))
             return EXIT_OK
         if args.command == "verify":
@@ -68,12 +58,6 @@ def main(argv=None) -> int:
             report = run_verify(args.suite, out)
             print(json.dumps(report, sort_keys=True, indent=2))
             return EXIT_OK if report["passed"] else EXIT_NUMERICAL
-        if args.command == "convergence":
-            out = output_dir(args.out) if args.out else None
-            summary = run_convergence(out)
-            summary.pop("table")
-            print(json.dumps(summary, sort_keys=True, indent=2))
-            return EXIT_OK if summary["passed"] else EXIT_NUMERICAL
     except (ConfigurationError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -52,15 +52,11 @@ class EigenBasis:
             out *= axis_modes(pts[..., d], count, L)[self.modes[:, d]]
         return out
 
-    def sample_on_grid(self, grid: SpatialGrid) -> np.ndarray:
-        """Evaluate all modes on the tensor grid; returns (K, *grid.shape)."""
-        return self.values_at(grid.points)
-
     def quadrature_modes(self, grid: SpatialGrid) -> np.ndarray:
         """The modes times the quadrature weights, flattened over the
         grid; (K, grid size). A field flattened the same way, times its
         transpose, gives the projection."""
-        return (self.sample_on_grid(grid) * grid.weights).reshape(self.size, -1)
+        return (self.values_at(grid.points) * grid.weights).reshape(self.size, -1)
 
     def project(self, grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
         """Quadrature inner products (values, omega_k); values may carry
@@ -93,6 +89,6 @@ def make_basis(domain: DomainSpec, k: int) -> EigenBasis:
 
 def verify_orthonormality(basis: EigenBasis, grid: SpatialGrid) -> float:
     """Max deviation of the quadrature Gram matrix from the identity."""
-    samples = basis.sample_on_grid(grid).reshape(basis.size, -1)
+    samples = basis.values_at(grid.points).reshape(basis.size, -1)
     gram = (samples * grid.weights.ravel()) @ samples.T
     return float(np.max(np.abs(gram - np.eye(basis.size))))

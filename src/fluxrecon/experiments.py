@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 
@@ -27,8 +27,7 @@ from .forward import ObservedData, default_trace_nodes, synthesize_observation
 from .geometry import DomainKind, DomainSpec, build_grid
 from .recon import (ReconstructionConfig, ReconstructionResult, evaluate_curve,
                     reconstruct)
-from .suites import (difference_residual_study, forward_checks, forward_table,
-                     mms_spatial_errors, mms_temporal_errors, run_suite)
+from .suites import run_suite
 
 SCHEMA_VERSION = 1
 OUTPUT_ENV_VAR = "FLUXRECON_OUT"
@@ -362,7 +361,10 @@ def score_reconstruction(result: ReconstructionResult, obs: ObservedData,
     ftrue = np.asarray(reaction.fn(us), dtype=float)
     diff = fhat - ftrue
     sup = float(np.max(np.abs(diff)))
-    l2 = float(np.sqrt(np.trapezoid(diff ** 2, us) / max(us[-1] - us[0], 1e-300)))
+    # diff over a power of two near sup is exact and squares without overflow
+    scale = np.ldexp(1.0, np.frexp(sup)[1] - 1)
+    l2 = float(scale * np.sqrt(np.trapezoid((diff / scale) ** 2, us)
+                               / max(us[-1] - us[0], 1e-300)))
     norm = float(np.max(np.abs(ftrue)))
     return MetricsReport(
         sup_error=sup, l2_error=l2,
@@ -396,13 +398,9 @@ def run_synthesize(scenario: ScenarioConfig, outdir: Path) -> dict:
     return {"observation": str(csv_path), "metadata": str(meta_path)}
 
 
-def run_reconstruct(obs_path: str | Path, outdir: Path,
-                    override: ScenarioConfig | None = None) -> dict:
+def run_reconstruct(obs_path: str | Path, outdir: Path) -> dict:
     t0 = time.perf_counter()
     obs, scenario = load_observation(obs_path)
-    if override is not None:
-        scenario = replace(scenario, recon_n=override.recon_n,
-                           reconstruction=override.reconstruction)
     t1 = time.perf_counter()
     result = reconstruct(obs, scenario.recon_config())
     t2 = time.perf_counter()
@@ -421,37 +419,3 @@ def run_verify(suite: str, outdir: Path | None = None) -> dict:
     if outdir is not None:
         _atomic_write(outdir / f"verify_{suite}.json", _json_text(report))
     return report
-
-
-def run_convergence(outdir: Path | None = None) -> dict:
-    """Grid refinement studies: manufactured solution rates in space and
-    time plus the difference-problem residual under parabolic refinement,
-    passed by the forward suite's checks. The returned summary adds those
-    checks and the table to what `convergence.json` holds."""
-    es = mms_spatial_errors()
-    et = mms_temporal_errors()
-    rows = difference_residual_study()
-    checks = forward_checks(es, et, rows)
-    table = forward_table(es, et, rows)
-    values = {c["name"]: c["value"] for c in checks}
-    summary = {
-        "schema": SCHEMA_VERSION,
-        "kind": "convergence",
-        **{key: values[key] for key in ("mms_spatial_rate", "mms_temporal_rate",
-                                        "difference_residual_rate",
-                                        "difference_residual_base")},
-        "passed": all(c["passed"] for c in checks),
-    }
-    if outdir is not None:
-        buf = io.StringIO()
-        buf.write(f"# fluxrecon-convergence schema={SCHEMA_VERSION}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["study", "n", "nt", "error", "rate"])
-        for row in table:
-            writer.writerow([row["study"], row["n"], row["nt"],
-                             _fmt(row["error"]), _fmt(row["rate"])])
-        _atomic_write(outdir / "convergence.csv", buf.getvalue())
-        _atomic_write(outdir / "convergence.json", _json_text(summary))
-    summary["checks"] = checks
-    summary["table"] = table
-    return summary

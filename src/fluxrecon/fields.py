@@ -42,9 +42,3 @@ class BoundaryTrace:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
-
-    def subsample_time(self, stride: int) -> "BoundaryTrace":
-        if (len(self.times) - 1) % stride != 0:
-            raise InputError(f"stride {stride} does not divide {len(self.times) - 1} steps")
-        return BoundaryTrace(nodes=self.nodes, times=self.times[::stride],
-                             values=self.values[::stride])

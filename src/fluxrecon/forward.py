@@ -238,15 +238,17 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         # only the boundary is set here: a step writes every interior value
         # of its new row, and f_prev may alias an interior
         rows[:, ring] = bc[m0:m1 + 1]
-        couplings = []
-        for s, face in enumerate(faces):
-            phi = rows[face][(slice(None),) + inner[1:]]
-            couplings.append((_index(*face[1:]), r[s // 2] * (phi[:-1] + phi[1:])))
-        if source is not None:
-            q_dt = dt * _source_rows(source, grid, times[m0:m1] + 0.5 * dt)[(slice(None),) + inner]
-        # a diverging step overflows in f or in the right-hand side, and
-        # _check_rows reports it; the caller's error state holds between blocks
+        # a diverging step overflows in f, in the couplings, in q_dt or in
+        # the right-hand side, and _check_rows reports it; the caller's
+        # error state holds between blocks
         with np.errstate(over="ignore", invalid="ignore"):
+            couplings = []
+            for s, face in enumerate(faces):
+                phi = rows[face][(slice(None),) + inner[1:]]
+                couplings.append((_index(*face[1:]), r[s // 2] * (phi[:-1] + phi[1:])))
+            if source is not None:
+                q_dt = dt * _source_rows(source, grid,
+                                         times[m0:m1] + 0.5 * dt)[(slice(None),) + inner]
             for k in range(m1 - m0):
                 um, um_inner = views[k]
                 rhs = views[k + 1][1]
@@ -407,8 +409,9 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
         rng = np.random.default_rng(seed)
         scale = noise_level * float(np.max(np.abs(values)))
         values = values + rng.normal(0.0, scale, size=values.shape)
-    noisy = BoundaryTrace(nodes=flux.nodes, times=flux.times, values=values)
-    sub = noisy.subsample_time(fine_nt // sub_nt)
+    stride = fine_nt // sub_nt
+    sub = BoundaryTrace(nodes=flux.nodes, times=flux.times[::stride],
+                        values=values[::stride])
     return ObservedData(domain=domain, phi=phi, flux=sub,
                         noise_level=noise_level, seed=seed,
                         f_label=reaction.label)

@@ -100,27 +100,24 @@ class SpatialGrid:
         return tuple(out)
 
 
-def make_grid(domain: DomainSpec, n) -> SpatialGrid:
-    """Construct a uniform grid with n cells per axis, without bounds checks."""
+def build_grid(domain: DomainSpec, n) -> SpatialGrid:
+    """Uniform tensor grid with at least MIN_CELLS cells per axis and a
+    spacing h whose square is finite and nonzero on every axis."""
     ns = (int(n),) * domain.dim if np.isscalar(n) else tuple(int(v) for v in n)
     if len(ns) != domain.dim:
         raise ConfigurationError(f"expected {domain.dim} cell counts, got {ns}")
-    if any(v < 2 for v in ns):
-        raise ConfigurationError(f"need at least 2 cells per axis, got {ns}")
-    axes = tuple(np.linspace(0.0, L, v + 1) for L, v in zip(domain.lengths, ns))
+    if any(v < MIN_CELLS for v in ns):
+        raise ConfigurationError(
+            f"grid too coarse: need >= {MIN_CELLS} cells per axis, got {ns}")
     hs = tuple(L / v for L, v in zip(domain.lengths, ns))
+    for d, h in enumerate(hs):
+        if not 0.0 < h * h < np.inf:
+            raise ConfigurationError(f"grid spacing {h:g} on axis {d} cannot be "
+                                     f"represented squared (h*h = {h * h:g})")
+    axes = tuple(np.linspace(0.0, L, v + 1) for L, v in zip(domain.lengths, ns))
     w1 = [trapezoid_weights(v, L) for v, L in zip(ns, domain.lengths)]
     weights = w1[0] if domain.dim == 1 else np.multiply.outer(w1[0], w1[1])
     return SpatialGrid(domain=domain, n=ns, axes=axes, h=hs, weights=weights)
-
-
-def build_grid(domain: DomainSpec, n) -> SpatialGrid:
-    """Uniform tensor grid with at least MIN_CELLS cells per axis."""
-    grid = make_grid(domain, n)
-    if any(v < MIN_CELLS for v in grid.n):
-        raise ConfigurationError(
-            f"grid too coarse: need >= {MIN_CELLS} cells per axis, got {grid.n}")
-    return grid
 
 
 @dataclass(frozen=True, eq=False)

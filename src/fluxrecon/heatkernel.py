@@ -46,7 +46,7 @@ from .eigenbasis import axis_modes
 from .errors import InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
-from .numerics import gauss_legendre, trapezoid_weights
+from .numerics import trapezoid_weights
 
 # modes with lambda * tau above this contribute < 1e-26 relative and are dropped
 _MODE_CUTOFF = 60.0
@@ -55,6 +55,7 @@ _K_MAX = 200
 _TAIL_TOL = 1e-12
 _IMAGE_COUNT = 5
 _GL_ORDER = 4
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _MASS_CELLS = 1024
 # lags per kernel table of boundary_propagate_trace
 _LAG_BLOCK = 256
@@ -189,7 +190,7 @@ class KernelEvaluator:
         knots = g.times[g.times < t - 1e-14]
         knots = np.append(knots, t)
         sig_edges = np.sqrt(np.maximum(t - knots, 0.0))[::-1]  # ascending in sigma
-        xi, wq = gauss_legendre(_GL_ORDER)
+        xi, wq = _GL_NODES, _GL_WEIGHTS
         half = 0.5 * np.diff(sig_edges)
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])
         sigma = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
@@ -232,7 +233,7 @@ class KernelEvaluator:
             raise InputError("lag operator needs a uniform time grid")
 
         sig_edges = np.sqrt(np.arange(nt + 1) * dt)
-        xi, wq = gauss_legendre(_GL_ORDER)
+        xi, wq = _GL_NODES, _GL_WEIGHTS
         half = 0.5 * np.diff(sig_edges)[:, None]
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
         sigma = mid + half * xi[None, :]                          # (nt, q)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ConfigurationError, InputError
@@ -15,13 +13,6 @@ def trapezoid_weights(n: int, length: float) -> np.ndarray:
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-@lru_cache(maxsize=32)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
 
 
 def smoothstep(u: np.ndarray) -> np.ndarray:

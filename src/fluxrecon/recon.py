@@ -71,10 +71,6 @@ class CurveEstimate:
     trusted_lo: float = 0.0
     trusted_hi: float = 0.0
 
-    @property
-    def knot_max(self) -> float:
-        return float(self.knots[-1])
-
 
 def flux_difference(obs: ObservedData, grid: SpatialGrid,
                     v_phi: SolutionField | None = None) -> BoundaryTrace:
@@ -341,7 +337,7 @@ def evaluate_curve(curve: CurveEstimate, u) -> tuple[np.ndarray, np.ndarray]:
     the flag marks anything outside the trusted quantile band.
     """
     uu = np.asarray(u, dtype=float)
-    vals = np.interp(np.clip(uu, 0.0, curve.knot_max), curve.knots, curve.values)
+    vals = np.interp(np.clip(uu, 0.0, curve.knots[-1]), curve.knots, curve.values)
     flags = (uu < curve.trusted_lo) | (uu > curve.trusted_hi)
     return vals, flags
 
@@ -374,7 +370,7 @@ def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
     """
     law = Nonlinearity(fn=lambda u: evaluate_curve(curve, u)[0], label="curve")
     _, response = volterra_oracle(v_phi, law, basis)
-    return np.tensordot(response, basis.sample_on_grid(v_phi.grid), axes=1)
+    return np.tensordot(response, basis.values_at(v_phi.grid.points), axes=1)
 
 
 def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasis,

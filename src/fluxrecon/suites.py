@@ -1,8 +1,9 @@
-"""Invariant suites behind the `verify` and `convergence` subcommands.
+"""Invariant suites behind the `verify` subcommand.
 
 Each suite returns {"suite", "checks": [...], "passed"} where every
 check carries its measured value and tolerance, so failures are
-self-describing. The acceptance tests call these directly.
+self-describing; the forward suite adds the `table` of its refinement
+studies. The acceptance tests call these directly.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def eigenbasis_suite() -> dict:
     errs = []
     for cells in (64, 128, 256):
         g = build_grid(dom, cells)
-        w = basis.sample_on_grid(g)[4]
+        w = basis.values_at(g.points)[4]
         lap = interior_laplacian(w, g)
         errs.append(float(np.max(np.abs(lap + lam * w[1:-1]))))
     checks.append(_check("interval_eigen_residual_rate", _rate(errs), 1.9, larger_ok=True))
@@ -261,10 +262,14 @@ def difference_residual_study(levels=((128, 512), (256, 2048), (512, 8192))) -> 
     return [difference_residual(build_grid(dom, n), reaction, phi, nt) for n, nt in levels]
 
 
-def forward_checks(es: list[float], et: list[float], rows: list[dict]) -> list[dict]:
-    """The forward gates on the three refinement studies; the forward
-    suite and the convergence study both pass or fail by these."""
-    return [
+def forward_suite() -> dict:
+    """The three refinement studies, run once: the forward gates on their
+    rates and residuals, and a `table` of the study rows {"study", "n",
+    "nt", "error", "rate"}, each rate taken from the level before (null on
+    a study's first level)."""
+    es, et = mms_spatial_errors(), mms_temporal_errors()
+    rows = difference_residual_study()
+    report = _wrap("forward", [
         _check("mms_spatial_rate", _rate(es), 1.9, larger_ok=True),
         _check("mms_temporal_rate", _rate(et), 1.9, larger_ok=True),
         _check("difference_residual_base", rows[0]["interior_max"], 1e-2),
@@ -272,25 +277,15 @@ def forward_checks(es: list[float], et: list[float], rows: list[dict]) -> list[d
                _rate([r["interior_max"] for r in rows]), 1.9, larger_ok=True),
         _check("difference_boundary_max", max(r["boundary_max"] for r in rows), 1e-12),
         _check("difference_initial_max", max(r["initial_max"] for r in rows), 1e-12),
-    ]
-
-
-def forward_table(es: list[float], et: list[float], rows: list[dict]) -> list[dict]:
-    """The three refinement studies at their default levels as rows
-    {"study", "n", "nt", "error", "rate"}, each rate taken from the
-    level before (NaN on a study's first level)."""
+    ])
     studies = (("mms_spatial", [(n, SPATIAL_NT) for n in SPATIAL_CELLS], es),
                ("mms_temporal", [(TEMPORAL_N, nt) for nt in TEMPORAL_STEPS], et),
                ("difference_residual", [(r["n"], r["nt"]) for r in rows],
                 [r["interior_max"] for r in rows]))
-    return [{"study": study, "n": n, "nt": nt, "error": err, "rate": rate}
-            for study, levels, errs in studies
-            for (n, nt), err, rate in zip(levels, errs, [float("nan")] + _halving_rates(errs))]
-
-
-def forward_suite() -> dict:
-    return _wrap("forward", forward_checks(mms_spatial_errors(), mms_temporal_errors(),
-                                           difference_residual_study()))
+    report["table"] = [{"study": study, "n": n, "nt": nt, "error": err, "rate": rate}
+                       for study, levels, errs in studies
+                       for (n, nt), err, rate in zip(levels, errs, [None] + _halving_rates(errs))]
+    return report
 
 
 # -- modal Volterra identity -------------------------------------------

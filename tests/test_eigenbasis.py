@@ -3,7 +3,7 @@ import pytest
 
 from fluxrecon.eigenbasis import make_basis, verify_orthonormality
 from fluxrecon.errors import ConfigurationError
-from fluxrecon.geometry import build_grid, interval, make_grid, rectangle
+from fluxrecon.geometry import build_grid, interval, rectangle
 
 
 class TestIntervalBasis:
@@ -21,7 +21,7 @@ class TestIntervalBasis:
     def test_quadrature_normalization(self):
         grid = build_grid(interval(), 512)
         basis = make_basis(interval(), 8)
-        samples = basis.sample_on_grid(grid)
+        samples = basis.values_at(grid.points)
         norms = np.array([np.sum(grid.weights * s * s) for s in samples])
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
@@ -72,7 +72,7 @@ class TestRectangleBasis:
         rect = rectangle()
         grid = build_grid(rect, 64)
         basis = make_basis(rect, 6)
-        samples = basis.sample_on_grid(grid)
+        samples = basis.values_at(grid.points)
         gram = basis.project(grid, samples)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
@@ -93,7 +93,7 @@ class TestRectangleBasis:
 
 
 def test_project_with_leading_axes():
-    grid = make_grid(interval(), 64)
+    grid = build_grid(interval(), 64)
     basis = make_basis(interval(), 3)
     fields = np.stack([np.ones(grid.shape), grid.axes[0]])
     coeffs = basis.project(grid, fields)

@@ -11,7 +11,7 @@ import pytest
 from fluxrecon.cli import main
 from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
-                                   load_scenario, run_convergence, run_reconstruct,
+                                   load_scenario, run_reconstruct,
                                    run_synthesize, run_verify, write_observation)
 from fluxrecon.recon import ReconstructionConfig
 
@@ -324,7 +324,25 @@ class TestRunners:
             d = tmp_path / f"s{seed}"
             run_synthesize(ScenarioConfig(**CHEAP, noise_level=0.01, seed=seed), d)
             texts.append((d / "observation.csv").read_text())
+            assert json.loads((d / "observation_meta.json").read_text())["seed"] == seed
         assert texts[0] != texts[1]
+
+    def test_l2_error_does_not_overflow(self, tmp_path):
+        # diff ** 2 overflows once the error passes ~1e154. An amplitude that
+        # is a power of two scales every stage exactly, so the error is the
+        # unit-amplitude one times it; 1e200 moves samples between bins by
+        # rounding, and its error only stays finite and close
+        errors = {}
+        for amp in (1.0, 2.0 ** 600, 1e200):
+            d = tmp_path / repr(amp)
+            phi = dict(CHEAP["phi"], amplitude=amp)
+            run_synthesize(ScenarioConfig(**dict(CHEAP, phi=phi)), d)
+            run_reconstruct(d / "observation.csv", d)
+            text = (d / "metrics.json").read_text()
+            assert "Infinity" not in text and "NaN" not in text
+            errors[amp] = json.loads(text)["l2_error"]
+        assert errors[2.0 ** 600] == pytest.approx(2.0 ** 600 * errors[1.0], rel=1e-9)
+        assert errors[1e200] == pytest.approx(1e200 * errors[1.0], rel=2e-2)
 
     def test_run_verify_writes_report(self, tmp_path):
         report = run_verify("eigenbasis", tmp_path)
@@ -352,12 +370,17 @@ class TestCli:
         assert (out / "metrics.json").exists()
         assert paths["curve"] == str(out / "curve.csv")
 
-    def test_diverging_march_prints_only_its_error(self, tmp_path, src_env):
+    # a stiff reaction overflows in the steps; a huge final time already
+    # overflows in the boundary couplings built before them
+    @pytest.mark.parametrize("edit", [
+        {"reaction": {"family": "power", "coeff": 1e6, "exponent": 3}},
+        {"final_time": 1e300}], ids=["stiff_reaction", "huge_final_time"])
+    def test_diverging_march_prints_only_its_error(self, tmp_path, src_env, edit):
         # numpy's overflow warnings of the diverging steps stay out of
         # stderr: the typed error names the step that diverged
         configs = Path(__file__).resolve().parents[1] / "configs"
         scenario = json.loads((configs / "linear_interval.json").read_text())
-        scenario["reaction"] = {"family": "power", "coeff": 1e6, "exponent": 3}
+        scenario.update(edit)
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(scenario))
         out = subprocess.run([sys.executable, "-m", "fluxrecon.cli", "synthesize",
@@ -365,7 +388,7 @@ class TestCli:
                              env=src_env, capture_output=True, text=True, timeout=300)
         assert out.returncode == 3
         assert re.fullmatch(r"numerical failure: solver diverged at step \d+ "
-                            r"\(t = [0-9.]+\)\n", out.stderr), out.stderr
+                            r"\(t = [0-9.]+(e[+-][0-9]+)?\)\n", out.stderr), out.stderr
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", "--config", str(tmp_path / "nope.json")]) == 2
@@ -399,7 +422,9 @@ class TestCli:
         {"phi": {"family": "ramp", "amplitud": 2.0}},
         {"reaction": {"family": "linear", "cofef": 3.0}},
         {"reaction": {"family": "zero", "coeff": 1.0}},
-        {"phi": {"family": "ramp", "scale": 0.5}}])
+        {"phi": {"family": "ramp", "scale": 0.5}},
+        # grid spacings whose square underflows to 0 or overflows to inf
+        {"lengths": [1e-300]}, {"lengths": [1e300]}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))
@@ -538,21 +563,6 @@ class TestCli:
         assert "rectangle traces need an even, equal cell count per axis, got (9, 9)" \
             in capsys.readouterr().err
 
-    def test_seed_flag_overrides_scenario(self, tmp_path, capsys):
-        cfg = dict(CHEAP, noise_level=0.01, seed=3)
-        path = tmp_path / "noisy.json"
-        path.write_text(json.dumps(cfg))
-        texts = {}
-        for seed in (3, 9):
-            out = tmp_path / f"seed{seed}"
-            assert main(["synthesize", "--config", str(path),
-                         "--out", str(out), "--seed", str(seed)]) == 0
-            texts[seed] = (out / "observation.csv").read_text()
-        capsys.readouterr()
-        assert texts[3] != texts[9]
-        meta = json.loads((tmp_path / "seed9" / "observation_meta.json").read_text())
-        assert meta["seed"] == 9
-
     def test_output_env_var(self, config_path, tmp_path, monkeypatch, capsys):
         target = tmp_path / "from_env"
         monkeypatch.setenv("FLUXRECON_OUT", str(target))
@@ -560,21 +570,37 @@ class TestCli:
         capsys.readouterr()
         assert (target / "observation.csv").exists()
 
-    def test_reconstruct_override_config(self, config_path, tmp_path, capsys):
-        out = tmp_path / "base"
-        assert main(["synthesize", "--config", str(config_path),
-                     "--out", str(out)]) == 0
-        override = dict(CHEAP, recon_n=32, reconstruction={"compare_extensions": True})
-        override_path = tmp_path / "override.json"
-        override_path.write_text(json.dumps(override))
+    def test_reconstruction_settings_come_from_the_scenario(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(CHEAP, recon_n=32,
+                                        reconstruction={"compare_extensions": True})))
+        out = tmp_path / "run"
+        assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 0
         assert main(["reconstruct", "--observation", str(out / "observation.csv"),
-                     "--config", str(override_path), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         capsys.readouterr()
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["config"]["recon_n"] == 32
         assert diag["config"]["reconstruction"] == {"compare_extensions": True}
         assert diag["diagnostics"]["extension_method"] == "harmonic"
         assert diag["diagnostics"]["alt_extension_method"] == "normal_constant"
+
+    # every run setting comes from the scenario file or the observation's copy
+    # of it; the routes that overrode them, and the second run of the forward
+    # studies, are gone
+    @pytest.mark.parametrize("argv", [
+        ["convergence"],
+        ["synthesize", "--config", "{config}", "--seed", "3"],
+        ["reconstruct", "--observation", "{obs}", "--config", "{config}"]],
+        ids=["convergence", "synthesize-seed", "reconstruct-config"])
+    def test_removed_route_is_a_usage_error(self, config_path, tmp_path, capsys, argv):
+        obs = tmp_path / "observation.csv"
+        argv = [a.format(config=config_path, obs=obs) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "usage: fluxrecon" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_verify_exit_codes(self, monkeypatch, capsys):
         assert main(["verify", "--suite", "eigenbasis"]) == 0
@@ -583,32 +609,35 @@ class TestCli:
                             lambda suite, out=None: {"passed": False})
         assert main(["verify", "--suite", "eigenbasis"]) == 3
 
-    def test_convergence_exit_codes(self, monkeypatch, capsys):
-        monkeypatch.setattr("fluxrecon.cli.run_convergence",
-                            lambda out=None: {"passed": True, "table": []})
-        assert main(["convergence"]) == 0
-        capsys.readouterr()
-        monkeypatch.setattr("fluxrecon.cli.run_convergence",
-                            lambda out=None: {"passed": False, "table": []})
-        assert main(["convergence"]) == 3
-
     @pytest.mark.parametrize("boundary_max, passed", [(0.0, True), (1.0, False)])
-    def test_convergence_uses_the_forward_gates(self, monkeypatch, capsys,
+    def test_convergence_uses_the_forward_gates(self, monkeypatch, capsys, tmp_path,
                                                 boundary_max, passed):
-        # second-order studies that fail only the boundary gate of the
-        # forward suite must fail the convergence study too
+        # second-order studies that fail only the boundary gate must fail
+        # the forward suite
         errs = [4e-3, 1e-3, 2.5e-4]
         rows = [{"n": n, "nt": 4 * n * n, "interior_max": e,
                  "boundary_max": boundary_max, "initial_max": 0.0}
                 for n, e in zip((128, 256, 512), errs)]
-        monkeypatch.setattr("fluxrecon.experiments.mms_spatial_errors", lambda *a: errs)
-        monkeypatch.setattr("fluxrecon.experiments.mms_temporal_errors", lambda *a: errs)
-        monkeypatch.setattr("fluxrecon.experiments.difference_residual_study", lambda: rows)
-        assert run_convergence()["passed"] is passed
-        assert main(["convergence"]) == (0 if passed else 3)
-        # the printed summary names the gate with its value and tolerance
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        monkeypatch.setattr("fluxrecon.suites.mms_spatial_errors", lambda *a: errs)
+        monkeypatch.setattr("fluxrecon.suites.mms_temporal_errors", lambda *a: errs)
+        monkeypatch.setattr("fluxrecon.suites.difference_residual_study", lambda: rows)
+        assert main(["verify", "--suite", "forward", "--out", str(tmp_path)]) == (
+            0 if passed else 3)
+        report = json.loads(capsys.readouterr().out)
+        assert json.loads((tmp_path / "verify_forward.json").read_text()) == report
+        assert report["passed"] is passed
+        # the printed report names the gate with its value and tolerance
+        checks = {c["name"]: c for c in report["checks"]}
         assert checks["difference_boundary_max"] == {
             "name": "difference_boundary_max", "value": boundary_max,
             "tolerance": 1e-12, "direction": "<=", "passed": passed}
         assert all(c["passed"] for n, c in checks.items() if n != "difference_boundary_max")
+        # the table: three levels per study, with no rate on a study's first
+        assert [(r["study"], r["n"], r["nt"]) for r in report["table"]] == [
+            ("mms_spatial", 16, 4096), ("mms_spatial", 32, 4096), ("mms_spatial", 64, 4096),
+            ("mms_temporal", 128, 16), ("mms_temporal", 128, 32), ("mms_temporal", 128, 64),
+            *[("difference_residual", n, 4 * n * n) for n in (128, 256, 512)]]
+        assert [r["error"] for r in report["table"]] == errs * 3
+        rates = [r["rate"] for r in report["table"]]
+        assert rates[::3] == [None] * 3
+        assert rates[1::3] + rates[2::3] == pytest.approx([2.0] * 6)

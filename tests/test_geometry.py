@@ -3,7 +3,7 @@ import pytest
 
 from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.geometry import (MIN_CELLS, DomainKind, DomainSpec, boundary_nodes,
-                                build_grid, interval, make_grid, rectangle)
+                                build_grid, interval, rectangle)
 
 
 class TestDomainSpec:
@@ -29,20 +29,20 @@ class TestDomainSpec:
 
 class TestGrids:
     def test_interval_layout(self):
-        grid = make_grid(interval(1.0), 4)
-        assert np.allclose(grid.axes[0], [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert grid.h == (0.25,) and grid.shape == (5,)
-        assert grid.points.shape == (5, 1)
+        grid = build_grid(interval(1.0), 8)
+        assert np.allclose(grid.axes[0], np.arange(9) / 8)
+        assert grid.h == (0.125,) and grid.shape == (9,)
+        assert grid.points.shape == (9, 1)
         assert np.array_equal(grid.points[:, 0], grid.axes[0])
 
     def test_weights_integrate_linear_exactly(self):
-        grid = make_grid(interval(2.0), 10)
+        grid = build_grid(interval(2.0), 10)
         assert np.isclose(np.sum(grid.weights * grid.axes[0]), 2.0, rtol=0, atol=1e-14)
 
     def test_rectangle_layout(self):
-        grid = make_grid(rectangle(1.0, 2.0), (4, 8))
-        assert grid.shape == (5, 9)
-        assert grid.h == (0.25, 0.25)
+        grid = build_grid(rectangle(1.0, 2.0), (8, 16))
+        assert grid.shape == (9, 17)
+        assert grid.h == (0.125, 0.125)
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
         assert np.array_equal(grid.points, np.stack([X, Y], axis=-1))
         # bilinear fields integrate exactly under tensor trapezoid
@@ -50,15 +50,22 @@ class TestGrids:
 
     def test_make_grid_minimum(self):
         with pytest.raises(ConfigurationError):
-            make_grid(interval(), 1)
-        with pytest.raises(ConfigurationError):
-            make_grid(rectangle(), (4,))
+            build_grid(interval(), 1)
+        with pytest.raises(ConfigurationError, match="expected 2 cell counts"):
+            build_grid(rectangle(), (8,))
 
     def test_build_grid_enforces_min_cells(self):
         with pytest.raises(ConfigurationError):
             build_grid(interval(), MIN_CELLS - 1)
         grid = build_grid(interval(), MIN_CELLS)
         assert grid.n == (MIN_CELLS,)
+
+    @pytest.mark.parametrize("lengths, axis", [((1e-300,), 0), ((1e300,), 0),
+                                               ((1.0, 1e-300), 1), ((1e300, 1.0), 0)])
+    def test_build_grid_rejects_spacing_that_cannot_be_squared(self, lengths, axis):
+        kind = DomainKind.INTERVAL if len(lengths) == 1 else DomainKind.RECTANGLE
+        with pytest.raises(ConfigurationError, match=f"on axis {axis} cannot be represented"):
+            build_grid(DomainSpec(kind, lengths), MIN_CELLS)
 
 
 class TestBoundaryNodes:
@@ -107,7 +114,7 @@ LAYOUTS = [(interval(0.9), 8, 0), (rectangle(0.9, 1.3), (8, 16), 4),
 class TestBoundaryLayout:
     @pytest.mark.parametrize("domain,n,m", LAYOUTS)
     def test_side_nodes_sit_on_their_face(self, domain, n, m):
-        grid = make_grid(domain, n)
+        grid = build_grid(domain, n)
         nodes = boundary_nodes(domain, m)
         # every node id of the grid, laid out as a one-row (time, *shape) array
         ids = np.arange(np.prod(grid.shape)).reshape((1,) + grid.shape)
@@ -122,14 +129,14 @@ class TestBoundaryLayout:
 
     @pytest.mark.parametrize("domain,n,m", LAYOUTS)
     def test_face_is_the_first_or_last_node_of_its_axis(self, domain, n, m):
-        grid = make_grid(domain, n)
+        grid = build_grid(domain, n)
         coords = grid.points[None]
         for s in range(2 * domain.dim):
             end = domain.lengths[s // 2] if s % 2 else 0.0
             assert np.all(coords[grid.face(s)][..., s // 2] == end)
 
     def test_indices_of_aligned_points(self):
-        grid = make_grid(rectangle(0.9, 1.3), (8, 16))
+        grid = build_grid(rectangle(0.9, 1.3), (8, 16))
         ix, iy = grid.indices(np.array([[0.0, 1.3], [0.45, 0.65], [0.9, 0.08125]]))
         assert ix.tolist() == [0, 4, 8] and iy.tolist() == [16, 8, 1]
 
@@ -141,7 +148,7 @@ class TestBoundaryLayout:
         (rectangle(0.9, 1.3), 8, [0.45, float("nan")], "nan"),
     ])
     def test_off_grid_point_is_an_input_error(self, domain, n, point, coord):
-        grid = make_grid(domain, n)
+        grid = build_grid(domain, n)
         aligned = np.zeros(domain.dim)
         with pytest.raises(InputError, match=f"at {coord} is not aligned"):
             grid.indices(np.array([aligned, point]))

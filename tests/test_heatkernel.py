@@ -8,8 +8,7 @@ from scipy.integrate import quad
 from fluxrecon.errors import InputError
 from fluxrecon.fields import BoundaryTrace
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.heatkernel import KernelEvaluator
-from fluxrecon.numerics import gauss_legendre
+from fluxrecon.heatkernel import _GL_NODES, _GL_WEIGHTS, KernelEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +164,7 @@ class TestBoundaryPropagate:
         nt = len(g.times) - 1
         dt = float(g.times[-1]) / nt
         sig_edges = np.sqrt(np.arange(nt + 1) * dt)
-        xi, wq = gauss_legendre(4)
+        xi, wq = _GL_NODES, _GL_WEIGHTS
         half = 0.5 * np.diff(sig_edges)[:, None]
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
         sigma = mid + half * xi[None, :]

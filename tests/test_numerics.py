@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from scipy.signal import savgol_filter
 
 from fluxrecon.errors import ConfigurationError, InputError
-from fluxrecon.numerics import (_exp_step_weights, exp_convolve, gauss_legendre,
-                                isotonic_nondecreasing, sliding_derivative, smoothstep,
-                                trapezoid_weights)
+from fluxrecon.heatkernel import _GL_NODES, _GL_WEIGHTS
+from fluxrecon.numerics import (_exp_step_weights, exp_convolve, isotonic_nondecreasing,
+                                sliding_derivative, smoothstep, trapezoid_weights)
 
 
 class TestTrapezoidWeights:
@@ -29,13 +29,11 @@ class TestTrapezoidWeights:
 
 class TestGaussLegendre:
     def test_exact_on_high_degree(self):
-        # order-4 rule integrates polynomials up to degree 7 exactly
-        x, w = gauss_legendre(4)
+        # the kernel's order-4 rule integrates polynomials up to degree 7 exactly
+        x, w = _GL_NODES, _GL_WEIGHTS
+        assert len(x) == 4
         assert np.isclose(w @ x**6, 2.0 / 7.0, rtol=0, atol=1e-14)
         assert np.isclose(w @ x**7, 0.0, rtol=0, atol=1e-14)
-
-    def test_cached(self):
-        assert gauss_legendre(4) is gauss_legendre(4)
 
 
 class TestSmoothstep:

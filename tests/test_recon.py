@@ -277,7 +277,7 @@ class TestModalStages:
         times = np.linspace(0.0, 1.0, 9)
         rate = np.array([1.0, 0.5, 0.0, -0.25])
         coeffs = np.outer(times, rate)
-        field = np.einsum("tk,kx->tx", coeffs, basis.sample_on_grid(grid))
+        field = np.einsum("tk,kx->tx", coeffs, basis.values_at(grid.points))
         got = project_coefficients(field, grid, basis)
         assert np.max(np.abs(got - coeffs)) < 1e-10
         # a_k = t c_k resums to sum_k (c_k + lambda_k t c_k) omega_k
