@@ -206,7 +206,7 @@ def write_observation(obs: ObservedData, scenario: ScenarioConfig, outdir: Path
         "noise_level": obs.noise_level,
         "seed": obs.seed,
         "node_count": trace.nodes.count,
-        "time_count": len(trace.times),
+        "time_count": len(trace.values),
         "flux_scale": float(np.max(np.abs(trace.values))),
     }
     meta_path = outdir / "observation_meta.json"
@@ -219,7 +219,12 @@ def _expected_nodes(scenario: ScenarioConfig):
 
 
 def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig]:
-    """Rebuild an observation from observation.csv + its sibling meta file."""
+    """Rebuild an observation from observation.csv + its sibling meta file.
+
+    The one check of a time axis: a row's t is read as the time
+    t_j = j dt of the scenario's axis, dt = final_time / recon_nt, that it
+    lies within 1e-10 dt of. The first row off the axis, off its node or
+    past the node count, in file order, is an InputError."""
     csv_path = Path(csv_path)
     meta_path = csv_path.with_name(csv_path.stem + "_meta.json")
     text = _read(csv_path, "observation file")
@@ -273,30 +278,37 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
         raise InputError("observation file holds no samples")
 
     nodes = _expected_nodes(scenario)
+    nt, final_time = scenario.recon_nt, scenario.final_time
     node_ids = np.array(ids)
     coords, t_col, v_col = numbers[:, :dom.dim], numbers[:, -2], numbers[:, -1]
     in_range = (node_ids >= 0) & (node_ids < nodes.count)
     expected = nodes.nodes[np.where(in_range, node_ids, 0).astype(np.intp)]
-    bad = ~in_range | (np.max(np.abs(coords - expected), axis=1) > 1e-9)
+    off_node = np.max(np.abs(coords - expected), axis=1) > 1e-9
+    dt = final_time / nt
+    step = np.rint(np.clip(t_col, 0.0, final_time) / dt).astype(np.intp)
+    off_axis = ~(np.abs(t_col - np.linspace(0.0, final_time, nt + 1)[step]) <= 1e-10 * dt)
+    bad = ~in_range | off_node | off_axis
     if bad.any():
         k = int(np.argmax(bad))
         b = ids[k]
         if not in_range[k]:
             raise InputError(f"node_id {b} out of range (0..{nodes.count - 1})")
-        raise InputError(f"node {b} coordinates {coords[k]} do not match the "
-                         f"expected boundary node {nodes.nodes[b]}")
-    times = np.unique(t_col)
-    flat = np.searchsorted(times, t_col) * nodes.count + node_ids
+        if off_node[k]:
+            raise InputError(f"node {b} coordinates {coords[k]} do not match the "
+                             f"expected boundary node {nodes.nodes[b]}")
+        raise InputError(f"observation row {row_lns[k]}: t = {_fmt(t_col[k])} is not "
+                         f"one of the times j * {final_time:g} / {nt}, j = 0..{nt}")
+    flat = step * nodes.count + node_ids
     # a (node, time) pair given twice keeps its last row
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    values = np.full((len(times), nodes.count), np.nan)
+    values = np.full((nt + 1, nodes.count), np.nan)
     values.flat[flat[last]] = v_col[last]
+    count = len(np.unique(step))
+    if count != nt + 1:
+        raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
     if np.any(~np.isfinite(values)):
         raise InputError("observation table does not cover all (node, time) pairs")
-    if len(times) != scenario.recon_nt + 1:
-        raise InputError(f"observation has {len(times)} time samples, "
-                         f"scenario expects {scenario.recon_nt + 1}")
-    flux = BoundaryTrace(nodes=nodes, times=times, values=values)
+    flux = BoundaryTrace(nodes=nodes, final_time=final_time, values=values)
     # the scenario's noise level and seed are the validated copies
     obs = ObservedData(domain=dom, phi=scenario.build_phi(), flux=flux,
                        noise_level=float(scenario.noise_level), seed=scenario.seed,

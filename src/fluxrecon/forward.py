@@ -127,10 +127,6 @@ def _check_rows(rows: np.ndarray, times: np.ndarray, m0: int) -> None:
     raise NumericalError(f"solver diverged at step {step} (t = {times[step]:g})")
 
 
-def _times(data: DirichletData, nt: int) -> np.ndarray:
-    return np.linspace(0.0, data.final_time, nt + 1)
-
-
 def _index(*axes):
     """axes as an index: numpy takes a bare slice faster than a 1-tuple."""
     return axes[0] if len(axes) == 1 else axes
@@ -211,7 +207,7 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     """
     dim = grid.domain.dim
     dt = data.final_time / nt
-    times = _times(data, nt)
+    times = np.linspace(0.0, data.final_time, nt + 1)
     solve = _step_solver(grid, dt)
     inner = (slice(1, -1),) * dim
     interior = _index(*inner)
@@ -294,7 +290,7 @@ def _field(grid: SpatialGrid, data: DirichletData, nt: int, blocks) -> SolutionF
     u = np.empty((nt + 1,) + grid.shape)
     for m0, rows in blocks:
         u[m0:m0 + len(rows)] = rows
-    return SolutionField(grid=grid, times=_times(data, nt), values=u)
+    return SolutionField(grid=grid, final_time=data.final_time, values=u)
 
 
 def solve_semilinear(grid: SpatialGrid, reaction: Nonlinearity, data: DirichletData,
@@ -347,7 +343,7 @@ def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) ->
     """
     if nodes is None:
         nodes = default_trace_nodes(field.grid)
-    return BoundaryTrace(nodes=nodes, times=field.times,
+    return BoundaryTrace(nodes=nodes, final_time=field.final_time,
                          values=_flux_stencil(field.grid, nodes)(field.values))
 
 
@@ -361,7 +357,7 @@ def march_flux(grid: SpatialGrid, reaction: Nonlinearity | None, data: Dirichlet
     for m0, rows in march(grid, reaction, data, nt):
         values[m0:m0 + len(rows)] = flux(rows)
         u_max = max(u_max, float(np.max(rows)))
-    return BoundaryTrace(nodes=nodes, times=_times(data, nt), values=values), u_max
+    return BoundaryTrace(nodes=nodes, final_time=data.final_time, values=values), u_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +365,7 @@ class ObservedData:
     """A synthetic measurement: known boundary data plus observed flux.
 
     f_label tags the generating reaction law for scoring; the
-    reconstruction path never reads it.
+    reconstruction path never reads it. The flux ends at phi's final time.
     """
 
     domain: DomainSpec
@@ -378,6 +374,11 @@ class ObservedData:
     noise_level: float
     seed: int
     f_label: str | None = None
+
+    def __post_init__(self):
+        if self.flux.final_time != self.phi.final_time:
+            raise InputError(f"flux final time {self.flux.final_time:g} differs from "
+                             f"the boundary data's {self.phi.final_time:g}")
 
 
 def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
@@ -410,7 +411,7 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
         scale = noise_level * float(np.max(np.abs(values)))
         values = values + rng.normal(0.0, scale, size=values.shape)
     stride = fine_nt // sub_nt
-    sub = BoundaryTrace(nodes=flux.nodes, times=flux.times[::stride],
+    sub = BoundaryTrace(nodes=flux.nodes, final_time=flux.final_time,
                         values=values[::stride])
     return ObservedData(domain=domain, phi=phi, flux=sub,
                         noise_level=noise_level, seed=seed,

@@ -122,17 +122,16 @@ def build_grid(domain: DomainSpec, n) -> SpatialGrid:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryNodeSet:
-    """Quadrature nodes on the boundary with outward normals.
+    """Quadrature nodes on the boundary, each on one side of the domain.
 
     For the interval these are the two endpoints with unit weight (the
     boundary integral is a two-point sum). For the rectangle each side
     carries m cell-midpoint nodes of weight side_length / m; corners are
-    excluded.
+    excluded. Side s lies on axis s // 2 (see SpatialGrid) and its
+    outward normal points down that axis for even s and up for odd s.
     """
 
-    domain: DomainSpec
     nodes: np.ndarray = field(repr=False)    # (nb, dim)
-    normals: np.ndarray = field(repr=False)  # (nb, dim)
     weights: np.ndarray = field(repr=False)  # (nb,)
     side: np.ndarray = field(repr=False)     # (nb,) side index, interval: 0 / 1
 
@@ -145,27 +144,14 @@ def boundary_nodes(domain: DomainSpec, m: int = 0) -> BoundaryNodeSet:
     """Boundary quadrature node set; m is the per-side node count (rectangle)."""
     if domain.kind is DomainKind.INTERVAL:
         L = domain.lengths[0]
-        nodes = np.array([[0.0], [L]])
-        normals = np.array([[-1.0], [1.0]])
-        weights = np.array([1.0, 1.0])
-        side = np.array([0, 1])
-        return BoundaryNodeSet(domain, nodes, normals, weights, side)
+        return BoundaryNodeSet(np.array([[0.0], [L]]), np.array([1.0, 1.0]), np.array([0, 1]))
     if m < 4:
         raise ConfigurationError(f"rectangle boundary needs m >= 4 nodes per side, got {m}")
     lx, ly = domain.lengths
     mids_x = (np.arange(m) + 0.5) * (lx / m)
     mids_y = (np.arange(m) + 0.5) * (ly / m)
-    chunks, norms, wts, sides = [], [], [], []
     # side order: x=0, x=lx, y=0, y=ly
-    for s, (pts, nrm, w) in enumerate([
-        (np.column_stack([np.zeros(m), mids_y]), (-1.0, 0.0), ly / m),
-        (np.column_stack([np.full(m, lx), mids_y]), (1.0, 0.0), ly / m),
-        (np.column_stack([mids_x, np.zeros(m)]), (0.0, -1.0), lx / m),
-        (np.column_stack([mids_x, np.full(m, ly)]), (0.0, 1.0), lx / m),
-    ]):
-        chunks.append(pts)
-        norms.append(np.tile(nrm, (m, 1)))
-        wts.append(np.full(m, w))
-        sides.append(np.full(m, s, dtype=int))
-    return BoundaryNodeSet(domain, np.vstack(chunks), np.vstack(norms),
-                           np.concatenate(wts), np.concatenate(sides))
+    chunks = [np.column_stack([np.zeros(m), mids_y]), np.column_stack([np.full(m, lx), mids_y]),
+              np.column_stack([mids_x, np.zeros(m)]), np.column_stack([mids_x, np.full(m, ly)])]
+    weights = np.repeat([ly / m, ly / m, lx / m, lx / m], m)
+    return BoundaryNodeSet(np.vstack(chunks), weights, np.repeat(np.arange(4), m))

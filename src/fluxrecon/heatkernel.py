@@ -25,7 +25,7 @@ axis's series tail below _TAIL_TOL^2 at the crossover itself and below
 _TAIL_TOL at half the crossover, where the two branches are compared.
 
 The boundary data functional (boundary_propagate_trace) is a lag
-operator: on a uniform time grid starting at 0 its sigma = sqrt(t - s)
+operator: on the time axis t_j = j dt of a trace its sigma = sqrt(t - s)
 panels depend only on the lag j - i, so the kernel is tabulated once
 per lag (nt * _GL_ORDER time gaps for every point/node pair) and the
 functional is a causal O(nt^2 * npts * nb) sum over lags. The table is
@@ -187,7 +187,8 @@ class KernelEvaluator:
             raise InputError(f"propagation time {t} outside data range [0, {g.final_time}]")
         if t <= 0:
             return 0.0
-        knots = g.times[g.times < t - 1e-14]
+        times = g.times
+        knots = times[times < t - 1e-14]
         knots = np.append(knots, t)
         sig_edges = np.sqrt(np.maximum(t - knots, 0.0))[::-1]  # ascending in sigma
         xi, wq = _GL_NODES, _GL_WEIGHTS
@@ -197,7 +198,7 @@ class KernelEvaluator:
         wall = (half[:, None] * wq[None, :]).ravel()
         s = t - sigma**2
         kv = self._block(self._point(x), g.nodes.nodes, sigma**2)[:, 0]   # (nsig, nb)
-        gv = np.stack([np.interp(s, g.times, g.values[:, b])
+        gv = np.stack([np.interp(s, times, g.values[:, b])
                        for b in range(g.nodes.count)], axis=1)
         return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
 
@@ -217,20 +218,14 @@ class KernelEvaluator:
 
         Cost: nt * _GL_ORDER kernel evaluations per (point, node) pair,
         tabulated _LAG_BLOCK lags at a time, plus an O(nt^2 * npts * nb)
-        causal sum. Raises InputError unless the time grid of g is uniform
-        and starts at 0.
+        causal sum.
         """
         pts = np.asarray(points, dtype=float)
-        times = g.times
-        nt = len(times) - 1
-        if times[0] != 0.0:
-            raise InputError(f"lag operator needs a time grid starting at 0, got {times[0]}")
+        nt = len(g.values) - 1
         out = np.zeros((nt + 1, len(pts)))
         if nt == 0:
             return out
-        dt = float(times[-1]) / nt
-        if not (dt > 0 and np.max(np.abs(times - dt * np.arange(nt + 1))) <= 1e-10 * dt):
-            raise InputError("lag operator needs a uniform time grid")
+        dt = g.dt
 
         sig_edges = np.sqrt(np.arange(nt + 1) * dt)
         xi, wq = _GL_NODES, _GL_WEIGHTS

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError
 
 
 def trapezoid_weights(n: int, length: float) -> np.ndarray:
@@ -46,36 +46,31 @@ def _exp_step_weights(lam: np.ndarray, dt: float):
     return E, A, B
 
 
-def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def exp_convolve(lam: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
     """Exact convolution of piecewise-linear coefficients against exp decay.
 
     Returns p with p[j, k] = int_0^{t_j} exp(-lam_k (t_j - s)) c_k(s) ds
-    where c_k is the linear interpolant of coeffs[:, k] on `times`.
+    where c_k is the linear interpolant of coeffs[:, k] on t_j = j dt.
     Exact for data that is piecewise linear in s, which makes it an
     exponentially-weighted trapezoid rule (plain trapezoid at lam = 0).
 
     Parameters
     ----------
     lam : (K,) nonnegative decay rates.
-    times : (nt+1,) uniformly spaced sample times, else InputError; the
-        step weights are computed once, from the first step.
+    dt : the time step of the samples.
     coeffs : (nt+1, K) coefficient samples.
     """
     lam = np.asarray(lam, dtype=float)
-    times = np.asarray(times, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    nt = len(times) - 1
+    nt = len(coeffs) - 1
     p = np.zeros_like(coeffs)
     if nt < 1:
         return p
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
-        raise InputError("exp_convolve needs a uniform time grid")
-    E, A, B = _exp_step_weights(lam, float(dts[0]))
+    E, A, B = _exp_step_weights(lam, dt)
     # the two data terms of every step at once; the loop adds them in the
     # order of E p[j] + c[j] A + b[j] B, so it rounds as that expression
     head = coeffs[:-1] * A
-    slope = (coeffs[1:] - coeffs[:-1]) / dts[:, None] * B
+    slope = (coeffs[1:] - coeffs[:-1]) / dt * B
     for j in range(nt):
         row = np.multiply(E, p[j], out=p[j + 1])
         row += head[j]
@@ -83,16 +78,16 @@ def exp_convolve(lam: np.ndarray, times: np.ndarray, coeffs: np.ndarray) -> np.n
     return p
 
 
-def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) -> np.ndarray:
+def sliding_derivative(dt: float, values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Least-squares quadratic sliding-window derivative along axis 0.
 
-    Fits a quadratic to each window of w = 2*halfwidth + 1 uniformly
-    spaced samples (Savitzky and Golay, Anal. Chem. 36, 1964) and takes
-    its slope at the window's centre; the first and last halfwidth samples
-    take the slope of the first and last window's fit at their own place.
-    On the window offsets t = -h..h, with S2 = sum t^2 and S4 = sum t^4,
-    the fit on the orthogonal basis 1, t, t^2 - S2/w has the slope D[p] @ x
-    at offset t_p, with
+    Fits a quadratic to each window of w = 2*halfwidth + 1 samples, dt
+    apart (Savitzky and Golay, Anal. Chem. 36, 1964) and takes its slope
+    at the window's centre; the first and last halfwidth samples take the
+    slope of the first and last window's fit at their own place. On the
+    window offsets t = -h..h, with S2 = sum t^2 and S4 = sum t^4, the fit
+    on the orthogonal basis 1, t, t^2 - S2/w has the slope D[p] @ x at
+    offset t_p, with
 
         D[p, j] = (t_j / S2 + 2 t_p (t_j^2 - S2/w) / (S4 - S2^2/w)) / dt.
 
@@ -101,20 +96,16 @@ def sliding_derivative(times: np.ndarray, values: np.ndarray, halfwidth: int) ->
     to rounding; SciPy's signal subpackage is not used because importing
     it loads some 380 more modules.
     """
-    times = np.asarray(times, dtype=float)
     if halfwidth < 1:
         raise ConfigurationError("derivative halfwidth must be >= 1")
+    values = np.asarray(values, dtype=float)
     h, window = halfwidth, 2 * halfwidth + 1
-    if window > len(times):
+    if window > len(values):
         raise ConfigurationError(
-            f"derivative window {window} exceeds {len(times)} time samples")
-    dts = np.diff(times)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError("sliding derivative requires a uniform time grid")
+            f"derivative window {window} exceeds {len(values)} time samples")
     t = np.arange(-h, h + 1, dtype=float)
     s2, s4 = np.sum(t * t), np.sum(t ** 4)
-    taps = (t / s2 + 2.0 * np.outer(t, t * t - s2 / window) / (s4 - s2 * s2 / window)) / dts[0]
-    values = np.asarray(values, dtype=float)
+    taps = (t / s2 + 2.0 * np.outer(t, t * t - s2 / window) / (s4 - s2 * s2 / window)) / dt
     x = values.reshape(len(values), -1)
     out = np.empty_like(x)
     out[:h] = taps[:h] @ x[:window]

@@ -82,17 +82,14 @@ def flux_difference(obs: ObservedData, grid: SpatialGrid,
     (4 F_2n - F_n) / 3; v_phi depends only on the known phi, and the
     synthesis grid is never used.
     """
-    nt = len(obs.flux.times) - 1
+    nt = len(obs.flux.values) - 1
     if v_phi is None:
         v_phi = solve_linear_heat(grid, obs.phi, nt)
-    if not np.allclose(v_phi.times, obs.flux.times, rtol=0.0, atol=1e-12):
-        raise InputError("observation time grid is not the uniform grid on "
-                         f"[0, {obs.phi.final_time}] with {nt} steps")
     fine = build_grid(obs.domain, tuple(2 * n for n in grid.n))
     coarse_flux = neumann_trace(v_phi, obs.flux.nodes).values
     fine_flux = march_flux(fine, None, obs.phi, nt, obs.flux.nodes)[0].values
     v_flux = (4.0 * fine_flux - coarse_flux) / 3.0
-    return BoundaryTrace(nodes=obs.flux.nodes, times=obs.flux.times,
+    return BoundaryTrace(nodes=obs.flux.nodes, final_time=obs.flux.final_time,
                          values=obs.flux.values - v_flux)
 
 
@@ -102,7 +99,7 @@ def compute_data_functional(gap: BoundaryTrace, kernel: KernelEvaluator) -> Boun
         a(x, t) = int_0^t int_bnd U(x, t; y, s) g(y, s) dS(y) ds.
     """
     values = kernel.boundary_propagate_trace(gap, gap.nodes.nodes)
-    return BoundaryTrace(nodes=gap.nodes, times=gap.times, values=values)
+    return BoundaryTrace(nodes=gap.nodes, final_time=gap.final_time, values=values)
 
 
 # -- extensions --------------------------------------------------------
@@ -210,7 +207,8 @@ def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
             f"unknown extension {method!r}, expected one of {EXTENSIONS}")
     if shape is not None:
         at_nodes = shape[(slice(None), *grid.indices(a.nodes.nodes))]
-        rest = BoundaryTrace(nodes=a.nodes, times=a.times, values=a.values - at_nodes)
+        rest = BoundaryTrace(nodes=a.nodes, final_time=a.final_time,
+                             values=a.values - at_nodes)
         return shape + extend_boundary_data(rest, grid, method)
     if grid.domain.kind is DomainKind.INTERVAL:
         return _interval_extension(a, grid, method)
@@ -229,23 +227,30 @@ def project_coefficients(extended: np.ndarray, grid: SpatialGrid,
     return basis.project(grid, extended)
 
 
-def differentiate_coefficients(times: np.ndarray, coeffs: np.ndarray,
-                               halfwidth: int) -> np.ndarray:
-    """Sliding-window least-squares time derivatives of the coefficients."""
-    return sliding_derivative(times, coeffs, halfwidth)
+def differentiate_coefficients(dt: float, coeffs: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Sliding-window least-squares time derivatives of the coefficients
+    sampled at time step dt."""
+    return sliding_derivative(dt, coeffs, halfwidth)
 
 
 def assemble_series(coeffs: np.ndarray, derivs: np.ndarray, basis: EigenBasis,
                     points: np.ndarray) -> np.ndarray:
-    """F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x); (nt+1, npts)."""
-    combo = derivs + coeffs * basis.lambdas[None, :]
+    """F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x); (nt+1, npts).
+    NumericalError when a sample of F is not finite, as when lambda_k a_k
+    overflows on a tiny domain."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return combo @ basis.values_at(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = (derivs + coeffs * basis.lambdas[None, :]) @ basis.values_at(pts)
+    bad = int(np.sum(~np.isfinite(series)))
+    if bad:
+        raise NumericalError(f"the modal series F(x, s) overflows: {bad} of its "
+                             f"{series.size} samples are not finite")
+    return series
 
 
-def volterra_blocks(grid: SpatialGrid, times: np.ndarray, blocks, reaction: Nonlinearity,
+def volterra_blocks(grid: SpatialGrid, dt: float, blocks, reaction: Nonlinearity,
                     basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:
     """Oracle modal data from a known interior state: source coefficients
     c_k(s) = (f(u(s)), omega_k) and their Volterra responses
@@ -254,17 +259,18 @@ def volterra_blocks(grid: SpatialGrid, times: np.ndarray, blocks, reaction: Nonl
 
     computed by the exponentially-weighted trapezoid rule (exact for
     piecewise-linear c_k), both (nt+1, K). The state u on the grid at the
-    times comes in blocks (m0, rows) of `march`, rows = u[m0 : m0 + len(rows)],
-    where row 0 of every block after the first repeats the last row before
-    it; each block is projected as it comes, so no field is kept.
+    times j dt comes in blocks (m0, rows) of `march`, rows =
+    u[m0 : m0 + len(rows)], where row 0 of every block after the first
+    repeats the last row before it; each block is projected as it comes,
+    so no field is kept.
     """
     modes = basis.quadrature_modes(grid).T
-    source = np.empty((len(times), basis.size))
+    parts = []
     for m0, rows in blocks:
-        first = 1 if m0 else 0  # row 0 of a later block is the block before's last
-        fu = reaction.fn(rows[first:])
-        source[m0 + first:m0 + len(rows)] = fu.reshape(len(fu), -1) @ modes
-    return source, exp_convolve(basis.lambdas, times, source)
+        fu = reaction.fn(rows[1:] if m0 else rows)  # a later block's row 0 is already in
+        parts.append(fu.reshape(len(fu), -1) @ modes)
+    source = np.concatenate(parts)
+    return source, exp_convolve(basis.lambdas, dt, source)
 
 
 def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
@@ -273,7 +279,7 @@ def volterra_oracle(u: SolutionField, reaction: Nonlinearity, basis: EigenBasis
     state u this is an oracle the inverse problem cannot run, since u is
     not observed; on the reaction-free state v_phi with a curve estimate
     it gives the interior shape of reaction_free_response."""
-    return volterra_blocks(u.grid, u.times, [(0, u.values)], reaction, basis)
+    return volterra_blocks(u.grid, u.dt, [(0, u.values)], reaction, basis)
 
 
 # -- curve aggregation -------------------------------------------------
@@ -297,7 +303,7 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray) -> CurveEst
     if len(phi) < 3 * _BINS or pmax <= 0:
         raise NumericalError(
             f"degenerate sample set for curve fitting ({len(phi)} samples, "
-            f"max phi {pmax:g})")
+            f"{int(np.sum(~ok))} dropped as non-finite, max phi {pmax:g})")
     edges = np.linspace(0.0, pmax, _BINS + 1)
     idx = np.clip(np.digitize(phi, edges) - 1, 0, _BINS - 1)
     knots, meds, counts, spreads = [0.0], [0.0], [0.0], [0.0]
@@ -355,7 +361,7 @@ def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis, method: st
               shape: np.ndarray | None = None):
     extended = extend_boundary_data(a, grid, method, shape)
     coeffs = project_coefficients(extended, grid, basis)
-    derivs = differentiate_coefficients(a.times, coeffs, _DIFF_HALFWIDTH)
+    derivs = differentiate_coefficients(a.dt, coeffs, _DIFF_HALFWIDTH)
     return coeffs, assemble_series(coeffs, derivs, basis, a.nodes.nodes)
 
 
@@ -390,7 +396,7 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     caller's business.
     """
     grid = build_grid(obs.domain, config.grid_n)
-    v_phi = solve_linear_heat(grid, obs.phi, len(obs.flux.times) - 1)
+    v_phi = solve_linear_heat(grid, obs.phi, len(obs.flux.values) - 1)
     gap = flux_difference(obs, grid, v_phi)
     kernel = KernelEvaluator(obs.domain)
     functional = compute_data_functional(gap, kernel)

@@ -131,7 +131,7 @@ def test_criterion_06_exact_extension_consistency():
     basis = make_basis(domain, 16)
     _, p = volterra_oracle(u, reaction, basis)
     nodes = default_trace_nodes(grid)
-    series_vals = assemble_series(p, differentiate_coefficients(u.times, p, halfwidth=2),
+    series_vals = assemble_series(p, differentiate_coefficients(u.dt, p, halfwidth=2),
                                   basis, nodes.nodes)
     phi_vals = np.array([phi(nodes.nodes, t) for t in u.times])
 

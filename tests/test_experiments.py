@@ -32,6 +32,44 @@ def cheap_obs(tmp_path_factory):
     return scenario, csv_text, meta_text
 
 
+@pytest.fixture(scope="module")
+def axis_obs(tmp_path_factory):
+    """The cheap observation on linear_interval's time axis of 256 steps,
+    where the loader reads a t within 1e-10 dt = 3.9e-13 of an axis time."""
+    outdir = tmp_path_factory.mktemp("axis")
+    scenario = ScenarioConfig(**dict(CHEAP, recon_nt=256))
+    run_synthesize(scenario, outdir)
+    return (scenario, (outdir / "observation.csv").read_text(),
+            (outdir / "observation_meta.json").read_text())
+
+
+def _edit_rows(csv_text, edits):
+    """csv_text with its data rows edited: row ln (the header is row 1)
+    loses its value for None, gets node_id 9 for "node", node 0 at 0.5 for
+    "coord", its t moved by the number for ("t", number), and else the
+    given text as its value."""
+    lines = csv_text.splitlines()
+    data_start = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("node_id"))
+    for row, edit in edits.items():
+        fields = lines[data_start + row - 2].split(",")
+        if edit is None:
+            fields = fields[:-1]
+        elif edit == "node":
+            fields[0] = "9"
+        elif edit == "coord":
+            fields[0], fields[1] = "0", "0.5"
+        elif isinstance(edit, tuple):
+            fields[-2] = _fmt(float(fields[-2]) + edit[1])
+        else:
+            fields[-1] = edit
+        lines[data_start + row - 2] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+# rows of the t = 0 and t = 0.5 samples of both nodes on the 256-step axis
+T0_ROWS, T_HALF_ROWS = (2, 259), (130, 387)
+
+
 def _write_pair(d, csv_text, meta_text):
     d.mkdir(exist_ok=True)
     (d / "observation.csv").write_text(csv_text)
@@ -216,27 +254,49 @@ class TestObservationIO:
         ({3: "node", 6: None}, "malformed observation row 6"),
         ({3: "node", 5: "coord"}, "node_id 9 out of range"),
         ({3: "coord", 5: "node"}, "node 0 coordinates"),
+        (dict.fromkeys(T_HALF_ROWS, ("t", 5e-13)),
+         r"observation row 130: t = 0\.5000000000005\d* is not one of the times"),
+        (dict.fromkeys(T_HALF_ROWS, ("t", 5e-12)),
+         r"observation row 130: t = 0\.500000000005\d* is not one of the times"),
+        ({4: "coord", 130: ("t", 5e-12)}, "node 0 coordinates"),
+        ({130: ("t", 5e-12), 131: "node"}, "observation row 130"),
+        ({3: ("t", -1.0)}, r"observation row 3: t = -0\.99609375 is not one"),
+        ({258: ("t", 1.0)}, r"observation row 258: t = 2 is not one"),
     ])
-    def test_first_bad_row_is_reported(self, cheap_obs, tmp_path, edits, message):
+    def test_first_bad_row_is_reported(self, axis_obs, tmp_path, edits, message):
         # several bad rows: the error names the first one in file order;
-        # a row that does not parse is reported before any node check
-        _, csv_text, meta_text = cheap_obs
-        lines = csv_text.splitlines()
-        data_start = 1 + next(i for i, ln in enumerate(lines) if ln.startswith("node_id"))
-        for row, edit in edits.items():
-            fields = lines[data_start + row - 2].split(",")
-            if edit is None:
-                fields = fields[:-1]
-            elif edit == "node":
-                fields[0] = "9"
-            elif edit == "coord":
-                fields[0], fields[1] = "0", "0.5"
-            else:
-                fields[-1] = edit
-            lines[data_start + row - 2] = ",".join(fields)
-        path = _write_pair(tmp_path / "d", "\n".join(lines) + "\n", meta_text)
+        # a row that does not parse is reported before any node or time check
+        _, csv_text, meta_text = axis_obs
+        path = _write_pair(tmp_path / "d", _edit_rows(csv_text, edits), meta_text)
         with pytest.raises(InputError, match=message):
             load_observation(path)
+
+    def test_time_within_the_tolerance_is_the_axis_time(self, axis_obs, tmp_path):
+        # t = 1e-13 on the t = 0 rows is read as t = 0: the loaded flux and
+        # the reconstruction are those of the unperturbed file
+        _, csv_text, meta_text = axis_obs
+        nudged = _edit_rows(csv_text, dict.fromkeys(T0_ROWS, ("t", 1e-13)))
+        assert nudged != csv_text
+        runs = []
+        for name, text in (("plain", csv_text), ("nudged", nudged)):
+            path = _write_pair(tmp_path / name, text, meta_text)
+            obs, _ = load_observation(path)
+            run_reconstruct(path, tmp_path / name)
+            runs.append((obs.flux.values.tobytes(), [(tmp_path / name / f).read_bytes()
+                                                     for f in ("curve.csv", "diagnostics.json")]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("offset", [5e-13, 5e-12])
+    def test_time_off_the_axis_exits_2_naming_the_row(self, axis_obs, tmp_path, capsys,
+                                                      offset):
+        _, csv_text, meta_text = axis_obs
+        path = _write_pair(tmp_path / "d", _edit_rows(
+            csv_text, dict.fromkeys(T_HALF_ROWS, ("t", offset))), meta_text)
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: observation row 130: t = \S+ is not one of the times "
+                            r"j \* 1 / 256, j = 0\.\.256\n", err), err
 
     def test_node_id_out_of_range(self, cheap_obs, tmp_path):
         _, csv_text, meta_text = cheap_obs
@@ -327,6 +387,20 @@ class TestRunners:
             assert json.loads((d / "observation_meta.json").read_text())["seed"] == seed
         assert texts[0] != texts[1]
 
+    def test_horizon_that_is_not_a_binary_fraction(self, tmp_path):
+        # at T = 0.7 the steps of linspace(0, T, 101) differ from T / 100 by
+        # rounding; the file's t column is the axis, read back exactly, and
+        # the curve is as accurate as on the unit horizon
+        scenario = ScenarioConfig(**dict(CHEAP, final_time=0.7, fine_nt=400, recon_nt=100))
+        run_synthesize(scenario, tmp_path)
+        axis = np.linspace(0.0, 0.7, 101)
+        t_col = np.loadtxt(tmp_path / "observation.csv", delimiter=",", skiprows=2)[:, 2]
+        assert np.array_equal(t_col, np.tile(axis, 2))
+        obs, _ = load_observation(tmp_path / "observation.csv")
+        assert obs.flux.final_time == 0.7 and np.array_equal(obs.flux.times, axis)
+        run_reconstruct(tmp_path / "observation.csv", tmp_path)
+        assert json.loads((tmp_path / "metrics.json").read_text())["rel_sup_error"] < 0.1
+
     def test_l2_error_does_not_overflow(self, tmp_path):
         # diff ** 2 overflows once the error passes ~1e154. An amplitude that
         # is a power of two scales every stage exactly, so the error is the
@@ -389,6 +463,23 @@ class TestCli:
         assert out.returncode == 3
         assert re.fullmatch(r"numerical failure: solver diverged at step \d+ "
                             r"\(t = [0-9.]+(e[+-][0-9]+)?\)\n", out.stderr), out.stderr
+
+    def test_overflowing_series_prints_only_its_error(self, tmp_path, src_env):
+        # on a domain of length 1e-140, lambda_k a_k overflows in the modal
+        # series; numpy's warnings stay out of stderr
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        scenario = json.loads((configs / "linear_interval.json").read_text())
+        scenario["lengths"] = [1e-140]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(scenario))
+        run = tmp_path / "run"
+        assert main(["synthesize", "--config", str(path), "--out", str(run)]) == 0
+        out = subprocess.run([sys.executable, "-m", "fluxrecon.cli", "reconstruct",
+                              "--observation", str(run / "observation.csv"), "--out", str(run)],
+                             env=src_env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 3
+        assert re.fullmatch(r"numerical failure: the modal series F\(x, s\) overflows: "
+                            r"\d+ of its \d+ samples are not finite\n", out.stderr), out.stderr
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import get_lapack_funcs
 
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
-from fluxrecon.fields import SolutionField
+from fluxrecon.fields import BoundaryTrace, SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
                                march, march_flux, neumann_trace, rect_sine_solver,
                                solve_linear_heat, solve_semilinear, synthesize_observation)
@@ -589,9 +590,7 @@ class TestNeumannTrace:
     def test_exact_on_quadratics_1d(self):
         grid = build_grid(interval(), 16)
         x = grid.axes[0]
-        times = np.linspace(0.0, 1.0, 3)
-        field = SolutionField(grid=grid, times=times,
-                              values=np.tile(x**2, (3, 1)))
+        field = SolutionField(grid=grid, final_time=1.0, values=np.tile(x**2, (3, 1)))
         trace = neumann_trace(field)
         # outward derivative of x^2: 0 at x=0 (normal -1), 2 at x=1
         assert np.max(np.abs(trace.values[:, 0] - 0.0)) < 1e-12
@@ -600,20 +599,17 @@ class TestNeumannTrace:
     def test_exact_on_quadratics_2d(self):
         grid = build_grid(rectangle(), 8)
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
-        times = np.linspace(0.0, 1.0, 2)
-        field = SolutionField(grid=grid, times=times,
+        field = SolutionField(grid=grid, final_time=1.0,
                               values=np.tile(X**2 + Y**2, (2, 1, 1)))
         trace = neumann_trace(field)
         nodes = trace.nodes
         # d_nu (x^2 + y^2) = 2 x nu_x + 2 y nu_y at each node
-        exact = 2.0 * np.sum(nodes.nodes * nodes.normals, axis=1)
+        exact = 2.0 * np.sum(nodes.nodes * _outward_normals(nodes), axis=1)
         assert np.max(np.abs(trace.values - exact)) < 1e-11
 
     def test_rejects_misaligned_nodes(self):
         grid = build_grid(rectangle(), 8)
-        times = np.linspace(0.0, 1.0, 2)
-        field = SolutionField(grid=grid, times=times,
-                              values=np.zeros((2,) + grid.shape))
+        field = SolutionField(grid=grid, final_time=1.0, values=np.zeros((2,) + grid.shape))
         # m=6 midpoints fall between the n=8 grid lines
         with pytest.raises(InputError):
             neumann_trace(field, boundary_nodes(rectangle(), m=6))
@@ -628,8 +624,7 @@ class TestNeumannTrace:
         (rectangle(0.9, 1.3), 16, 8)])
     def test_equals_the_per_node_loop(self, domain, n, m, rng):
         grid = build_grid(domain, n)
-        times = np.linspace(0.0, 1.0, 5)
-        field = SolutionField(grid=grid, times=times,
+        field = SolutionField(grid=grid, final_time=1.0,
                               values=rng.standard_normal((5,) + grid.shape))
         nodes = boundary_nodes(domain, m)
         got = neumann_trace(field, nodes).values
@@ -655,18 +650,25 @@ class TestMarchFlux:
         else:
             u = solve_semilinear(grid, reaction, phi, 130)
         trace, u_max = march_flux(grid, reaction, phi, 130, nodes)
-        assert np.array_equal(trace.times, u.times)
+        assert trace.final_time == u.final_time and len(trace.values) == len(u.values)
         assert np.array_equal(trace.values, neumann_trace(u, nodes).values)
         assert u_max == np.max(u.values)
+
+
+def _outward_normals(nodes):
+    """The unit outward normal of each node from its side: along axis
+    side // 2, down for an even side and up for an odd one."""
+    normals = np.zeros_like(nodes.nodes)
+    normals[np.arange(nodes.count), nodes.side // 2] = 2 * (nodes.side % 2) - 1
+    return normals
 
 
 def _reference_neumann_trace(field, nodes):
     """neumann_trace node by node: the normal axis from the normal, the
     tangential node from its coordinate."""
     grid = field.grid
-    out = np.empty((len(field.times), nodes.count))
-    for b in range(nodes.count):
-        pt, nrm = nodes.nodes[b], nodes.normals[b]
+    out = np.empty((len(field.values), nodes.count))
+    for b, (pt, nrm) in enumerate(zip(nodes.nodes, _outward_normals(nodes))):
         d = int(np.argmax(np.abs(nrm)))
         h = grid.h[d]
         if grid.domain.dim == 1:
@@ -687,7 +689,7 @@ def _reference_residual(u, v, reaction):
     """difference_residual over the whole field at once."""
     grid = u.grid
     w = u.values - v.values
-    dt = float(u.times[1] - u.times[0])
+    dt = u.dt
     wt = (w[2:] - w[:-2]) / (2.0 * dt)
     if grid.domain.dim == 1:
         h = grid.h[0]
@@ -830,6 +832,15 @@ class TestSynthesize:
         assert len(obs.flux.times) == 33
         assert obs.flux.times[-1] == 1.0
         assert obs.f_label == "linear"
+
+    def test_flux_and_boundary_data_share_the_final_time(self):
+        dom = interval()
+        obs = synthesize_observation(dom, make_reaction({"family": "linear"}),
+                                     _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32)
+        late = BoundaryTrace(nodes=obs.flux.nodes, final_time=2.0, values=obs.flux.values)
+        with pytest.raises(InputError, match="flux final time 2 differs from the "
+                                             "boundary data's 1"):
+            replace(obs, flux=late)
 
     def test_rejects_non_divisible_subsampling(self):
         dom = interval()

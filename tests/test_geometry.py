@@ -68,12 +68,20 @@ class TestGrids:
             build_grid(DomainSpec(kind, lengths), MIN_CELLS)
 
 
+def _outward_normals(nodes):
+    """The unit outward normal of each node from its side: along axis
+    side // 2, down for an even side and up for an odd one."""
+    normals = np.zeros_like(nodes.nodes)
+    normals[np.arange(nodes.count), nodes.side // 2] = 2 * (nodes.side % 2) - 1
+    return normals
+
+
 class TestBoundaryNodes:
     def test_interval_endpoints(self):
         nodes = boundary_nodes(interval(2.0))
         assert nodes.count == 2
         assert np.allclose(nodes.nodes, [[0.0], [2.0]])
-        assert np.allclose(nodes.normals, [[-1.0], [1.0]])
+        assert np.allclose(_outward_normals(nodes), [[-1.0], [1.0]])
         assert np.allclose(nodes.weights, [1.0, 1.0])
         assert nodes.side.tolist() == [0, 1]
 
@@ -97,9 +105,16 @@ class TestBoundaryNodes:
         assert np.isclose(np.sum(nodes.weights), 6.0)
 
     def test_rectangle_normals_outward(self):
-        nodes = boundary_nodes(rectangle(), m=4)
-        assert np.allclose(nodes.normals[nodes.side == 1], [1.0, 0.0])
-        assert np.allclose(nodes.normals[nodes.side == 2], [0.0, -1.0])
+        # a step along the normal of its side leaves the domain, a step
+        # against it enters
+        dom = rectangle(1.0, 2.0)
+        nodes = boundary_nodes(dom, m=4)
+        normals = _outward_normals(nodes)
+        assert np.allclose(normals[nodes.side == 1], [1.0, 0.0])
+        assert np.allclose(normals[nodes.side == 2], [0.0, -1.0])
+        for sign, inside in ((1.0, False), (-1.0, True)):
+            pts = nodes.nodes + sign * 0.1 * normals
+            assert np.all(np.all((pts > 0.0) & (pts < dom.lengths), axis=1) == inside)
 
     def test_rectangle_rejects_few_nodes(self):
         with pytest.raises(ConfigurationError):

@@ -101,7 +101,7 @@ class TestBoundaryPropagate:
         nodes = boundary_nodes(interval())
         times = np.linspace(0.0, 1.0, nt + 1)
         values = np.stack([fn(times), fn(times)], axis=1)
-        return BoundaryTrace(nodes=nodes, times=times, values=values)
+        return BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
 
     def _oracle(self, ev, g, x, t):
         # independent adaptive quadrature in sigma = sqrt(t - s)
@@ -151,7 +151,7 @@ class TestBoundaryPropagate:
         times = np.linspace(0.0, 1.0, nt + 1)
         rng = np.random.default_rng(7)
         values = times[:, None] * (1.0 + 0.1 * rng.standard_normal((nt + 1, nodes.count)))
-        g = BoundaryTrace(nodes=nodes, times=times, values=values)
+        g = BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
         got = ev.boundary_propagate_trace(g, nodes.nodes)
         ref = np.array([[ev.boundary_propagate(g, p, float(t)) for p in nodes.nodes]
                         for t in times])
@@ -161,8 +161,7 @@ class TestBoundaryPropagate:
     @staticmethod
     def _one_table_trace(ev, g, pts):
         """The lag operator with the kernel of every lag from one _block call."""
-        nt = len(g.times) - 1
-        dt = float(g.times[-1]) / nt
+        nt, dt = len(g.values) - 1, g.dt
         sig_edges = np.sqrt(np.arange(nt + 1) * dt)
         xi, wq = _GL_NODES, _GL_WEIGHTS
         half = 0.5 * np.diff(sig_edges)[:, None]
@@ -205,23 +204,9 @@ class TestBoundaryPropagate:
             tracemalloc.stop()
         assert peak < 5e6
 
-    def test_trace_rejects_nonuniform_grid(self, ev):
-        g = self._trace(lambda ts: ts, nt=8)
-        times = g.times.copy()
-        times[3] += 0.01
-        bent = BoundaryTrace(nodes=g.nodes, times=times, values=g.values)
-        with pytest.raises(InputError, match="uniform"):
-            ev.boundary_propagate_trace(bent, g.nodes.nodes)
-
-    def test_trace_rejects_grid_not_starting_at_zero(self, ev):
-        g = self._trace(lambda ts: ts, nt=8)
-        shifted = BoundaryTrace(nodes=g.nodes, times=g.times + 0.5, values=g.values)
-        with pytest.raises(InputError, match="starting at 0"):
-            ev.boundary_propagate_trace(shifted, g.nodes.nodes)
-
     def test_trace_single_sample(self, ev):
         nodes = boundary_nodes(interval())
-        g = BoundaryTrace(nodes=nodes, times=np.array([0.0]), values=np.ones((1, 2)))
+        g = BoundaryTrace(nodes=nodes, final_time=1.0, values=np.ones((1, 2)))
         out = ev.boundary_propagate_trace(g, np.array([[0.0], [0.5], [1.0]]))
         assert out.shape == (1, 3)
         assert np.all(out == 0.0)
