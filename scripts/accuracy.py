@@ -8,7 +8,8 @@ The matrix has 40 cases:
 Each case runs synthesize and reconstruct in a temporary directory with
 compare_extensions on. It records the errors of the paper's curve against
 the true law on the trusted band (rel_sup_error is null for the zero law)
-and the sup discrepancy of the two extensions. Values keep 6 significant
+and the sup discrepancy of the two extensions, written as 0 below
+1e-9 x curve_sup, where it is rounding noise. Values keep 6 significant
 digits, which is all an accuracy comparison reads and keeps the file from
 moving with last-bit rounding; keys are sorted and no timing is kept, so
 two runs print the same bytes. The output is committed at the repo root
@@ -35,6 +36,9 @@ PHIS = {"ramp": {"family": "ramp", "profile": "const", "amplitude": 1.0},
 NOISE_LEVELS = (0.005, 0.01, 0.02)
 SEEDS = (0, 1, 2)
 PAPER_KEYS = ("rel_sup_error", "sup_error", "l2_error", "curve_sup")
+# a discrepancy below this fraction of curve_sup is rounding noise between two
+# extensions that agree; its digits vary between hosts, so it is written as 0
+DISCREPANCY_FLOOR = 1e-9
 
 
 def cases() -> dict[str, ScenarioConfig]:
@@ -59,8 +63,11 @@ def run_case(scenario: ScenarioConfig) -> dict:
         paths = run_reconstruct(run_synthesize(scenario, Path(tmp))["observation"], Path(tmp))
         metrics = json.loads(Path(paths["metrics"]).read_text())
         diag = json.loads(Path(paths["diagnostics"]).read_text())["diagnostics"]
+    discrepancy = diag["extension_discrepancy"]
+    if discrepancy < DISCREPANCY_FLOOR * metrics["curve_sup"]:
+        discrepancy = 0.0
     return {"paper": {key: _round(metrics[key]) for key in PAPER_KEYS},
-            "extension_discrepancy": _round(diag["extension_discrepancy"])}
+            "extension_discrepancy": _round(discrepancy)}
 
 
 def main() -> int:

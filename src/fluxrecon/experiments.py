@@ -303,7 +303,8 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     values = np.full((nt + 1, nodes.count), np.nan)
     values.flat[flat[last]] = v_col[last]
-    count = len(np.unique(step))
+    # a plain np.unique(step) would import numpy.ma, which nothing else loads
+    count = np.count_nonzero(np.bincount(step))
     if count != nt + 1:
         raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
     if np.any(~np.isfinite(values)):

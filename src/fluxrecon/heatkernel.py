@@ -18,6 +18,9 @@ _IMAGE_COUNT = 5 images on each side, _GL_ORDER = 4 Gauss points per
 sigma panel and _MASS_CELLS = 1024 trapezoid cells per axis in `mass`.
 These are constants because the data functional needs the kernel only
 to rounding accuracy, which these values give, and no run needs others.
+The Gauss rule is written out as literal nodes and weights, bit-equal to
+numpy's `polynomial.legendre.leggauss(4)`, whose import loads the
+`numpy.polynomial` subpackage and whose call runs an eigensolve.
 The crossover is 2 ln(1/_TAIL_TOL) / lambda_top with _TAIL_TOL = 1e-12
 and lambda_top = ((_K_MAX - 1) pi / L)^2 of the longest axis, the
 smallest top eigenvalue over the axes. It keeps every
@@ -54,8 +57,11 @@ _MODE_CUTOFF = 60.0
 _K_MAX = 200
 _TAIL_TOL = 1e-12
 _IMAGE_COUNT = 5
-_GL_ORDER = 4
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+_GL_NODES = np.array([-0.8611363115940526, -0.33998104358485626,
+                      0.33998104358485626, 0.8611363115940526])
+_GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                        0.6521451548625464, 0.34785484513745357])
+_GL_ORDER = len(_GL_NODES)
 _MASS_CELLS = 1024
 # lags per kernel table of boundary_propagate_trace
 _LAG_BLOCK = 256

@@ -114,6 +114,27 @@ def sliding_derivative(dt: float, values: np.ndarray, halfwidth: int) -> np.ndar
     return out.reshape(values.shape)
 
 
+def quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """Quantiles qs of a 1-d sample by numpy's default linear rule, bit for bit.
+
+    Follows np.quantile's steps, whose import of `numpy.ma` this avoids: the
+    virtual index v = (n - 1) q, one partition of a copy at its neighbours and
+    both ends, then a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5. Like
+    numpy, a top index (v >= n - 1) reads the last value on both sides with
+    t = v + 1, and partitioning rather than sorting places the signed zeros.
+    """
+    x = np.array(values, dtype=float)
+    n = len(x)
+    v = (n - 1) * np.asarray(qs, dtype=float)
+    top = v >= n - 1
+    lo = np.where(top, n - 1, np.floor(v)).astype(np.intp)
+    hi = np.where(top, n - 1, lo + 1)
+    x.partition(sorted({0, n - 1, *lo.tolist(), *hi.tolist()}))
+    a, b = x[lo], x[hi]
+    t = v - np.where(top, -1, lo)
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def isotonic_nondecreasing(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """Weighted pool-adjacent-violators projection onto nondecreasing sequences."""
     y = np.asarray(values, dtype=float)

@@ -35,7 +35,8 @@ from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux
                       neumann_trace, rect_sine_solver, solve_linear_heat)
 from .geometry import DomainKind, SpatialGrid, build_grid
 from .heatkernel import KernelEvaluator
-from .numerics import exp_convolve, isotonic_nondecreasing, sliding_derivative, smoothstep
+from .numerics import (exp_convolve, isotonic_nondecreasing, quantiles, sliding_derivative,
+                       smoothstep)
 
 # the primary extension, then the one compare_extensions reruns with
 EXTENSIONS = ("harmonic", "normal_constant")
@@ -312,7 +313,7 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray) -> CurveEst
         cnt = int(np.sum(sel))
         if cnt == 0:
             continue
-        q25, q50, q75 = np.percentile(fv[sel], [25.0, 50.0, 75.0])
+        q25, q50, q75 = quantiles(fv[sel], [0.25, 0.5, 0.75])
         knots.append(0.5 * (edges[b] + edges[b + 1]))
         meds.append(float(q50))
         counts.append(cnt)
@@ -331,7 +332,7 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray) -> CurveEst
     # this keeps the sequence nondecreasing with the anchor at 0
     values = np.maximum(values, 0.0)
     values[0] = 0.0
-    lo, hi = np.quantile(phi, [_Q_LO, _Q_HI])
+    lo, hi = quantiles(phi, [_Q_LO, _Q_HI])
     return CurveEstimate(knots=knots, values=values, counts=counts, spreads=spreads,
                          trusted_lo=float(lo), trusted_hi=float(hi))
 

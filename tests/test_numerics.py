@@ -11,7 +11,7 @@ from scipy.signal import savgol_filter
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.heatkernel import _GL_NODES, _GL_WEIGHTS
 from fluxrecon.numerics import (_exp_step_weights, exp_convolve, isotonic_nondecreasing,
-                                sliding_derivative, smoothstep, trapezoid_weights)
+                                quantiles, sliding_derivative, smoothstep, trapezoid_weights)
 
 
 class TestTrapezoidWeights:
@@ -34,6 +34,54 @@ class TestGaussLegendre:
         assert len(x) == 4
         assert np.isclose(w @ x**6, 2.0 / 7.0, rtol=0, atol=1e-14)
         assert np.isclose(w @ x**7, 0.0, rtol=0, atol=1e-14)
+
+    def test_literal_rule_is_numpys_bit_for_bit(self):
+        x, w = np.polynomial.legendre.leggauss(4)
+        assert _GL_NODES.tobytes() == x.tobytes()
+        assert _GL_WEIGHTS.tobytes() == w.tobytes()
+
+
+def _sorted_quantiles(values, qs):
+    # the rule of `quantiles` read off a full sort instead of numpy's partition
+    x = np.sort(values)
+    v = (len(x) - 1) * np.asarray(qs)
+    lo = np.floor(v).astype(np.intp)
+    a, b, t = x[lo], x[np.minimum(lo + 1, len(x) - 1)], v - lo
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
+class TestQuantiles:
+    # repeated values and zeros of both signs, where the order a partition
+    # leaves among equal values decides the sign of a zero quantile
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-5.0, 5.0),
+                    min_size=1, max_size=400))
+    def test_equals_numpy_bit_for_bit(self, values):
+        x = np.array(values)
+        kept = x.tobytes()
+        assert (quantiles(x, [0.25, 0.5, 0.75]).tobytes()
+                == np.percentile(x, [25.0, 50.0, 75.0]).tobytes())
+        assert quantiles(x, [0.1, 0.9]).tobytes() == np.quantile(x, [0.1, 0.9]).tobytes()
+        assert x.tobytes() == kept
+
+    def test_partition_not_sort_places_the_signed_zeros(self):
+        # on this sample a sort and numpy's partition leave zeros of other
+        # signs at indices 2 and 3, so a sort-based rule writes 0 where
+        # numpy writes -0 for the 0.9 quantile
+        x = np.array([-0.0, 0.0, -0.0, -1.0])
+        got = quantiles(x, [0.1, 0.9])
+        assert got.tobytes() == np.quantile(x, [0.1, 0.9]).tobytes()
+        assert np.signbit(got[1])
+        assert not np.signbit(_sorted_quantiles(x, [0.1, 0.9])[1])
+
+    def test_top_index_weighs_v_plus_one(self):
+        # numpy reads a top index as -1, so its weight is v + 1, not 0: on one
+        # -0.0 the lerp keeps the sign only with that weight
+        x = np.array([-0.0])
+        got = quantiles(x, [0.1, 0.5, 0.9])
+        assert got.tobytes() == np.quantile(x, [0.1, 0.5, 0.9]).tobytes()
+        assert np.signbit(got).all()
+        # a weight of 0 takes the a + (b - a) t side, which gives +0.0
+        assert not np.signbit(x[0] + (x[0] - x[0]) * 0.0)
 
 
 class TestSmoothstep:
@@ -188,12 +236,13 @@ def test_import_graph_leaves_out_heavy_scipy(tmp_path, src_env):
     # the package needs numpy and SciPy's compiled LAPACK only; any of the
     # heavy modules would add hundreds of modules to the start-up of every
     # command. scipy.linalg's package init alone loads numpy.f2py and
-    # numpy.testing. None of them is loaded by the imports, nor by
-    # synthesize and reconstruct on the interval and on the rectangle and
-    # every verify suite (these load numpy.ma themselves, so it is not listed)
+    # numpy.testing; np.quantile and np.percentile load numpy.ma, and
+    # leggauss numpy.polynomial. None of them is loaded by the imports, nor
+    # by synthesize and reconstruct on the interval and on the rectangle and
+    # every verify suite
     heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
              "scipy.ndimage", "scipy.sparse", "scipy.linalg", "numpy.f2py",
-             "numpy.testing"]
+             "numpy.testing", "numpy.ma", "numpy.polynomial"]
     configs = Path(__file__).resolve().parents[1] / "configs"
     scenarios = [str(configs / f"{name}.json")
                  for name in ("linear_interval", "saturating_rectangle")]
