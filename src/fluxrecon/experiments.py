@@ -88,6 +88,14 @@ class ScenarioConfig:
                 build()
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"bad scenario {key}: {exc}") from None
+        # a cell wider than the diffusion length sqrt(T) cannot resolve the
+        # data's reach into the domain, and the flux carries no information
+        for d, length in enumerate(self.lengths):
+            h = length / self.recon_n
+            if h * h > self.final_time:
+                raise ConfigurationError(
+                    f"reconstruction cell {h:g} on axis {d} is wider than the "
+                    f"diffusion length sqrt(final_time) = {self.final_time ** 0.5:g}")
 
     def domain(self) -> DomainSpec:
         try:

@@ -149,14 +149,30 @@ def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     return out
 
 
-def rect_sine_solver(grid: SpatialGrid, shift: float, scale: float):
-    """solve(b) overwrites b, interior values of a rectangle grid of shape
-    (nx-1, ny-1) after any leading axes, with (shift I - scale lap)^-1 b,
-    lap the 5-point Dirichlet Laplacian of interior_laplacian. The sine
-    tables S_d = sqrt(2/n_d) sin(pi j k / n_d) (S_d S_d = I) diagonalise
-    it with eigenvalues -(mu_x + mu_y), mu_k = (4/h^2) sin^2(pi k / 2n),
-    so a solve is four small matrix products:
+def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
+    """solve(b) overwrites b, the interior values of the grid (on the
+    rectangle after any leading axes), with (shift I - scale lap)^-1 b,
+    lap the Dirichlet Laplacian of interior_laplacian.
+
+    On the interval the matrix is tridiagonal with diagonal shift + 2r and
+    off-diagonal -r, r = scale / h^2; LAPACK's pttrf factors it once (it
+    must be positive definite) and each call is one pttrs on a 1-d row.
+    On the rectangle the sine tables S_d = sqrt(2/n_d) sin(pi j k / n_d)
+    (S_d S_d = I) diagonalise lap with eigenvalues -(mu_x + mu_y),
+    mu_k = (4/h^2) sin^2(pi k / 2n), so a solve is four small matrix
+    products that broadcast over the leading axes:
         b <- S_x ((S_x b S_y) / (shift + scale (mu_x + mu_y))) S_y."""
+    if grid.domain.dim == 1:
+        n, h = grid.n[0], grid.h[0]
+        r = scale / (h * h)
+        d, e, _ = dpttrf(np.full(n - 1, shift + 2.0 * r), np.full(n - 2, -r))
+
+        def solve(b: np.ndarray) -> None:
+            # pttrs solves in b when it can, and else returns a copy
+            x = dpttrs(d, e, b, overwrite_b=1)[0]
+            if x is not b:
+                b[...] = x
+        return solve
     tables = []
     for n, h in zip(grid.n, grid.h):
         k = np.arange(1, n)
@@ -172,31 +188,11 @@ def rect_sine_solver(grid: SpatialGrid, shift: float, scale: float):
     return solve
 
 
-def _step_solver(grid: SpatialGrid, dt: float):
-    """solve(b) overwrites b, the interior of a time row, with A^-1 b,
-    A = I - dt/2 lap: on the interval A is symmetric positive definite
-    and tridiagonal, factored once by LAPACK's pttrf with a pttrs per
-    step; on the rectangle rect_sine_solver."""
-    if grid.domain.dim == 1:
-        n, h = grid.n[0], grid.h[0]
-        r = dt / (2.0 * h * h)
-        diag = np.full(n - 1, 1.0 + 2.0 * r)
-        d, e, _ = dpttrf(diag, np.full(n - 2, -r))
-
-        def solve(b: np.ndarray) -> None:
-            # pttrs solves in b when it can, and else returns a copy
-            x = dpttrs(d, e, b, overwrite_b=1)[0]
-            if x is not b:
-                b[...] = x
-        return solve
-    return rect_sine_solver(grid, 1.0, dt / 2.0)
-
-
 def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
            source: SourceFn | None, u0: np.ndarray | None):
     """The march of `march` on either domain, reaction being f or None.
 
-    With A = I - (dt/2) lap the matrix of _step_solver, the explicit half
+    With A = I - (dt/2) lap, solved by dirichlet_solver, the explicit half
     I + (dt/2) lap of Crank-Nicolson is 2I - A, so a step is
         u_{m+1} = A^-1 (2 um - dt f_ex + dt q + c_m) - um,
         f_ex = 1.5 f(um) - 0.5 f(u_{m-1}),
@@ -208,7 +204,7 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     dim = grid.domain.dim
     dt = data.final_time / nt
     times = np.linspace(0.0, data.final_time, nt + 1)
-    solve = _step_solver(grid, dt)
+    solve = dirichlet_solver(grid, 1.0, dt / 2.0)
     inner = (slice(1, -1),) * dim
     interior = _index(*inner)
     faces = [grid.face(s) for s in range(2 * dim)]

@@ -15,12 +15,6 @@ def trapezoid_weights(n: int, length: float) -> np.ndarray:
     return w
 
 
-def smoothstep(u: np.ndarray) -> np.ndarray:
-    """C^1 ramp: 0 below 0, 1 above 1, 3u^2 - 2u^3 between."""
-    v = np.clip(u, 0.0, 1.0)
-    return v * v * (3.0 - 2.0 * v)
-
-
 def _exp_step_weights(lam: np.ndarray, dt: float):
     """Per-step weights for the exact convolution of a linear segment.
 

@@ -8,9 +8,12 @@ coefficients in time, and resum
 
     F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x)
 
-at boundary nodes. Pairing F(x, s) with the known boundary state
-phi(x, s) and aggregating over all (node, time) samples yields a
-monotone curve estimate of f.
+at boundary nodes. The extension puts the trace on the boundary ring of
+the grid and continues it inside by one rule per method on either
+domain: harmonic (the chord on the interval, one sine solve on the
+rectangle), or normal_constant, which compare_extensions reruns with.
+Pairing F(x, s) with the known boundary state phi(x, s) and aggregating
+over all (node, time) samples yields a monotone curve estimate of f.
 
 The boundary data alone do not fix the interior of the functional, and
 the resummed series inherits whatever curvature the extension carries;
@@ -31,12 +34,11 @@ import numpy as np
 from .eigenbasis import EigenBasis, make_basis
 from .errors import ConfigurationError, InputError, NumericalError, check_fields
 from .fields import BoundaryTrace, SolutionField
-from .forward import (Nonlinearity, ObservedData, interior_laplacian, march_flux,
-                      neumann_trace, rect_sine_solver, solve_linear_heat)
-from .geometry import DomainKind, SpatialGrid, build_grid
+from .forward import (Nonlinearity, ObservedData, dirichlet_solver, interior_laplacian,
+                      march_flux, neumann_trace, solve_linear_heat)
+from .geometry import SpatialGrid, build_grid
 from .heatkernel import KernelEvaluator
-from .numerics import (exp_convolve, isotonic_nondecreasing, quantiles, sliding_derivative,
-                       smoothstep)
+from .numerics import exp_convolve, isotonic_nondecreasing, quantiles, sliding_derivative
 
 # the primary extension, then the one compare_extensions reruns with
 EXTENSIONS = ("harmonic", "normal_constant")
@@ -106,18 +108,6 @@ def compute_data_functional(gap: BoundaryTrace, kernel: KernelEvaluator) -> Boun
 # -- extensions --------------------------------------------------------
 
 
-def _interval_extension(a: BoundaryTrace, grid: SpatialGrid, method: str) -> np.ndarray:
-    L = grid.domain.lengths[0]
-    xs = grid.axes[0]
-    left = a.values[:, 0][:, None]
-    right = a.values[:, 1][:, None]
-    if method == "harmonic":
-        lam = (xs / L)[None, :]
-    else:
-        lam = smoothstep((xs - 0.4 * L) / (0.2 * L))[None, :]
-    return left + (right - left) * lam
-
-
 def _side_values_on_axis(a: BoundaryTrace, side: int, coords: np.ndarray) -> np.ndarray:
     """Interpolate one side's trace onto tangential coordinates, with
     linear extrapolation past the first/last node; (nt+1, len(coords))."""
@@ -140,64 +130,72 @@ def _side_values_on_axis(a: BoundaryTrace, side: int, coords: np.ndarray) -> np.
     return out
 
 
-def _rect_sides(a: BoundaryTrace, grid: SpatialGrid) -> list[np.ndarray]:
-    """Each side's trace on the grid nodes along that side, in side order;
-    side s runs along axis 1 - s // 2."""
-    return [_side_values_on_axis(a, s, grid.axes[1 - s // 2]) for s in range(4)]
-
-
-def _rect_rings(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
-    """Boundary-ring Dirichlet values per time from the side traces;
-    corners average the two adjacent sides' extrapolations."""
-    sides = _rect_sides(a, grid)
-    rings = np.zeros((a.values.shape[0],) + grid.shape)
+def _boundary_ring(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
+    """The trace on the boundary ring of the grid and zero inside;
+    (nt+1, *grid.shape). On the interval the ring is the two end values;
+    on the rectangle each side's trace is interpolated along the side,
+    and a corner averages the two adjacent sides' extrapolations."""
+    ring = np.zeros((len(a.values),) + grid.shape)
+    if grid.domain.dim == 1:
+        ring[:, -a.nodes.side] = a.values  # side 0 at node 0, side 1 at node -1
+        return ring
+    sides = [_side_values_on_axis(a, s, grid.axes[1 - s // 2]) for s in range(4)]
     for s, side in enumerate(sides):
-        rings[grid.face(s)] = side
+        ring[grid.face(s)] = side
     # corner (i, j) closes x-side -i at its end j and y-side 2 - j at its end i
     for i in (0, -1):
         for j in (0, -1):
-            rings[:, i, j] = 0.5 * (sides[-i][:, j] + sides[2 - j][:, i])
-    return rings
+            ring[:, i, j] = 0.5 * (sides[-i][:, j] + sides[2 - j][:, i])
+    return ring
 
 
-def _rect_harmonic(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
-    out = _rect_rings(a, grid)
-    # the rings are zero inside, so their interior Laplacian is the
-    # boundary coupling of every time row; one solve takes all the rows
-    inner = interior_laplacian(out, grid)
-    rect_sine_solver(grid, 0.0, 1.0)(inner)
+def _harmonic(ring: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """lap = 0 inside with the ring as Dirichlet data, every time row.
+    On the interval that is the chord between the two ends. On the
+    rectangle the ring is zero inside, so its interior Laplacian is the
+    boundary coupling, and one sine solve takes all the rows. The solve
+    works in units of h0^2, so no step divides by h^2 alone, which
+    overflows on a tiny domain."""
+    if grid.domain.dim == 1:
+        lam = grid.axes[0] / grid.domain.lengths[0]
+        return ring[:, :1] + (ring[:, -1:] - ring[:, :1]) * lam
+    h2 = grid.h[0] * grid.h[0]
+    inner = interior_laplacian(h2 * ring, grid)
+    dirichlet_solver(grid, 0.0, h2)(inner)
+    out = ring.copy()
     out[:, 1:-1, 1:-1] = inner
     return out
 
 
-def _rect_normal_constant(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
-    lx, ly = grid.domain.lengths
-    X, Y = np.moveaxis(grid.points, -1, 0)
-    dists = np.stack([X, lx - X, Y, ly - Y])            # per side
-    sides = _rect_sides(a, grid)
-    vals = np.empty((4, a.values.shape[0]) + grid.shape)
-    for s, side in enumerate(sides):
-        # constant along the normal axis of the side
-        vals[s] = np.expand_dims(side, 1 + s // 2)
-    # inverse-distance-power blend: near-constant along each normal,
-    # C^inf crossover at the medial region, exact on the boundary
-    scale = min(lx, ly)
-    w = 1.0 / (dists / scale + 1e-14) ** 4
-    w /= np.sum(w, axis=0)
-    out = np.einsum("sxy,stxy->txy", w, vals)
-    for s, side in enumerate(sides):
-        out[grid.face(s)] = side
-    return out
+def _normal_constant(ring: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Each side's ring values held along its inward normal, blended by
+    inverse distance to the fourth power: near-constant along each normal
+    and a C^inf crossover at the medial region."""
+    lengths = grid.domain.lengths
+    coords = np.moveaxis(grid.points, -1, 0)
+    scale = min(lengths)
+    out = np.zeros_like(ring)
+    total = np.zeros(grid.shape)
+    for s in range(2 * grid.domain.dim):
+        d = s // 2
+        dist = lengths[d] - coords[d] if s % 2 else coords[d]
+        w = 1.0 / (dist / scale + 1e-14) ** 4
+        out += w * np.expand_dims(ring[grid.face(s)], 1 + d)
+        total += w
+    return out / total
 
 
 def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
                          shape: np.ndarray | None = None) -> np.ndarray:
     """Continue boundary data into the domain; (nt+1, *grid.shape).
 
-    harmonic solves lap = 0 per time node (interval: linear profile);
-    normal_constant holds the nearest side's value along the inward
-    normal and blends smoothly at the medial region. Both reproduce the
-    input exactly at (grid-aligned) boundary nodes.
+    The trace is put on the boundary ring of the grid (_boundary_ring),
+    and each method is one rule on either domain: harmonic solves lap = 0
+    per time node (on the interval, the chord between the ends);
+    normal_constant holds each side's value along its inward normal and
+    blends the sides by inverse distance^4. Both write the ring back onto
+    every boundary node, so they reproduce the input exactly at
+    (grid-aligned) boundary nodes.
 
     A `shape` field on the grid supplies the interior profile: the
     result is shape + E[a - shape on the boundary], which still matches
@@ -211,11 +209,11 @@ def extend_boundary_data(a: BoundaryTrace, grid: SpatialGrid, method: str,
         rest = BoundaryTrace(nodes=a.nodes, final_time=a.final_time,
                              values=a.values - at_nodes)
         return shape + extend_boundary_data(rest, grid, method)
-    if grid.domain.kind is DomainKind.INTERVAL:
-        return _interval_extension(a, grid, method)
-    if method == "harmonic":
-        return _rect_harmonic(a, grid)
-    return _rect_normal_constant(a, grid)
+    ring = _boundary_ring(a, grid)
+    out = (_harmonic if method == "harmonic" else _normal_constant)(ring, grid)
+    for s in range(2 * grid.domain.dim):
+        out[grid.face(s)] = ring[grid.face(s)]
+    return out
 
 
 # -- modal stages ------------------------------------------------------

@@ -44,7 +44,7 @@ def test_config_cases_keep_the_baseline_paper_values(stem):
     # the values keep 6 significant digits and a discrepancy at rounding
     # level is written as 0, so rounding-level moves of the pipeline, or of
     # the host, leave the whole record as committed
-    baseline = json.loads((ROOT / "ACCURACY_24.json").read_text())
+    baseline = json.loads((ROOT / "ACCURACY_25.json").read_text())
     name = f"config/{stem}"
     harness = _load_harness()
     assert harness.run_case(harness.cases()[name]) == baseline[name]
@@ -52,11 +52,15 @@ def test_config_cases_keep_the_baseline_paper_values(stem):
 
 def test_baseline_keeps_the_paper_values_of_the_first():
     # ACCURACY_24 differs from ACCURACY_18 only in the discrepancies that
-    # are rounding noise, which it writes as 0
-    old, new = (json.loads((ROOT / f"ACCURACY_{n}.json").read_text()) for n in (18, 24))
-    assert old.keys() == new.keys()
+    # are rounding noise, which it writes as 0; ACCURACY_25 keeps every paper
+    # value, and only the alternative extension, so the discrepancy, moves
+    old, mid, new = (json.loads((ROOT / f"ACCURACY_{n}.json").read_text())
+                     for n in (18, 24, 25))
+    assert old.keys() == mid.keys() == new.keys()
     for name in old:
+        assert mid[name]["paper"] == old[name]["paper"]
         assert new[name]["paper"] == old[name]["paper"]
-        if new[name]["extension_discrepancy"] != old[name]["extension_discrepancy"]:
-            assert new[name]["extension_discrepancy"] == 0.0
+        assert new[name].keys() == old[name].keys()
+        if mid[name]["extension_discrepancy"] != old[name]["extension_discrepancy"]:
+            assert mid[name]["extension_discrepancy"] == 0.0
             assert old[name]["extension_discrepancy"] < 1e-9 * old[name]["paper"]["curve_sup"]

@@ -465,21 +465,25 @@ class TestCli:
                             r"\(t = [0-9.]+(e[+-][0-9]+)?\)\n", out.stderr), out.stderr
 
     def test_overflowing_series_prints_only_its_error(self, tmp_path, src_env):
-        # on a domain of length 1e-140, lambda_k a_k overflows in the modal
-        # series; numpy's warnings stay out of stderr
+        # on a domain of side 1e-140, lambda_k a_k overflows in the modal
+        # series; numpy's warnings, also those of the rectangle's harmonic
+        # extension, stay out of stderr
         configs = Path(__file__).resolve().parents[1] / "configs"
-        scenario = json.loads((configs / "linear_interval.json").read_text())
-        scenario["lengths"] = [1e-140]
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(scenario))
-        run = tmp_path / "run"
-        assert main(["synthesize", "--config", str(path), "--out", str(run)]) == 0
-        out = subprocess.run([sys.executable, "-m", "fluxrecon.cli", "reconstruct",
-                              "--observation", str(run / "observation.csv"), "--out", str(run)],
-                             env=src_env, capture_output=True, text=True, timeout=300)
-        assert out.returncode == 3
-        assert re.fullmatch(r"numerical failure: the modal series F\(x, s\) overflows: "
-                            r"\d+ of its \d+ samples are not finite\n", out.stderr), out.stderr
+        for stem in ("linear_interval", "saturating_rectangle"):
+            scenario = json.loads((configs / f"{stem}.json").read_text())
+            scenario["lengths"] = [1e-140] * len(scenario["lengths"])
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps(scenario))
+            run = tmp_path / stem
+            assert main(["synthesize", "--config", str(path), "--out", str(run)]) == 0
+            out = subprocess.run([sys.executable, "-m", "fluxrecon.cli", "reconstruct",
+                                  "--observation", str(run / "observation.csv"),
+                                  "--out", str(run)],
+                                 env=src_env, capture_output=True, text=True, timeout=300)
+            assert out.returncode == 3, stem
+            assert re.fullmatch(r"numerical failure: the modal series F\(x, s\) overflows: "
+                                r"\d+ of its \d+ samples are not finite\n",
+                                out.stderr), out.stderr
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["synthesize", "--config", str(tmp_path / "nope.json")]) == 2
@@ -515,7 +519,9 @@ class TestCli:
         {"reaction": {"family": "zero", "coeff": 1.0}},
         {"phi": {"family": "ramp", "scale": 0.5}},
         # grid spacings whose square underflows to 0 or overflows to inf
-        {"lengths": [1e-300]}, {"lengths": [1e300]}])
+        {"lengths": [1e-300]}, {"lengths": [1e300]},
+        # a cell wider than the diffusion length sqrt(final_time)
+        {"lengths": [1e150]}])
     def test_malformed_value_exits_2(self, tmp_path, capsys, edit):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**CHEAP, **edit}))

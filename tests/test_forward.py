@@ -8,8 +8,8 @@ from scipy.linalg import get_lapack_funcs
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace, SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, _step_solver, default_trace_nodes,
-                               march, march_flux, neumann_trace, rect_sine_solver,
+from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
+                               dirichlet_solver, march, march_flux, neumann_trace,
                                solve_linear_heat, solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
@@ -276,13 +276,13 @@ def _reference_2d(grid, reaction, data, nt, source=None, u0=None):
     divergence checks per step: with A = I - dt/2 lap, u_new =
     A^-1 (2 um - dt f_ex + dt q + c) - um, where c enters after the
     source as r_d (phi_m + phi_{m+1}) on the interior nodes next to each
-    face, and A^-1 is rect_sine_solver."""
+    face, and A^-1 is dirichlet_solver."""
     hx, hy = grid.h
     T = data.final_time
     dt = T / nt
     rx, ry = dt / (2.0 * hx * hx), dt / (2.0 * hy * hy)
     times = np.linspace(0.0, T, nt + 1)
-    solve = rect_sine_solver(grid, 1.0, dt / 2.0)
+    solve = dirichlet_solver(grid, 1.0, dt / 2.0)
     u = np.zeros((nt + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
@@ -320,14 +320,14 @@ def _textbook_2d(grid, reaction, data, nt, source=None, u0=None):
     """The textbook rectangle Crank-Nicolson step: the explicit half
     (I + dt/2 lap) um applied with the stencil, r_d phi_{m+1} on the
     interior nodes next to each face after the source, and one
-    rect_sine_solver solve per step. The march computes the same step in
+    dirichlet_solver solve per step. The march computes the same step in
     another operation order."""
     hx, hy = grid.h
     T = data.final_time
     dt = T / nt
     rx, ry = dt / (2.0 * hx * hx), dt / (2.0 * hy * hy)
     times = np.linspace(0.0, T, nt + 1)
-    solve = rect_sine_solver(grid, 1.0, dt / 2.0)
+    solve = dirichlet_solver(grid, 1.0, dt / 2.0)
 
     def lap_full(w):
         out = np.zeros_like(w)
@@ -518,14 +518,14 @@ class TestTabulatedInputs:
 
 class TestStepSolver:
     """solve(b) leaves its result in b, also where LAPACK cannot solve in
-    place, and on both domains; on the interval it is the solve with
-    I - dt/2 lap (the rectangle's is TestRectSineSolver)."""
+    place, and on both domains; on the interval it is the step solve with
+    I - dt/2 lap of the march (both domains are in TestRectSineSolver)."""
 
     @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
                              ids=["interval", "rectangle"])
     def test_solves_in_b_whatever_its_layout(self, domain, n, rng):
         grid = build_grid(domain, n)
-        solve = _step_solver(grid, 0.01)
+        solve = dirichlet_solver(grid, 1.0, 0.01 / 2.0)
         rhs = rng.standard_normal(tuple(k - 1 for k in grid.n))
         contiguous, strided = rhs.copy(), np.repeat(rhs, 2, axis=-1)[..., ::2]
         solve(contiguous)
@@ -541,7 +541,7 @@ class TestStepSolver:
         grid = build_grid(interval(), n)
         b = rng.standard_normal(n - 1)
         ref = np.linalg.solve(np.eye(n - 1) - 0.5 * dt * _second_difference(n, grid.h[0]), b)
-        _step_solver(grid, dt)(b)
+        dirichlet_solver(grid, 1.0, dt / 2.0)(b)
         assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -552,32 +552,37 @@ def _second_difference(n, h):
 
 
 def _dense_laplacian(grid):
-    """The 5-point Dirichlet Laplacian on the interior nodes of a rectangle
-    grid, in the C order of the (nx-1, ny-1) interior."""
+    """The 3-point (interval) or 5-point (rectangle) Dirichlet Laplacian on
+    the interior nodes of a grid, in the C order of the (nx-1, ny-1)
+    interior."""
+    if grid.domain.dim == 1:
+        return _second_difference(grid.n[0], grid.h[0])
     (nx, ny), (hx, hy) = grid.n, grid.h
     return (np.kron(_second_difference(nx, hx), np.eye(ny - 1))
             + np.kron(np.eye(nx - 1), _second_difference(ny, hy)))
 
 
 class TestRectSineSolver:
-    """rect_sine_solver inverts shift I - scale lap in sine space: as the
-    Crank-Nicolson step (1, dt/2) and as the Laplace solve (0, 1) of the
-    harmonic extension."""
+    """dirichlet_solver inverts shift I - scale lap, in sine space on the
+    rectangle and by pttrf/pttrs on the interval: as the Crank-Nicolson
+    step (1, dt/2) and as a Laplace solve (0, 1) like the harmonic
+    extension's."""
 
     @pytest.mark.parametrize("shift,scale", [(1.0, 0.5 / 64), (0.0, 1.0)], ids=["step", "laplace"])
-    @pytest.mark.parametrize("domain,n", [(rectangle(0.9, 1.3), (9, 10)), (rectangle(), 32)],
-                             ids=["box", "square32"])
+    @pytest.mark.parametrize("domain,n", [(rectangle(0.9, 1.3), (9, 10)), (rectangle(), 32),
+                                          (interval(0.7), 12)],
+                             ids=["box", "square32", "interval"])
     def test_matches_dense_solve(self, domain, n, shift, scale, rng):
         grid = build_grid(domain, n)
         b = rng.standard_normal(tuple(k - 1 for k in grid.n))
         matrix = shift * np.eye(b.size) - scale * _dense_laplacian(grid)
         ref = np.linalg.solve(matrix, b.ravel()).reshape(b.shape)
-        rect_sine_solver(grid, shift, scale)(b)
+        dirichlet_solver(grid, shift, scale)(b)
         assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_leading_axis_solves_each_row(self, rng):
         grid = build_grid(rectangle(0.9, 1.3), (9, 10))
-        solve = rect_sine_solver(grid, 0.0, 1.0)
+        solve = dirichlet_solver(grid, 0.0, 1.0)
         stack = rng.standard_normal((3, 8, 9))
         rows = stack.copy()
         for row in rows:

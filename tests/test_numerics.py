@@ -11,7 +11,7 @@ from scipy.signal import savgol_filter
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.heatkernel import _GL_NODES, _GL_WEIGHTS
 from fluxrecon.numerics import (_exp_step_weights, exp_convolve, isotonic_nondecreasing,
-                                quantiles, sliding_derivative, smoothstep, trapezoid_weights)
+                                quantiles, sliding_derivative, trapezoid_weights)
 
 
 class TestTrapezoidWeights:
@@ -82,17 +82,6 @@ class TestQuantiles:
         assert np.signbit(got).all()
         # a weight of 0 takes the a + (b - a) t side, which gives +0.0
         assert not np.signbit(x[0] + (x[0] - x[0]) * 0.0)
-
-
-class TestSmoothstep:
-    def test_values(self):
-        assert smoothstep(np.array([-1.0]))[0] == 0.0
-        assert smoothstep(np.array([2.0]))[0] == 1.0
-        assert np.isclose(smoothstep(np.array([0.5]))[0], 0.5)
-
-    def test_monotone(self):
-        u = np.linspace(-0.5, 1.5, 201)
-        assert np.min(np.diff(smoothstep(u))) >= 0.0
 
 
 class TestExpConvolve:

@@ -12,7 +12,8 @@ from fluxrecon.forward import (ObservedData, march, neumann_trace, solve_linear_
                                solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import DomainKind, boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.heatkernel import KernelEvaluator
-from fluxrecon.recon import (CurveEstimate, ReconstructionConfig, assemble_series, build_curve,
+from fluxrecon.recon import (CurveEstimate, ReconstructionConfig, _boundary_ring,
+                             assemble_series, build_curve,
                              compute_data_functional, evaluate_curve,
                              extend_boundary_data, flux_difference,
                              project_coefficients, reaction_free_response,
@@ -34,13 +35,15 @@ class TestIntervalExtensions:
         assert np.allclose(ext, 1.0 + 2.0 * grid.axes[0][None, :])
 
     def test_normal_constant_plateaus(self):
+        # the inverse-distance^4 blend of the two ends: it gives 1.0078 at
+        # x = 0.2 L on end values 1 and 3
         grid = build_grid(interval(), 20)
         ext = extend_boundary_data(_interval_trace(1.0, 3.0), grid, "normal_constant")
-        x = grid.axes[0]
-        assert np.allclose(ext[:, x <= 0.4], 1.0)
-        assert np.allclose(ext[:, x >= 0.6], 3.0)
-        mid = ext[0, (x > 0.4) & (x < 0.6)]
-        assert np.min(np.diff(mid)) > 0.0
+        x, L = grid.axes[0], grid.domain.lengths[0]
+        assert np.all(ext[:, 0] == 1.0) and np.all(ext[:, -1] == 3.0)
+        assert np.max(np.abs(ext[:, x <= 0.2 * L] - 1.0)) <= 0.01
+        assert np.all(np.diff(ext, axis=1) > 0.0)
+        assert np.allclose(ext + ext[:, ::-1], 4.0, rtol=0.0, atol=1e-12)
 
     def test_constant_data_both_methods(self):
         grid = build_grid(interval(), 8)
@@ -64,6 +67,23 @@ class TestIntervalExtensions:
         grid = build_grid(interval(), 8)
         with pytest.raises(ConfigurationError):
             extend_boundary_data(_interval_trace(0.0, 1.0), grid, "polynomial")
+
+
+class TestBoundaryRing:
+    @pytest.mark.parametrize("method", ["harmonic", "normal_constant"])
+    @pytest.mark.parametrize("domain", [interval(0.7), rectangle(0.9, 1.3)],
+                             ids=["interval", "rectangle"])
+    def test_extensions_keep_the_ring_on_every_boundary_node(self, domain, method, rng):
+        # a random trace is not linear along a side, so a corner that holds
+        # one side's extrapolation instead of the ring's average shows
+        grid = build_grid(domain, 16)
+        nodes = boundary_nodes(domain, m=8)
+        trace = BoundaryTrace(nodes=nodes, final_time=1.0,
+                              values=rng.standard_normal((3, nodes.count)))
+        ext = extend_boundary_data(trace, grid, method)
+        ring = _boundary_ring(trace, grid)
+        for s in range(2 * domain.dim):
+            assert np.array_equal(ext[grid.face(s)], ring[grid.face(s)])
 
 
 class TestRectangleExtensions:
