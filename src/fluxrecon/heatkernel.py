@@ -28,15 +28,12 @@ axis's series tail below _TAIL_TOL^2 at the crossover itself and below
 _TAIL_TOL at half the crossover, where the two branches are compared.
 
 The boundary data functional (boundary_propagate_trace) is a lag
-operator: on the time axis t_j = j dt of a trace its sigma = sqrt(t - s)
-panels depend only on the lag j - i, so the kernel is tabulated once
-per lag (nt * _GL_ORDER time gaps for every point/node pair) and the
-functional is a causal O(nt^2 * npts * nb) sum over lags. The table is
-built _LAG_BLOCK = 256 lags at a time, each block with its own mode
-cutoff from its own shortest gap, so its size does not grow with nt
-and the blocks of long gaps keep few modes. The scalar
-boundary_propagate evaluates the same quadrature at one (point, time)
-and is kept as its reference.
+operator on a trace's axis t_j = j dt. It is split at tau0 = L0 dt,
+L0 = min(_NEAR_LAGS = 8, nt), into the local and history parts of a heat
+potential (Greengard and Strain, CPAM 43, 1990): a kernel table for the
+near lags, and for the far lags the product cosine series, summed over
+all of them by numerics.exp_convolve. The scalar boundary_propagate
+evaluates the one quadrature at one (point, time) and is its reference.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .eigenbasis import axis_modes
 from .errors import InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
-from .numerics import trapezoid_weights
+from .numerics import exp_convolve, trapezoid_weights
 
 # modes with lambda * tau above this contribute < 1e-26 relative and are dropped
 _MODE_CUTOFF = 60.0
@@ -63,8 +60,8 @@ _GL_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
                         0.6521451548625464, 0.34785484513745357])
 _GL_ORDER = len(_GL_NODES)
 _MASS_CELLS = 1024
-# lags per kernel table of boundary_propagate_trace
-_LAG_BLOCK = 256
+# lags of boundary_propagate_trace taken from the kernel table
+_NEAR_LAGS = 8
 
 
 class KernelEvaluator:
@@ -208,50 +205,71 @@ class KernelEvaluator:
                        for b in range(g.nodes.count)], axis=1)
         return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
 
+    def _modes_below(self, xs: np.ndarray, ys: np.ndarray,
+                     rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The product cosine modes with eigenvalue below rate: their
+        eigenvalues (K,) and their values at xs and at ys (both (n, dim)),
+        (K, len(xs)) and (K, len(ys))."""
+        lam, wx, wy = np.zeros(1), np.ones((1, len(xs))), np.ones((1, len(ys)))
+        for d, L in enumerate(self.domain.lengths):
+            count = int(L * math.sqrt(rate) / math.pi) + 1
+            lam = (lam[:, None] + (np.arange(count) * np.pi / L) ** 2).ravel()
+            wx = (wx[:, None] * axis_modes(xs[:, d], count, L)).reshape(-1, len(xs))
+            wy = (wy[:, None] * axis_modes(ys[:, d], count, L)).reshape(-1, len(ys))
+            keep = lam < rate
+            lam, wx, wy = lam[keep], wx[keep], wy[keep]
+        return lam, wx, wy
+
     def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray) -> np.ndarray:
         """boundary_propagate at every (point, sample time of g); (nt+1, npts).
 
         Same quadrature as `boundary_propagate`, evaluated as a lag
         operator. On the uniform grid t_j = j dt the sigma panel that
         covers s in [t_{j-l-1}, t_{j-l}] is [sqrt(l dt), sqrt((l+1) dt)]
-        for every j, so the kernel is evaluated once per (lag, Gauss
-        point, point, node) and folded with the quadrature, the linear
-        interpolation in s and the boundary weights into per-lag
-        matrices W_up[l] (acting on g[j-l]) and W_lo[l] (on g[j-l-1]),
-        each (npts, nb). Then
+        for every j. The near lags l < L0 = min(_NEAR_LAGS, nt) evaluate
+        the kernel once per (lag, Gauss point, point, node) and fold it
+        with the quadrature, the linear interpolation in s and the
+        boundary weights into matrices W_up[l] (acting on g[j-l]) and
+        W_lo[l] (on g[j-l-1]), each (npts, nb). Past tau0 = L0 dt the
+        kernel is sum_k exp(-lambda_k tau) w_k(x) w_k(y) over every
+        product mode with lambda_k tau0 < _MODE_CUTOFF (not capped at
+        _K_MAX), and its integral against g, linear in s, is exact: with
+        G = g (w_b w_k(y_b)) and p = exp_convolve(lambda, dt, G),
 
-            a[j] = sum_{l<j} W_up[l] g[j-l] + W_lo[l] g[j-l-1],  a[0] = 0.
+            a[j] = sum_{l<min(j,L0)} W_up[l] g[j-l] + W_lo[l] g[j-l-1]
+                   + sum_k w_k(x) exp(-lambda_k tau0) p_k[j-L0],   a[0] = 0,
 
-        Cost: nt * _GL_ORDER kernel evaluations per (point, node) pair,
-        tabulated _LAG_BLOCK lags at a time, plus an O(nt^2 * npts * nb)
-        causal sum.
+        the last sum for j >= L0 only.
+
+        Cost: O(nt * (L0 npts nb + K (npts + nb))) and (nt+1, K) arrays
+        for the K far modes, which grow like L / sqrt(tau0) per axis: at
+        T = 1 and nt = 2048, 40 on the unit interval, 1264 on the square.
         """
         pts = np.asarray(points, dtype=float)
         nt = len(g.values) - 1
         out = np.zeros((nt + 1, len(pts)))
         if nt == 0:
             return out
-        dt = g.dt
+        dt, gv, nodes = g.dt, g.values, g.nodes
+        near = min(_NEAR_LAGS, nt)
 
-        sig_edges = np.sqrt(np.arange(nt + 1) * dt)
+        sig_edges = np.sqrt(np.arange(near + 1) * dt)
         xi, wq = _GL_NODES, _GL_WEIGHTS
         half = 0.5 * np.diff(sig_edges)[:, None]
         mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
-        sigma = mid + half * xi[None, :]                          # (nt, q)
-        theta_lo = sigma**2 / dt - np.arange(nt)[:, None]          # weight of g[j-l-1]
+        sigma = mid + half * xi[None, :]                          # (near, q)
+        theta_lo = sigma**2 / dt - np.arange(near)[:, None]        # weight of g[j-l-1]
         quad = 2.0 * sigma * half * wq[None, :]
-        c_up = quad * (1.0 - theta_lo)
-        c_lo = quad * theta_lo
-        nb = g.nodes.count
-        w_up, w_lo = np.empty((nt, len(pts), nb)), np.empty((nt, len(pts), nb))
-        for l0 in range(0, nt, _LAG_BLOCK):
-            lags = slice(l0, min(l0 + _LAG_BLOCK, nt))
-            kv = self._block(pts, g.nodes.nodes, (sigma[lags] ** 2).ravel())
-            kv = kv.reshape(-1, _GL_ORDER, len(pts), nb) * g.nodes.weights  # (lags, q, npts, nb)
-            np.einsum("lq,lqib->lib", c_up[lags], kv, out=w_up[lags])
-            np.einsum("lq,lqib->lib", c_lo[lags], kv, out=w_lo[lags])
-
-        gv = g.values
-        for lag in range(nt):
+        kv = self._block(pts, nodes.nodes, (sigma**2).ravel())
+        kv = kv.reshape(near, _GL_ORDER, len(pts), nodes.count) * nodes.weights
+        w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
+        w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
+        for lag in range(near):
             out[lag + 1:] += gv[1:nt + 1 - lag] @ w_up[lag].T + gv[:nt - lag] @ w_lo[lag].T
+
+        if nt > near:
+            tau0 = near * dt
+            lam, wx, wy = self._modes_below(pts, nodes.nodes, _MODE_CUTOFF / tau0)
+            p = exp_convolve(lam, dt, gv @ (wy * nodes.weights).T)
+            out[near:] += p[:nt + 1 - near] @ (np.exp(-lam * tau0)[:, None] * wx)
         return out

@@ -47,6 +47,9 @@ def exp_convolve(lam: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
     where c_k is the linear interpolant of coeffs[:, k] on t_j = j dt.
     Exact for data that is piecewise linear in s, which makes it an
     exponentially-weighted trapezoid rule (plain trapezoid at lam = 0).
+    It is the package's one modal convolution: it gives the modal Volterra
+    responses of recon and the far lags of the boundary data functional
+    (heatkernel.KernelEvaluator.boundary_propagate_trace).
 
     Parameters
     ----------

@@ -516,35 +516,6 @@ class TestTabulatedInputs:
                               source=lambda g, t: np.full(g.shape, t))
 
 
-class TestStepSolver:
-    """solve(b) leaves its result in b, also where LAPACK cannot solve in
-    place, and on both domains; on the interval it is the step solve with
-    I - dt/2 lap of the march (both domains are in TestRectSineSolver)."""
-
-    @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
-                             ids=["interval", "rectangle"])
-    def test_solves_in_b_whatever_its_layout(self, domain, n, rng):
-        grid = build_grid(domain, n)
-        solve = dirichlet_solver(grid, 1.0, 0.01 / 2.0)
-        rhs = rng.standard_normal(tuple(k - 1 for k in grid.n))
-        contiguous, strided = rhs.copy(), np.repeat(rhs, 2, axis=-1)[..., ::2]
-        solve(contiguous)
-        solve(strided)
-        assert np.array_equal(strided, contiguous)
-        assert not np.array_equal(contiguous, rhs)
-
-    # 12 cells and dt 0.01 are non-dyadic; 512 cells and 1/2048 are the
-    # fine interval march of synthesis
-    @pytest.mark.parametrize("dt", [0.01, 1.0 / 2048])
-    @pytest.mark.parametrize("n", [12, 512])
-    def test_interval_matches_dense_solve(self, n, dt, rng):
-        grid = build_grid(interval(), n)
-        b = rng.standard_normal(n - 1)
-        ref = np.linalg.solve(np.eye(n - 1) - 0.5 * dt * _second_difference(n, grid.h[0]), b)
-        dirichlet_solver(grid, 1.0, dt / 2.0)(b)
-        assert np.max(np.abs(b - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
 def _second_difference(n, h):
     """The 3-point Dirichlet second difference on the n - 1 interior nodes
     of n cells of width h, as a dense matrix."""
@@ -562,16 +533,34 @@ def _dense_laplacian(grid):
             + np.kron(np.eye(nx - 1), _second_difference(ny, hy)))
 
 
-class TestRectSineSolver:
+class TestDirichletSolver:
     """dirichlet_solver inverts shift I - scale lap, in sine space on the
     rectangle and by pttrf/pttrs on the interval: as the Crank-Nicolson
     step (1, dt/2) and as a Laplace solve (0, 1) like the harmonic
-    extension's."""
+    extension's. solve(b) leaves its result in b."""
 
-    @pytest.mark.parametrize("shift,scale", [(1.0, 0.5 / 64), (0.0, 1.0)], ids=["step", "laplace"])
-    @pytest.mark.parametrize("domain,n", [(rectangle(0.9, 1.3), (9, 10)), (rectangle(), 32),
-                                          (interval(0.7), 12)],
-                             ids=["box", "square32", "interval"])
+    @pytest.mark.parametrize("domain,n", [(interval(), 12), (rectangle(0.9, 1.3), (9, 10))],
+                             ids=["interval", "rectangle"])
+    def test_solves_in_b_whatever_its_layout(self, domain, n, rng):
+        # also where LAPACK cannot solve in place
+        grid = build_grid(domain, n)
+        solve = dirichlet_solver(grid, 1.0, 0.01 / 2.0)
+        rhs = rng.standard_normal(tuple(k - 1 for k in grid.n))
+        contiguous, strided = rhs.copy(), np.repeat(rhs, 2, axis=-1)[..., ::2]
+        solve(contiguous)
+        solve(strided)
+        assert np.array_equal(strided, contiguous)
+        assert not np.array_equal(contiguous, rhs)
+
+    # the unit interval's steps: 12 cells and dt 0.01 are non-dyadic; 512
+    # cells and 1/2048 are the fine interval march of synthesis
+    @pytest.mark.parametrize("domain,n,shift,scale", [
+        *[pytest.param(domain, n, shift, scale, id=f"{name}-{kind}")
+          for name, domain, n in [("box", rectangle(0.9, 1.3), (9, 10)),
+                                  ("square32", rectangle(), 32), ("interval", interval(0.7), 12)]
+          for kind, shift, scale in [("step", 1.0, 0.5 / 64), ("laplace", 0.0, 1.0)]],
+        *[pytest.param(interval(), n, 1.0, dt / 2.0, id=f"interval-{n}-{dt}")
+          for n in (12, 512) for dt in (0.01, 1.0 / 2048)]])
     def test_matches_dense_solve(self, domain, n, shift, scale, rng):
         grid = build_grid(domain, n)
         b = rng.standard_normal(tuple(k - 1 for k in grid.n))

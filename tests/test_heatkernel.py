@@ -142,20 +142,29 @@ class TestBoundaryPropagate:
         # symmetric data gives symmetric functional
         assert np.max(np.abs(out[:, 0] - out[:, 1])) < 1e-12
 
-    @pytest.mark.parametrize("domain, m, nt", [(interval(), 0, 128), (rectangle(), 8, 64)],
-                             ids=["interval", "rectangle"])
-    def test_lag_operator_matches_scalar_loop(self, domain, m, nt):
-        # noisy data exercises every lag weight; the rectangle has 32 nodes
-        ev = KernelEvaluator(domain)
+    @staticmethod
+    def _noisy_trace(domain, m, nt):
+        # noisy data exercises every lag weight
         nodes = boundary_nodes(domain, m)
         times = np.linspace(0.0, 1.0, nt + 1)
         rng = np.random.default_rng(7)
         values = times[:, None] * (1.0 + 0.1 * rng.standard_normal((nt + 1, nodes.count)))
-        g = BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
-        got = ev.boundary_propagate_trace(g, nodes.nodes)
-        ref = np.array([[ev.boundary_propagate(g, p, float(t)) for p in nodes.nodes]
-                        for t in times])
-        assert got.shape == ref.shape == (nt + 1, nodes.count)
+        return BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
+
+    @pytest.mark.parametrize("domain, m, nt", [
+        pytest.param(interval(), 0, 128, id="interval"),
+        pytest.param(rectangle(), 8, 64, id="rectangle"),
+        # nt <= 8 has no far part, 8 is exactly the near lags, 9 the first far lag
+        *[pytest.param(domain, m, nt, id=f"{name}-{nt}")
+          for name, domain, m in [("interval", interval(), 0), ("rectangle", rectangle(0.9, 1.3), 4)]
+          for nt in (1, 7, 8, 9)]])
+    def test_lag_operator_matches_scalar_loop(self, domain, m, nt):
+        ev = KernelEvaluator(domain)
+        g = self._noisy_trace(domain, m, nt)
+        got = ev.boundary_propagate_trace(g, g.nodes.nodes)
+        ref = np.array([[ev.boundary_propagate(g, p, float(t)) for p in g.nodes.nodes]
+                        for t in g.times])
+        assert got.shape == ref.shape == (nt + 1, g.nodes.count)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @staticmethod
@@ -179,23 +188,28 @@ class TestBoundaryPropagate:
                               + g.values[:nt - lag] @ w_lo[lag].T)
         return out
 
-    @pytest.mark.parametrize("nt", [256, 2048])
-    def test_lag_blocks_match_one_table(self, ev, nt):
-        # 256 lags are one block of the table, the same bits as one call;
-        # at 2048 the later blocks keep fewer modes, which moves rounding
-        rng = np.random.default_rng(3)
-        g = self._trace(lambda ts: ts * (1.0 + 0.1 * rng.standard_normal(ts.shape)), nt)
-        pts = np.array([[0.0], [0.3], [1.0]])
+    @pytest.mark.parametrize("domain, m, nt, pts", [
+        pytest.param(interval(), 0, 256, [[0.0], [0.3], [1.0]], id="256"),
+        pytest.param(interval(), 0, 2048, [[0.0], [0.3], [1.0]], id="2048"),
+        pytest.param(rectangle(), 8, 256, [[0.0, 0.0], [0.3, 0.7], [1.0, 0.4]],
+                     id="rectangle-256")])
+    def test_lag_blocks_match_one_table(self, domain, m, nt, pts):
+        # the far lags integrate the modal series exactly in time, not by
+        # the sigma-panel rule of the one table, which moves rounding only
+        ev = KernelEvaluator(domain)
+        g = self._noisy_trace(domain, m, nt)
+        pts = np.array(pts)
         got = ev.boundary_propagate_trace(g, pts)
         ref = self._one_table_trace(ev, g, pts)
-        if nt == 256:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    def test_trace_table_is_blocked(self, ev):
-        # one table of all 8192 gaps against 200 modes would take 13 MB
-        g = self._trace(lambda ts: ts, nt=2048)
+    @pytest.mark.parametrize("domain, m, nt", [(interval(), 0, 2048), (rectangle(), 8, 256)],
+                             ids=["interval", "rectangle"])
+    def test_trace_peak_memory(self, domain, m, nt):
+        # one table of all 8192 gaps against 200 modes would take 13 MB on
+        # the interval; weights for every lag took 38 MB on the 32-node rectangle
+        ev = KernelEvaluator(domain)
+        g = self._noisy_trace(domain, m, nt)
         tracemalloc.start()
         try:
             ev.boundary_propagate_trace(g, g.nodes.nodes)
@@ -203,6 +217,23 @@ class TestBoundaryPropagate:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+    @pytest.mark.parametrize("nt", [64, 2048])
+    def test_kernel_table_holds_only_the_near_lags(self, ev, nt, monkeypatch):
+        # 8 lags of 4 Gauss points each, whatever nt is; _block calls
+        # itself once per branch, so only the outer calls are counted
+        gaps = []
+        block = KernelEvaluator._block
+
+        def spy(self, xs, ys, taus, spectral=None):
+            if spectral is None:
+                gaps.append(len(taus))
+            return block(self, xs, ys, taus, spectral)
+
+        monkeypatch.setattr(KernelEvaluator, "_block", spy)
+        g = self._trace(lambda ts: ts, nt)
+        ev.boundary_propagate_trace(g, g.nodes.nodes)
+        assert sum(gaps) == 4 * 8
 
     def test_trace_single_sample(self, ev):
         nodes = boundary_nodes(interval())
