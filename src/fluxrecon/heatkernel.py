@@ -29,7 +29,8 @@ _TAIL_TOL at half the crossover, where the two branches are compared.
 
 The boundary data functional (boundary_propagate_trace) is a lag
 operator on a trace's axis t_j = j dt. It is split at tau0 = L0 dt,
-L0 = min(_NEAR_LAGS = 8, nt), into the local and history parts of a heat
+L0 = min(_NEAR_LAGS = 8, nt) on domains of about the diffusion length
+and more on longer ones, into the local and history parts of a heat
 potential (Greengard and Strain, CPAM 43, 1990): a kernel table for the
 near lags, and for the far lags the product cosine series, summed over
 all of them by numerics.exp_convolve. The scalar boundary_propagate
@@ -42,7 +43,7 @@ import math
 
 import numpy as np
 
-from .eigenbasis import axis_modes
+from .eigenbasis import EigenBasis, axis_modes
 from .errors import InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
@@ -205,20 +206,18 @@ class KernelEvaluator:
                        for b in range(g.nodes.count)], axis=1)
         return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
 
-    def _modes_below(self, xs: np.ndarray, ys: np.ndarray,
-                     rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The product cosine modes with eigenvalue below rate: their
-        eigenvalues (K,) and their values at xs and at ys (both (n, dim)),
-        (K, len(xs)) and (K, len(ys))."""
-        lam, wx, wy = np.zeros(1), np.ones((1, len(xs))), np.ones((1, len(ys)))
-        for d, L in enumerate(self.domain.lengths):
-            count = int(L * math.sqrt(rate) / math.pi) + 1
-            lam = (lam[:, None] + (np.arange(count) * np.pi / L) ** 2).ravel()
-            wx = (wx[:, None] * axis_modes(xs[:, d], count, L)).reshape(-1, len(xs))
-            wy = (wy[:, None] * axis_modes(ys[:, d], count, L)).reshape(-1, len(ys))
+    def _modes_below(self, rate: float) -> EigenBasis:
+        """The product cosine modes with eigenvalue below rate, ascending."""
+        lam, idx = np.zeros(1), np.zeros((1, 0), dtype=int)
+        for L in self.domain.lengths:
+            m = np.arange(int(L * math.sqrt(rate) / math.pi) + 1)
+            lam = (lam[:, None] + (m * np.pi / L) ** 2).ravel()
+            idx = np.column_stack([np.repeat(idx, len(m), axis=0), np.tile(m, len(idx))])
             keep = lam < rate
-            lam, wx, wy = lam[keep], wx[keep], wy[keep]
-        return lam, wx, wy
+            lam, idx = lam[keep], idx[keep]
+        # idx is lexicographic, so a stable sort breaks ties as EigenBasis does
+        order = np.argsort(lam, kind="stable")
+        return EigenBasis(domain=self.domain, lambdas=lam[order], modes=idx[order])
 
     def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray) -> np.ndarray:
         """boundary_propagate at every (point, sample time of g); (nt+1, npts).
@@ -226,11 +225,11 @@ class KernelEvaluator:
         Same quadrature as `boundary_propagate`, evaluated as a lag
         operator. On the uniform grid t_j = j dt the sigma panel that
         covers s in [t_{j-l-1}, t_{j-l}] is [sqrt(l dt), sqrt((l+1) dt)]
-        for every j. The near lags l < L0 = min(_NEAR_LAGS, nt) evaluate
-        the kernel once per (lag, Gauss point, point, node) and fold it
-        with the quadrature, the linear interpolation in s and the
-        boundary weights into matrices W_up[l] (acting on g[j-l]) and
-        W_lo[l] (on g[j-l-1]), each (npts, nb). Past tau0 = L0 dt the
+        for every j. The near lags l < L0 evaluate the kernel once per
+        (lag, Gauss point, point, node) and fold it with the quadrature,
+        the linear interpolation in s and the boundary weights into
+        matrices W_up[l] (acting on g[j-l]) and W_lo[l] (on g[j-l-1]),
+        each (npts, nb). Past tau0 = L0 dt the
         kernel is sum_k exp(-lambda_k tau) w_k(x) w_k(y) over every
         product mode with lambda_k tau0 < _MODE_CUTOFF (not capped at
         _K_MAX), and its integral against g, linear in s, is exact: with
@@ -241,9 +240,13 @@ class KernelEvaluator:
 
         the last sum for j >= L0 only.
 
-        Cost: O(nt * (L0 npts nb + K (npts + nb))) and (nt+1, K) arrays
-        for the K far modes, which grow like L / sqrt(tau0) per axis: at
-        T = 1 and nt = 2048, 40 on the unit interval, 1264 on the square.
+        L0 is min(_NEAR_LAGS, nt), doubled (up to nt) while more than
+        max(_K_MAX, npts nb) far modes are kept. K grows like
+        L / sqrt(tau0) per axis: at T = 1 and nt = 2048 it is 40 on the
+        unit interval and 1264 on the unit square, where 32 nodes double
+        L0 once. So only long domains move L0, and the (nt+1, K) far
+        arrays stay the order of the per-lag (npts, nb) weights.
+        Cost: O(nt * (L0 npts nb + K (npts + nb))).
         """
         pts = np.asarray(points, dtype=float)
         nt = len(g.values) - 1
@@ -251,7 +254,12 @@ class KernelEvaluator:
         if nt == 0:
             return out
         dt, gv, nodes = g.dt, g.values, g.nodes
+        width = max(_K_MAX, len(pts) * nodes.count)
         near = min(_NEAR_LAGS, nt)
+        far = self._modes_below(_MODE_CUTOFF / (near * dt))
+        while near < nt and far.size > width:
+            near = min(2 * near, nt)
+            far = self._modes_below(_MODE_CUTOFF / (near * dt))
 
         sig_edges = np.sqrt(np.arange(near + 1) * dt)
         xi, wq = _GL_NODES, _GL_WEIGHTS
@@ -268,8 +276,7 @@ class KernelEvaluator:
             out[lag + 1:] += gv[1:nt + 1 - lag] @ w_up[lag].T + gv[:nt - lag] @ w_lo[lag].T
 
         if nt > near:
-            tau0 = near * dt
-            lam, wx, wy = self._modes_below(pts, nodes.nodes, _MODE_CUTOFF / tau0)
-            p = exp_convolve(lam, dt, gv @ (wy * nodes.weights).T)
-            out[near:] += p[:nt + 1 - near] @ (np.exp(-lam * tau0)[:, None] * wx)
+            tau0, lam = near * dt, far.lambdas
+            p = exp_convolve(lam, dt, gv @ (far.values_at(nodes.nodes) * nodes.weights).T)
+            out[near:] += p[:nt + 1 - near] @ (np.exp(-lam * tau0)[:, None] * far.values_at(pts))
         return out

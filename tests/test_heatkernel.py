@@ -157,7 +157,9 @@ class TestBoundaryPropagate:
         # nt <= 8 has no far part, 8 is exactly the near lags, 9 the first far lag
         *[pytest.param(domain, m, nt, id=f"{name}-{nt}")
           for name, domain, m in [("interval", interval(), 0), ("rectangle", rectangle(0.9, 1.3), 4)]
-          for nt in (1, 7, 8, 9)]])
+          for nt in (1, 7, 8, 9)],
+        # 640 far modes past 8 lags, so the near lags double to 32 (166 left)
+        pytest.param(rectangle(4.0, 4.0), 4, 64, id="long-rectangle")])
     def test_lag_operator_matches_scalar_loop(self, domain, m, nt):
         ev = KernelEvaluator(domain)
         g = self._noisy_trace(domain, m, nt)
@@ -203,11 +205,14 @@ class TestBoundaryPropagate:
         ref = self._one_table_trace(ev, g, pts)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("domain, m, nt", [(interval(), 0, 2048), (rectangle(), 8, 256)],
-                             ids=["interval", "rectangle"])
+    @pytest.mark.parametrize("domain, m, nt", [
+        (interval(), 0, 2048), (rectangle(), 8, 256), (rectangle(5.0, 5.0), 4, 128)],
+        ids=["interval", "rectangle", "long-rectangle"])
     def test_trace_peak_memory(self, domain, m, nt):
         # one table of all 8192 gaps against 200 modes would take 13 MB on
-        # the interval; weights for every lag took 38 MB on the 32-node rectangle
+        # the interval; weights for every lag took 38 MB on the 32-node
+        # rectangle; the long one keeps 1961 far modes past 8 lags, 10 MB of
+        # (nt+1, K) arrays, and 255 past 64
         ev = KernelEvaluator(domain)
         g = self._noisy_trace(domain, m, nt)
         tracemalloc.start()
@@ -220,8 +225,9 @@ class TestBoundaryPropagate:
 
     @pytest.mark.parametrize("nt", [64, 2048])
     def test_kernel_table_holds_only_the_near_lags(self, ev, nt, monkeypatch):
-        # 8 lags of 4 Gauss points each, whatever nt is; _block calls
-        # itself once per branch, so only the outer calls are counted
+        # on the unit interval 8 lags of 4 Gauss points each, whatever nt
+        # is; _block calls itself once per branch, so only the outer calls
+        # are counted
         gaps = []
         block = KernelEvaluator._block
 
