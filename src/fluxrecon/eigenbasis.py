@@ -7,13 +7,15 @@ Interval (0, L): lambda_m = (m pi / L)^2 with mode index m >= 0 and
 Rectangle modes are tensor products of the per-axis modes. The
 global ordering is by ascending eigenvalue with lexicographic per-axis
 mode indices breaking ties, so bases of different sizes agree on their
-common prefix.
+common prefix. modes_below lists every mode below a rate in that order:
+make_basis takes its first k, and the data functional's far part all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -66,25 +68,28 @@ class EigenBasis:
         return v.reshape(lead + (-1,)) @ self.quadrature_modes(grid).T
 
 
-def _candidate_modes(domain: DomainSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first `count` eigenvalues and modes, from the box [0, count - 1]
-    of indices per axis: its modes (0..count-1, 0) alone are count, and an
-    index >= count on any axis has a larger eigenvalue than all of them."""
-    axes = np.meshgrid(*[np.arange(count)] * domain.dim, indexing="ij")
-    modes = np.column_stack([m.ravel() for m in axes])
-    lams = sum((modes[:, d] * np.pi / L) ** 2 for d, L in enumerate(domain.lengths))
-    order = np.lexsort((*modes.T[::-1], lams))
-    return lams[order[:count]], modes[order[:count]]
+def modes_below(domain: DomainSpec, rate: float) -> EigenBasis:
+    """Every mode with eigenvalue strictly below rate, in the basis order."""
+    lam, idx = np.zeros(1), np.zeros((1, 0), dtype=int)
+    for L in domain.lengths:
+        m = np.arange(int(L * math.sqrt(rate) / math.pi) + 1)
+        lam = (lam[:, None] + (m * np.pi / L) ** 2).ravel()
+        idx = np.column_stack([np.repeat(idx, len(m), axis=0), np.tile(m, len(idx))])
+        keep = lam < rate
+        lam, idx = lam[keep], idx[keep]
+    # idx is lexicographic, so a stable sort keeps that order among ties
+    order = np.argsort(lam, kind="stable")
+    return EigenBasis(domain=domain, lambdas=lam[order], modes=idx[order])
 
 
-@lru_cache(maxsize=64)
 def make_basis(domain: DomainSpec, k: int) -> EigenBasis:
-    """The first k eigenvalues and modes in ascending-eigenvalue order."""
+    """The first k eigenvalues and modes in ascending-eigenvalue order:
+    the first k of modes_below ((k - 1/2) pi / L)^2, L the longest side,
+    below which lie at least k modes (0..k-1 along that side)."""
     if k < 1:
         raise ConfigurationError(f"basis size must be >= 1, got {k}")
-    lams, modes = _candidate_modes(domain, k)
-    return EigenBasis(domain=domain, lambdas=np.asarray(lams, dtype=float),
-                      modes=np.asarray(modes, dtype=int))
+    below = modes_below(domain, ((k - 0.5) * math.pi / max(domain.lengths)) ** 2)
+    return EigenBasis(domain=domain, lambdas=below.lambdas[:k], modes=below.modes[:k])
 
 
 def verify_orthonormality(basis: EigenBasis, grid: SpatialGrid) -> float:

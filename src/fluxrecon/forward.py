@@ -72,9 +72,6 @@ class DirichletData:
     final_time: float
     label: str = "custom"
 
-    def __call__(self, points: np.ndarray, t: float) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(points, dtype=float), float(t)), dtype=float)
-
     def table(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
         """phi at every (time, point) pair, shape (len(times), N), from one
         call of fn with the times as a column."""
@@ -379,16 +376,15 @@ class ObservedData:
 
 def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
                            phi: DirichletData, fine_n: int, fine_nt: int,
-                           sub_nt: int, noise_level: float = 0.0, seed: int = 0,
-                           nodes: BoundaryNodeSet | None = None) -> ObservedData:
+                           sub_nt: int, noise_level: float = 0.0, seed: int = 0, *,
+                           nodes: BoundaryNodeSet) -> ObservedData:
     """Solve on a fine grid, extract the flux, perturb, subsample.
 
     The time subsampling ratio must be an integer >= 2 so observations
     never live on the grid the reconstruction will use (inverse-crime
     guard); spatial fineness is the caller's responsibility via fine_n.
-    nodes is the boundary node set of the flux (default: the default
-    trace nodes of the fine grid); it must align with both the fine and
-    the reconstruction grid.
+    nodes is the boundary node set of the flux; it must align with both
+    the fine and the reconstruction grid.
     """
     if fine_nt % sub_nt != 0 or fine_nt // sub_nt < 2:
         raise ConfigurationError(
@@ -396,8 +392,6 @@ def synthesize_observation(domain: DomainSpec, reaction: Nonlinearity,
     if noise_level < 0:
         raise ConfigurationError(f"noise level must be >= 0, got {noise_level}")
     grid = build_grid(domain, fine_n)
-    if nodes is None:
-        nodes = default_trace_nodes(grid)
     phi.check_admissible(nodes)
     flux, u_max = march_flux(grid, reaction, phi, fine_nt, nodes)
     reaction.check_admissible(u_max)

@@ -8,10 +8,10 @@ of side L from every x to every y, in one of two exact representations:
   * cosine series:  sum_{m < _K_MAX} exp(-lambda_m tau) w_m(x) w_m(y) over
     the interval modes w_m of eigenbasis.axis_modes, lambda_m = (m pi / L)^2;
     accurate once the tail exp(-lambda_top tau) is negligible, so used for
-    tau >= crossover;
+    tau at or above the axis's crossover;
   * images:         sums of reflected Gaussians
     G(z) = exp(-z^2 / 4 tau) / sqrt(4 pi tau), whose truncation error
-    dies like exp(-L^2/tau), so used for tau < crossover.
+    dies like exp(-L^2/tau), so used below it.
 
 The evaluator takes no settings. It keeps _K_MAX = 200 modes per axis,
 _IMAGE_COUNT = 5 images on each side, _GL_ORDER = 4 Gauss points per
@@ -21,20 +21,23 @@ to rounding accuracy, which these values give, and no run needs others.
 The Gauss rule is written out as literal nodes and weights, bit-equal to
 numpy's `polynomial.legendre.leggauss(4)`, whose import loads the
 `numpy.polynomial` subpackage and whose call runs an eigensolve.
-The crossover is 2 ln(1/_TAIL_TOL) / lambda_top with _TAIL_TOL = 1e-12
-and lambda_top = ((_K_MAX - 1) pi / L)^2 of the longest axis, the
-smallest top eigenvalue over the axes. It keeps every
-axis's series tail below _TAIL_TOL^2 at the crossover itself and below
-_TAIL_TOL at half the crossover, where the two branches are compared.
+Each axis takes its branch at its own crossover 2 ln(1/_TAIL_TOL) /
+lambda_top, with _TAIL_TOL = 1e-12 and lambda_top = ((_K_MAX - 1) pi / L)^2
+of that axis. It keeps the axis's series tail below _TAIL_TOL^2 at the
+crossover and below _TAIL_TOL at half of it, where the two branches are
+compared, and images of that axis are exact to rounding below it. So a
+long, thin rectangle sums images along its long axis and the series
+along its short one at the same tau.
 
 The boundary data functional (boundary_propagate_trace) is a lag
 operator on a trace's axis t_j = j dt. It is split at tau0 = L0 dt,
 L0 = min(_NEAR_LAGS = 8, nt) on domains of about the diffusion length
 and more on longer ones, into the local and history parts of a heat
 potential (Greengard and Strain, CPAM 43, 1990): a kernel table for the
-near lags, and for the far lags the product cosine series, summed over
-all of them by numerics.exp_convolve. The scalar boundary_propagate
-evaluates the one quadrature at one (point, time) and is its reference.
+near lags, and for the far lags the product cosine series over
+eigenbasis.modes_below, summed over all of them by numerics.exp_convolve.
+The scalar boundary_propagate evaluates the one quadrature, the sigma
+panels of _sigma_panels, at one (point, time) and is its reference.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 
 import numpy as np
 
-from .eigenbasis import EigenBasis, axis_modes
+from .eigenbasis import axis_modes, modes_below
 from .errors import InputError
 from .fields import BoundaryTrace
 from .geometry import DomainSpec
@@ -65,6 +68,15 @@ _MASS_CELLS = 1024
 _NEAR_LAGS = 8
 
 
+def _sigma_panels(sig_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss points of each sigma panel [sig_edges[i], sig_edges[i+1]] and
+    their weights times 2 sigma (ds = -2 sigma dsigma); both (panels, q)."""
+    half = 0.5 * np.diff(sig_edges)[:, None]
+    mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
+    sigma = mid + half * _GL_NODES
+    return sigma, 2.0 * sigma * half * _GL_WEIGHTS
+
+
 class KernelEvaluator:
     """Evaluates the Neumann heat kernel and its propagation integrals."""
 
@@ -72,15 +84,24 @@ class KernelEvaluator:
         self.domain = domain
         # per-axis eigenvalues lambda_m = (m pi / L)^2, m < _K_MAX
         self._lambdas = [(np.arange(_K_MAX) * np.pi / L) ** 2 for L in domain.lengths]
-        lam_top = min(float(lam[-1]) for lam in self._lambdas)
-        self.crossover = 2.0 * math.log(1.0 / _TAIL_TOL) / lam_top
+        self.crossovers = [2.0 * math.log(1.0 / _TAIL_TOL) / float(lam[-1])
+                           for lam in self._lambdas]
 
     # -- the kernel core ---------------------------------------------------
 
     def _axis(self, d: int, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray,
-              spectral: bool) -> np.ndarray:
-        """Interval kernel of axis d from every x to every y at every tau,
-        by the cosine series or by images; (len(taus), len(xs), len(ys))."""
+              spectral: bool | None = None) -> np.ndarray:
+        """Interval kernel of axis d from every x to every y at every tau;
+        (len(taus), len(xs), len(ys)). The branch is images below the
+        axis's crossover and the cosine series from it on; spectral=True
+        or False takes that one branch for every tau."""
+        if spectral is None:
+            out = np.empty((len(taus), len(xs), len(ys)))
+            near = taus < self.crossovers[d]
+            for branch, sel in ((False, near), (True, ~near)):
+                if np.any(sel):
+                    out[sel] = self._axis(d, xs, ys, taus[sel], branch)
+            return out
         L = self.domain.lengths[d]
         if spectral:
             lam = self._lambdas[d]
@@ -103,17 +124,8 @@ class KernelEvaluator:
     def _block(self, xs: np.ndarray, ys: np.ndarray, taus: np.ndarray,
                spectral: bool | None = None) -> np.ndarray:
         """Kernel from every point of xs to every point of ys (both
-        (n, dim)) at every tau; (len(taus), len(xs), len(ys)). The branch
-        is images below the crossover and the cosine series from it on;
-        spectral=True or False takes that one branch for every tau."""
-        if spectral is None:
-            out = np.empty((len(taus), len(xs), len(ys)))
-            near = taus < self.crossover
-            if np.any(near):
-                out[near] = self._block(xs, ys, taus[near], spectral=False)
-            if np.any(~near):
-                out[~near] = self._block(xs, ys, taus[~near], spectral=True)
-            return out
+        (n, dim)) at every tau, the product of the axes' factors;
+        (len(taus), len(xs), len(ys))."""
         out = self._axis(0, xs[:, 0], ys[:, 0], taus, spectral)
         for d in range(1, self.domain.dim):
             out = out * self._axis(d, xs[:, d], ys[:, d], taus, spectral)
@@ -175,7 +187,7 @@ class KernelEvaluator:
         total = 1.0
         for d, L in enumerate(self.domain.lengths):
             ys = np.linspace(0.0, L, _MASS_CELLS + 1)
-            vals = self._axis(d, xp[:, d], ys, taus, tau >= self.crossover)[0, 0]
+            vals = self._axis(d, xp[:, d], ys, taus)[0, 0]
             total *= float(trapezoid_weights(_MASS_CELLS, L) @ vals)
         return total
 
@@ -195,29 +207,12 @@ class KernelEvaluator:
         knots = times[times < t - 1e-14]
         knots = np.append(knots, t)
         sig_edges = np.sqrt(np.maximum(t - knots, 0.0))[::-1]  # ascending in sigma
-        xi, wq = _GL_NODES, _GL_WEIGHTS
-        half = 0.5 * np.diff(sig_edges)
-        mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])
-        sigma = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-        wall = (half[:, None] * wq[None, :]).ravel()
+        sigma, quad = (a.ravel() for a in _sigma_panels(sig_edges))
         s = t - sigma**2
         kv = self._block(self._point(x), g.nodes.nodes, sigma**2)[:, 0]   # (nsig, nb)
         gv = np.stack([np.interp(s, times, g.values[:, b])
                        for b in range(g.nodes.count)], axis=1)
-        return float((wall * 2.0 * sigma) @ (kv * gv) @ g.nodes.weights)
-
-    def _modes_below(self, rate: float) -> EigenBasis:
-        """The product cosine modes with eigenvalue below rate, ascending."""
-        lam, idx = np.zeros(1), np.zeros((1, 0), dtype=int)
-        for L in self.domain.lengths:
-            m = np.arange(int(L * math.sqrt(rate) / math.pi) + 1)
-            lam = (lam[:, None] + (m * np.pi / L) ** 2).ravel()
-            idx = np.column_stack([np.repeat(idx, len(m), axis=0), np.tile(m, len(idx))])
-            keep = lam < rate
-            lam, idx = lam[keep], idx[keep]
-        # idx is lexicographic, so a stable sort breaks ties as EigenBasis does
-        order = np.argsort(lam, kind="stable")
-        return EigenBasis(domain=self.domain, lambdas=lam[order], modes=idx[order])
+        return float(quad @ (kv * gv) @ g.nodes.weights)
 
     def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray) -> np.ndarray:
         """boundary_propagate at every (point, sample time of g); (nt+1, npts).
@@ -256,18 +251,13 @@ class KernelEvaluator:
         dt, gv, nodes = g.dt, g.values, g.nodes
         width = max(_K_MAX, len(pts) * nodes.count)
         near = min(_NEAR_LAGS, nt)
-        far = self._modes_below(_MODE_CUTOFF / (near * dt))
+        far = modes_below(self.domain, _MODE_CUTOFF / (near * dt))
         while near < nt and far.size > width:
             near = min(2 * near, nt)
-            far = self._modes_below(_MODE_CUTOFF / (near * dt))
+            far = modes_below(self.domain, _MODE_CUTOFF / (near * dt))
 
-        sig_edges = np.sqrt(np.arange(near + 1) * dt)
-        xi, wq = _GL_NODES, _GL_WEIGHTS
-        half = 0.5 * np.diff(sig_edges)[:, None]
-        mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
-        sigma = mid + half * xi[None, :]                          # (near, q)
+        sigma, quad = _sigma_panels(np.sqrt(np.arange(near + 1) * dt))   # (near, q)
         theta_lo = sigma**2 / dt - np.arange(near)[:, None]        # weight of g[j-l-1]
-        quad = 2.0 * sigma * half * wq[None, :]
         kv = self._block(pts, nodes.nodes, (sigma**2).ravel())
         kv = kv.reshape(near, _GL_ORDER, len(pts), nodes.count) * nodes.weights
         w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)

@@ -76,18 +76,16 @@ class CurveEstimate:
 
 
 def flux_difference(obs: ObservedData, grid: SpatialGrid,
-                    v_phi: SolutionField | None = None) -> BoundaryTrace:
+                    v_phi: SolutionField) -> BoundaryTrace:
     """g = observed flux minus the flux of the reaction-free evolution v_phi.
 
-    v_phi is solved on the reconstruction grid (pass it in to reuse that
-    solve) and again on the grid with twice the cells per axis. Both
+    v_phi is the caller's solve on the reconstruction grid; it is solved
+    again on the grid with twice the cells per axis. Both
     fluxes carry an O(h^2) bias, so they are Richardson-extrapolated as
     (4 F_2n - F_n) / 3; v_phi depends only on the known phi, and the
     synthesis grid is never used.
     """
     nt = len(obs.flux.values) - 1
-    if v_phi is None:
-        v_phi = solve_linear_heat(grid, obs.phi, nt)
     fine = build_grid(obs.domain, tuple(2 * n for n in grid.n))
     coarse_flux = neumann_trace(v_phi, obs.flux.nodes).values
     fine_flux = march_flux(fine, None, obs.phi, nt, obs.flux.nodes)[0].values

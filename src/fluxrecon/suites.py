@@ -94,7 +94,7 @@ def kernel_suite() -> dict:
                  for x, y in [(0.5, 0.5), (0.0, 0.3), (1.0, 1.0)])
     checks.append(_check("rectangle_mass_dev", worst2, 1e-6))
 
-    taus = np.linspace(ev.crossover / 2, 2 * ev.crossover, 9)
+    taus = np.linspace(ev.crossovers[0] / 2, 2 * ev.crossovers[0], 9)
     pairs = [(0.5, 0.5), (0.3, 0.7), (0.0, 0.0), (1.0, 0.98), (0.25, 0.26)]
     worst_branch = max(float(np.max(np.abs(ev.spectral_values(x, y, taus)
                                            - ev.images_values(x, y, taus))))

@@ -46,7 +46,8 @@ def linear_obs():
     t0 = time.perf_counter()
     cfg = ScenarioConfig()
     obs = synthesize_observation(cfg.domain(), cfg.build_reaction(), cfg.build_phi(),
-                                 cfg.fine_n, cfg.fine_nt, cfg.recon_nt)
+                                 cfg.fine_n, cfg.fine_nt, cfg.recon_nt,
+                                 nodes=default_trace_nodes(build_grid(cfg.domain(), cfg.recon_n)))
     _times["linear_synthesis"] = time.perf_counter() - t0
     return cfg, obs
 
@@ -133,7 +134,7 @@ def test_criterion_06_exact_extension_consistency():
     nodes = default_trace_nodes(grid)
     series_vals = assemble_series(p, differentiate_coefficients(u.dt, p, halfwidth=2),
                                   basis, nodes.nodes)
-    phi_vals = np.array([phi(nodes.nodes, t) for t in u.times])
+    phi_vals = phi.table(nodes.nodes, u.times)
 
     lo, hi = np.quantile(phi_vals.ravel(), [0.1, 0.9])
     ftrue = reaction.fn(phi_vals)
@@ -168,7 +169,8 @@ def test_criterion_07b_zero_reaction(linear_obs):
     zero_cfg = ScenarioConfig(reaction={"family": "zero"})
     obs = synthesize_observation(zero_cfg.domain(), zero_cfg.build_reaction(),
                                  zero_cfg.build_phi(), zero_cfg.fine_n,
-                                 zero_cfg.fine_nt, zero_cfg.recon_nt)
+                                 zero_cfg.fine_nt, zero_cfg.recon_nt,
+                                 nodes=obs_linear.flux.nodes)
     result = reconstruct(obs, zero_cfg.recon_config())
     _times["criterion_07b"] = time.perf_counter() - t0
 
@@ -187,7 +189,8 @@ def test_criterion_08_noise_robustness():
     cfg = ScenarioConfig(noise_level=0.01, seed=0)
     obs = synthesize_observation(cfg.domain(), cfg.build_reaction(), cfg.build_phi(),
                                  cfg.fine_n, cfg.fine_nt, cfg.recon_nt,
-                                 noise_level=0.01, seed=0)
+                                 noise_level=0.01, seed=0,
+                                 nodes=default_trace_nodes(build_grid(cfg.domain(), cfg.recon_n)))
     rcfg = ReconstructionConfig(grid_n=cfg.recon_n, compare_extensions=True)
     result = reconstruct(obs, rcfg)
     report = score_reconstruction(result, obs, cfg)

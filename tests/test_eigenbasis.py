@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from fluxrecon.eigenbasis import make_basis, verify_orthonormality
+from fluxrecon.eigenbasis import make_basis, modes_below, verify_orthonormality
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.geometry import build_grid, interval, rectangle
 
@@ -90,6 +92,21 @@ class TestRectangleBasis:
         basis = make_basis(rectangle(1.0, aspect), k)
         assert basis.modes.tolist() == [[mx, my] for _, mx, my in box]
         assert basis.lambdas.tolist() == [lam for lam, _, _ in box]
+
+
+@pytest.mark.parametrize("domain", [interval(2.5), rectangle(1.0, 2.0), rectangle(0.9, 1.3)],
+                         ids=["interval", "rectangle-1x2", "rectangle-0.9x1.3"])
+@pytest.mark.parametrize("rate", [1e-3, 10.0, (3 * np.pi) ** 2, 400.0])
+def test_modes_below_matches_brute_force(domain, rate):
+    # every mode of a box wider than the rate allows, strictly below it,
+    # ordered by eigenvalue and then by mode index
+    axes = [range(int(L * np.sqrt(rate) / np.pi) + 3) for L in domain.lengths]
+    box = sorted((sum((m * np.pi / L) ** 2 for m, L in zip(ms, domain.lengths)), *ms)
+                 for ms in itertools.product(*axes))
+    want = [row for row in box if row[0] < rate]
+    basis = modes_below(domain, rate)
+    assert basis.modes.tolist() == [list(row[1:]) for row in want]
+    assert basis.lambdas.tolist() == [row[0] for row in want]
 
 
 def test_project_with_leading_axes():

@@ -47,27 +47,27 @@ class TestBoundaryData:
         phi = make_boundary_data({"family": "ramp", "profile": "const",
                                   "amplitude": 2.0}, interval(), 1.0)
         pts = np.array([[0.0], [1.0]])
-        assert np.allclose(phi(pts, 0.5), 1.0)
-        assert np.allclose(phi(pts, 0.0), 0.0)
+        assert np.allclose(phi.fn(pts, 0.5), 1.0)
+        assert np.allclose(phi.fn(pts, 0.0), 0.0)
         assert phi.final_time == 1.0
 
     def test_saturating_ramp(self):
         phi = make_boundary_data({"family": "saturating_ramp", "scale": 0.5},
                                  interval(), 2.0)
         pts = np.array([[0.3]])
-        assert np.isclose(phi(pts, 1.0)[0], 1.0 - np.exp(-2.0))
+        assert np.isclose(phi.fn(pts, 1.0)[0], 1.0 - np.exp(-2.0))
 
     def test_affine_profile(self):
         phi = make_boundary_data({"family": "ramp", "profile": "affine",
                                   "slope": 0.5}, interval(2.0), 1.0)
         pts = np.array([[0.0], [2.0]])
-        assert np.allclose(phi(pts, 1.0), [1.0, 1.5])
+        assert np.allclose(phi.fn(pts, 1.0), [1.0, 1.5])
 
     def test_affine_profile_uses_first_axis(self):
         phi = make_boundary_data({"family": "ramp", "profile": "affine",
                                   "slope": 1.0}, rectangle(), 1.0)
         pts = np.array([[0.0, 0.7], [1.0, 0.7]])
-        assert np.allclose(phi(pts, 1.0), [1.0, 2.0])
+        assert np.allclose(phi.fn(pts, 1.0), [1.0, 2.0])
 
     def test_rejections(self):
         with pytest.raises(ConfigurationError):
@@ -104,4 +104,4 @@ class TestBoundaryTable:
         times = np.linspace(0.0, 1.7, 49)
         table = phi.table(pts, times)
         assert table.shape == (len(times), len(pts))
-        assert np.array_equal(table, np.stack([phi(pts, t) for t in times]))
+        assert np.array_equal(table, np.stack([phi.fn(pts, t) for t in times]))

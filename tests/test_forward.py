@@ -107,7 +107,7 @@ def _reference_1d(grid, reaction, data, nt, source=None, u0=None):
     u = np.zeros((nt + 1, n + 1))
     if u0 is not None:
         u[0] = u0
-    u[0, 0], u[0, -1] = data(bpts, 0.0)
+    u[0, 0], u[0, -1] = data.fn(bpts, 0.0)
     f_prev = None
     for m in range(nt):
         um = u[m]
@@ -116,7 +116,7 @@ def _reference_1d(grid, reaction, data, nt, source=None, u0=None):
         rhs = 2.0 * um[1:-1] - dt * f_ex[1:-1]
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1]
-        bc_old, bc_new = data(bpts, times[m]), data(bpts, times[m + 1])
+        bc_old, bc_new = data.fn(bpts, times[m]), data.fn(bpts, times[m + 1])
         rhs[0] += r * (bc_old[0] + bc_new[0])
         rhs[-1] += r * (bc_old[1] + bc_new[1])
         if not np.all(np.isfinite(rhs)):
@@ -149,7 +149,7 @@ def _textbook_1d(grid, reaction, data, nt, source=None, u0=None):
     u = np.zeros((nt + 1, n + 1))
     if u0 is not None:
         u[0] = u0
-    u[0, 0], u[0, -1] = data(bpts, 0.0)
+    u[0, 0], u[0, -1] = data.fn(bpts, 0.0)
     f_prev = None
     for m in range(nt):
         um = u[m]
@@ -159,7 +159,7 @@ def _textbook_1d(grid, reaction, data, nt, source=None, u0=None):
         rhs = um[1:-1] + 0.5 * dt * lap_m - dt * f_ex[1:-1]
         if source is not None:
             rhs = rhs + dt * source(grid, times[m] + 0.5 * dt)[1:-1]
-        bc_new = data(bpts, times[m + 1])
+        bc_new = data.fn(bpts, times[m + 1])
         rhs[0] += r * bc_new[0]
         rhs[-1] += r * bc_new[1]
         if not np.all(np.isfinite(rhs)):
@@ -267,7 +267,7 @@ def _rect_ring(grid, data, t):
         ((slice(None), 0), np.column_stack([xg, np.zeros(nx + 1)])),
         ((slice(None), -1), np.column_stack([xg, np.full(nx + 1, yg[-1])])),
     ]:
-        vals[idx] = data(pts, t)
+        vals[idx] = data.fn(pts, t)
     return vals
 
 
@@ -822,7 +822,8 @@ class TestSynthesize:
     def test_subsampling_and_metadata(self):
         dom = interval()
         obs = synthesize_observation(dom, make_reaction({"family": "linear"}),
-                                     _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32)
+                                     _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
+                                     nodes=boundary_nodes(dom))
         assert len(obs.flux.times) == 33
         assert obs.flux.times[-1] == 1.0
         assert obs.f_label == "linear"
@@ -830,7 +831,8 @@ class TestSynthesize:
     def test_flux_and_boundary_data_share_the_final_time(self):
         dom = interval()
         obs = synthesize_observation(dom, make_reaction({"family": "linear"}),
-                                     _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32)
+                                     _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
+                                     nodes=boundary_nodes(dom))
         late = BoundaryTrace(nodes=obs.flux.nodes, final_time=2.0, values=obs.flux.values)
         with pytest.raises(InputError, match="flux final time 2 differs from the "
                                              "boundary data's 1"):
@@ -840,17 +842,20 @@ class TestSynthesize:
         dom = interval()
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
-                                   _ramp(dom), fine_n=32, fine_nt=100, sub_nt=32)
+                                   _ramp(dom), fine_n=32, fine_nt=100, sub_nt=32,
+                                   nodes=boundary_nodes(dom))
 
     def test_rejects_unit_ratio(self):
         dom = interval()
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
-                                   _ramp(dom), fine_n=32, fine_nt=32, sub_nt=32)
+                                   _ramp(dom), fine_n=32, fine_nt=32, sub_nt=32,
+                                   nodes=boundary_nodes(dom))
 
     def test_noise_reproducible_and_seeded(self):
         dom = interval()
-        kw = dict(fine_n=32, fine_nt=128, sub_nt=32, noise_level=0.01)
+        kw = dict(fine_n=32, fine_nt=128, sub_nt=32, noise_level=0.01,
+                  nodes=boundary_nodes(dom))
         r = make_reaction({"family": "linear"})
         a = synthesize_observation(dom, r, _ramp(dom), seed=3, **kw)
         b = synthesize_observation(dom, r, _ramp(dom), seed=3, **kw)
@@ -862,7 +867,7 @@ class TestSynthesize:
         dom = interval()
         r = make_reaction({"family": "linear"})
         obs = synthesize_observation(dom, r, _ramp(dom), fine_n=32, fine_nt=128,
-                                     sub_nt=32, noise_level=0.0)
+                                     sub_nt=32, noise_level=0.0, nodes=boundary_nodes(dom))
         grid = build_grid(dom, 32)
         u = solve_semilinear(grid, r, _ramp(dom), 128)
         flux = neumann_trace(u)
@@ -875,7 +880,8 @@ class TestSynthesize:
         tracemalloc.start()
         try:
             synthesize_observation(dom, make_reaction({"family": "linear"}), _ramp(dom),
-                                   fine_n=512, fine_nt=2048, sub_nt=256, noise_level=0.01)
+                                   fine_n=512, fine_nt=2048, sub_nt=256, noise_level=0.01,
+                                   nodes=boundary_nodes(dom))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -886,4 +892,4 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
                                    _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
-                                   noise_level=-0.1)
+                                   noise_level=-0.1, nodes=boundary_nodes(dom))

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from fluxrecon.errors import InputError
 from fluxrecon.fields import BoundaryTrace
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.heatkernel import _GL_NODES, _GL_WEIGHTS, KernelEvaluator
+from fluxrecon.heatkernel import KernelEvaluator, _sigma_panels
 
 
 @pytest.fixture(scope="module")
@@ -17,10 +17,12 @@ def ev():
 
 
 class TestConfig:
-    def test_default_crossover_value(self, ev):
-        # 2 ln(1/tail_tol) / lambda_200 on the unit interval
-        lam_top = (199 * np.pi) ** 2
-        assert np.isclose(ev.crossover, 2.0 * np.log(1e12) / lam_top, rtol=1e-12)
+    def test_default_crossover_value(self):
+        # 2 ln(1/tail_tol) / lambda_200 of each axis
+        ev = KernelEvaluator(rectangle(1.0, 2.0))
+        for crossover, L in zip(ev.crossovers, (1.0, 2.0)):
+            lam_top = (199 * np.pi / L) ** 2
+            assert np.isclose(crossover, 2.0 * np.log(1e12) / lam_top, rtol=1e-12)
 
 
 class TestPointValues:
@@ -42,7 +44,7 @@ class TestPointValues:
                 (ev, [(0.5, 0.5), (0.0, 0.0), (0.3, 0.7), (1.0, 0.98)]),
                 (rect, [((0.5, 0.5), (0.5, 0.5)), ((0.0, 0.0), (0.0, 0.0)),
                         ((0.3, 0.1), (0.7, 0.2)), ((1.0, 0.5), (0.98, 0.5))])]:
-            taus = np.linspace(kernel.crossover / 2, 2 * kernel.crossover, 9)
+            taus = np.linspace(kernel.crossovers[0] / 2, 2 * kernel.crossovers[0], 9)
             for x, y in pairs:
                 dev = np.max(np.abs(kernel.spectral_values(x, y, taus)
                                     - kernel.images_values(x, y, taus)))
@@ -67,9 +69,19 @@ class TestPointValues:
         ev = KernelEvaluator(interval())
         assert ev.value(x, y, tau) >= 0.0
 
+    @given(st.floats(0.05, 100.0), st.floats(0.05, 100.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(1e-4, 10.0))
+    def test_rectangle_is_product_of_intervals(self, lx, ly, ux, uy, vx, vy, tau):
+        rect = KernelEvaluator(rectangle(lx, ly)).value((ux * lx, uy * ly),
+                                                        (vx * lx, vy * ly), tau)
+        ax = KernelEvaluator(interval(lx)).value(ux * lx, vx * lx, tau)
+        ay = KernelEvaluator(interval(ly)).value(uy * ly, vy * ly, tau)
+        assert abs(rect - ax * ay) <= 1e-12 * abs(ax * ay)
+
     def test_profile_matches_values(self, ev):
         ys = np.linspace(0.0, 1.0, 7)
-        for tau in (ev.crossover / 2, 0.3):
+        for tau in (ev.crossovers[0] / 2, 0.3):
             prof = ev.profile(0.4, ys, tau)
             ref = np.array([ev.value(0.4, y, tau) for y in ys])
             assert np.max(np.abs(prof - ref)) < 1e-13
@@ -87,6 +99,14 @@ class TestMass:
         ev2 = KernelEvaluator(rectangle())
         for tau in (1e-3, 0.5):
             assert abs(ev2.mass(np.array([0.25, 0.8]), tau) - 1.0) < 1e-6
+
+    def test_long_thin_rectangle(self):
+        # each axis takes its own branch: with one crossover from the long
+        # axis, the short one summed 5 images at tau >> 0.1^2 (mass -0.27
+        # at tau = 0.5)
+        ev2 = KernelEvaluator(rectangle(100.0, 0.1))
+        for tau in (0.01, 0.1, 0.5, 1.0):
+            assert abs(ev2.mass(np.array([50.0, 0.03]), tau) - 1.0) <= 1e-10
 
     def test_semigroup_identity(self, ev):
         grid = build_grid(interval(), 512)
@@ -173,13 +193,8 @@ class TestBoundaryPropagate:
     def _one_table_trace(ev, g, pts):
         """The lag operator with the kernel of every lag from one _block call."""
         nt, dt = len(g.values) - 1, g.dt
-        sig_edges = np.sqrt(np.arange(nt + 1) * dt)
-        xi, wq = _GL_NODES, _GL_WEIGHTS
-        half = 0.5 * np.diff(sig_edges)[:, None]
-        mid = 0.5 * (sig_edges[:-1] + sig_edges[1:])[:, None]
-        sigma = mid + half * xi[None, :]
+        sigma, quad = _sigma_panels(np.sqrt(np.arange(nt + 1) * dt))
         theta_lo = sigma**2 / dt - np.arange(nt)[:, None]
-        quad = 2.0 * sigma * half * wq[None, :]
         kv = ev._block(pts, g.nodes.nodes, (sigma**2).ravel())
         kv = kv.reshape(nt, 4, len(pts), -1) * g.nodes.weights
         w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
@@ -225,15 +240,12 @@ class TestBoundaryPropagate:
 
     @pytest.mark.parametrize("nt", [64, 2048])
     def test_kernel_table_holds_only_the_near_lags(self, ev, nt, monkeypatch):
-        # on the unit interval 8 lags of 4 Gauss points each, whatever nt
-        # is; _block calls itself once per branch, so only the outer calls
-        # are counted
+        # on the unit interval 8 lags of 4 Gauss points each, whatever nt is
         gaps = []
         block = KernelEvaluator._block
 
         def spy(self, xs, ys, taus, spectral=None):
-            if spectral is None:
-                gaps.append(len(taus))
+            gaps.append(len(taus))
             return block(self, xs, ys, taus, spectral)
 
         monkeypatch.setattr(KernelEvaluator, "_block", spy)

@@ -234,8 +234,10 @@ class TestFluxDifference:
         dom = interval()
         cfg_phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
         obs = synthesize_observation(dom, make_reaction({"family": "zero"}), cfg_phi,
-                                     fine_n=512, fine_nt=4096, sub_nt=1024)
-        gap = flux_difference(obs, build_grid(dom, 128))
+                                     fine_n=512, fine_nt=4096, sub_nt=1024,
+                                     nodes=boundary_nodes(dom))
+        grid = build_grid(dom, 128)
+        gap = flux_difference(obs, grid, solve_linear_heat(grid, cfg_phi, 1024))
         scale = float(np.max(np.abs(obs.flux.values)))
         late = gap.times >= 0.05
         assert np.max(np.abs(gap.values[late])) / scale < 1e-3
@@ -252,8 +254,9 @@ class TestFluxDifference:
                            flux=BoundaryTrace(nodes=nodes, final_time=1.0,
                                               values=np.zeros((nt + 1, nodes.count))))
         grid = build_grid(dom, 16)
-        extrapolated = -flux_difference(obs, grid).values
-        coarse = neumann_trace(solve_linear_heat(grid, phi, nt), nodes).values
+        v_phi = solve_linear_heat(grid, phi, nt)
+        extrapolated = -flux_difference(obs, grid, v_phi).values
+        coarse = neumann_trace(v_phi, nodes).values
         ref = neumann_trace(solve_linear_heat(build_grid(dom, 128), phi, nt), nodes).values
         late = times >= 0.05
         err_extrapolated = np.max(np.abs(extrapolated - ref)[late])
@@ -439,7 +442,7 @@ def small_obs():
     dom = interval()
     phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
     return synthesize_observation(dom, make_reaction({"family": "linear"}), phi,
-                                  fine_n=64, fine_nt=512, sub_nt=64)
+                                  fine_n=64, fine_nt=512, sub_nt=64, nodes=boundary_nodes(dom))
 
 
 @pytest.fixture(scope="module")
