@@ -46,8 +46,6 @@ class EigenBasis:
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate all modes at points of shape (..., dim); returns (K, ...)."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1 and self.domain.dim == 1:
-            pts = pts[:, None]
         out = np.ones((self.size,) + pts.shape[:-1])
         for d, L in enumerate(self.domain.lengths):
             count = int(np.max(self.modes[:, d])) + 1

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, InputError, check_fields, is_finite_real
 from .families import make_boundary_data, make_reaction
 from .fields import BoundaryTrace
-from .forward import ObservedData, default_trace_nodes, synthesize_observation
-from .geometry import DomainKind, DomainSpec, build_grid
+from .forward import ObservedData, synthesize_observation
+from .geometry import DomainKind, DomainSpec, boundary_nodes, build_grid
 from .recon import (ReconstructionConfig, ReconstructionResult, evaluate_curve,
                     reconstruct)
 from .suites import run_suite
@@ -223,7 +223,7 @@ def write_observation(obs: ObservedData, scenario: ScenarioConfig, outdir: Path
 
 
 def _expected_nodes(scenario: ScenarioConfig):
-    return default_trace_nodes(build_grid(scenario.domain(), scenario.recon_n))
+    return boundary_nodes(build_grid(scenario.domain(), scenario.recon_n))
 
 
 def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig]:
@@ -378,7 +378,7 @@ def score_reconstruction(result: ReconstructionResult, obs: ObservedData,
     curve = result.curve
     reaction = scenario.build_reaction()
     us = np.linspace(curve.trusted_lo, curve.trusted_hi, 401)
-    fhat, _ = evaluate_curve(curve, us)
+    fhat = evaluate_curve(curve, us)
     ftrue = np.asarray(reaction.fn(us), dtype=float)
     diff = fhat - ftrue
     sup = float(np.max(np.abs(diff)))

@@ -8,6 +8,9 @@ h and dt without nonlinear solves. Boundary values are imposed
 strongly. With A = I - (dt/2) lap, the explicit half I + (dt/2) lap is
 2I - A, so a step is one solve with A and no stencil:
 u_{m+1} = A^-1 (2 u_m + explicit terms + boundary coupling) - u_m.
+
+The flux is read at the nodes the caller passes, which
+geometry.boundary_nodes picks; nothing here picks nodes.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import numpy as np
 from ._lapack import dpttrf, dpttrs
 from .errors import ConfigurationError, InputError, NumericalError
 from .fields import BoundaryTrace, SolutionField
-from .geometry import (BoundaryNodeSet, DomainKind, DomainSpec, SpatialGrid,
-                       boundary_nodes, build_grid)
+from .geometry import BoundaryNodeSet, DomainSpec, SpatialGrid, build_grid
 
 SourceFn = Callable[[SpatialGrid, np.ndarray], np.ndarray]
 """A source q(x, t) of the forward march. It gets the grid and the times
@@ -300,16 +302,6 @@ def solve_linear_heat(grid: SpatialGrid, data: DirichletData, nt: int,
     return _field(grid, data, nt, march(grid, None, data, nt, source, u0))
 
 
-def default_trace_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
-    """Grid-aligned boundary quadrature nodes (rectangle: n/2 per side)."""
-    if grid.domain.kind is DomainKind.INTERVAL:
-        return boundary_nodes(grid.domain)
-    if grid.n[0] % 2 or grid.n[1] % 2 or grid.n[0] != grid.n[1]:
-        raise ConfigurationError(
-            f"rectangle traces need an even, equal cell count per axis, got {grid.n}")
-    return boundary_nodes(grid.domain, m=grid.n[0] // 2)
-
-
 def _flux_stencil(grid: SpatialGrid, nodes: BoundaryNodeSet):
     """The outward normal derivative at the nodes as a function of a
     (rows, *grid.shape) array; see neumann_trace."""
@@ -326,16 +318,14 @@ def _flux_stencil(grid: SpatialGrid, nodes: BoundaryNodeSet):
     return flux
 
 
-def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet | None = None) -> BoundaryTrace:
+def neumann_trace(field: SolutionField, nodes: BoundaryNodeSet) -> BoundaryTrace:
     """Outward normal derivative at boundary nodes, one-sided second order.
 
     At x = 0 the stencil is dn(u) = (3 u_0 - 4 u_1 + u_2) / (2h); nodes
-    must lie on grid lines (the default set does). A node on side s steps
-    inward along axis s // 2, forward from the first node for even s and
-    back from the last for odd s.
+    must lie on grid lines (boundary_nodes(field.grid) do). A node on
+    side s steps inward along axis s // 2, forward from the first node
+    for even s and back from the last for odd s.
     """
-    if nodes is None:
-        nodes = default_trace_nodes(field.grid)
     return BoundaryTrace(nodes=nodes, final_time=field.final_time,
                          values=_flux_stencil(field.grid, nodes)(field.values))
 

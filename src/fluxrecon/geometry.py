@@ -2,6 +2,8 @@
 
 Supported domains are the interval (0, L) and the axis-aligned rectangle
 (0, L1) x (0, L2). Points are ndarrays of shape (..., dim) throughout.
+boundary_nodes(grid) is the one rule for the nodes a flux is read at: the
+ends of the interval, or n/2 midpoints per side of the rectangle.
 """
 
 from __future__ import annotations
@@ -140,13 +142,17 @@ class BoundaryNodeSet:
         return len(self.weights)
 
 
-def boundary_nodes(domain: DomainSpec, m: int = 0) -> BoundaryNodeSet:
-    """Boundary quadrature node set; m is the per-side node count (rectangle)."""
+def boundary_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
+    """The grid's boundary quadrature nodes; on the rectangle m = n/2 per
+    side (>= 4 by MIN_CELLS), which needs n even and equal on both axes."""
+    domain = grid.domain
     if domain.kind is DomainKind.INTERVAL:
         L = domain.lengths[0]
         return BoundaryNodeSet(np.array([[0.0], [L]]), np.array([1.0, 1.0]), np.array([0, 1]))
-    if m < 4:
-        raise ConfigurationError(f"rectangle boundary needs m >= 4 nodes per side, got {m}")
+    if grid.n[0] % 2 or grid.n[1] % 2 or grid.n[0] != grid.n[1]:
+        raise ConfigurationError(
+            f"rectangle traces need an even, equal cell count per axis, got {grid.n}")
+    m = grid.n[0] // 2
     lx, ly = domain.lengths
     mids_x = (np.arange(m) + 0.5) * (lx / m)
     mids_y = (np.arange(m) + 0.5) * (ly / m)

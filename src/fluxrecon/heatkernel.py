@@ -15,7 +15,8 @@ of side L from every x to every y, in one of two exact representations:
 
 The evaluator takes no settings. It keeps _K_MAX = 200 modes per axis,
 _IMAGE_COUNT = 5 images on each side, _GL_ORDER = 4 Gauss points per
-sigma panel and _MASS_CELLS = 1024 trapezoid cells per axis in `mass`.
+sigma panel and _MASS_CELLS = 1024 trapezoid cells per axis in `mass`
+(below the axis's crossover, on the window about x that holds the images).
 These are constants because the data functional needs the kernel only
 to rounding accuracy, which these values give, and no run needs others.
 The Gauss rule is written out as literal nodes and weights, bit-equal to
@@ -30,12 +31,12 @@ long, thin rectangle sums images along its long axis and the series
 along its short one at the same tau.
 
 The boundary data functional (boundary_propagate_trace) is a lag
-operator on a trace's axis t_j = j dt. It is split at tau0 = L0 dt,
-L0 = min(_NEAR_LAGS = 8, nt) on domains of about the diffusion length
-and more on longer ones, into the local and history parts of a heat
-potential (Greengard and Strain, CPAM 43, 1990): a kernel table for the
-near lags, and for the far lags the product cosine series over
-eigenbasis.modes_below, summed over all of them by numerics.exp_convolve.
+operator on a trace's axis t_j = j dt at the trace's own nodes. It is
+split at tau0 = L0 dt, L0 = min(_NEAR_LAGS = 8, nt) on domains of about
+the diffusion length and more on longer ones, into the local and history
+parts of a heat potential (Greengard and Strain, CPAM 43, 1990): a kernel
+table for the near lags, and for the far lags the product cosine series
+over eigenbasis.modes_below, summed over all of them by exp_convolve.
 The scalar boundary_propagate evaluates the one quadrature, the sigma
 panels of _sigma_panels, at one (point, time) and is its reference.
 """
@@ -164,12 +165,10 @@ class KernelEvaluator:
         return float(self.values(x, y, np.array([float(tau)]))[0])
 
     def profile(self, x, ys: np.ndarray, tau: float) -> np.ndarray:
-        """Kernel values at one x against many y points, fixed tau."""
+        """Kernel values at one x against many y points (n, dim), fixed tau."""
         if tau <= 0:
             raise InputError("kernel requires positive time gaps")
         ys = np.asarray(ys, dtype=float)
-        if ys.ndim == 1:
-            ys = ys[:, None]
         return self._block(self._point(x), ys, np.array([float(tau)]))[0, 0]
 
     # -- integral rules ---------------------------------------------------
@@ -178,7 +177,9 @@ class KernelEvaluator:
         """Quadrature of U(x, .; tau) over the domain.
 
         The kernel factors over axes, so the integral is the product of
-        per-axis trapezoid quadratures of the interval factors.
+        per-axis trapezoid quadratures of the interval factors. Below an
+        axis's crossover the cells span only [x - r, x + r] of it, with
+        r = sqrt(8 ln(1/_TAIL_TOL) tau): the images hold < _TAIL_TOL^2 outside.
         """
         if tau <= 0:
             raise InputError("kernel requires positive time gaps")
@@ -186,9 +187,13 @@ class KernelEvaluator:
         taus = np.array([float(tau)])
         total = 1.0
         for d, L in enumerate(self.domain.lengths):
-            ys = np.linspace(0.0, L, _MASS_CELLS + 1)
+            lo, hi = 0.0, L
+            if tau < self.crossovers[d]:
+                r = math.sqrt(8.0 * math.log(1.0 / _TAIL_TOL) * tau)
+                lo, hi = max(0.0, xp[0, d] - r), min(L, xp[0, d] + r)
+            ys = np.linspace(lo, hi, _MASS_CELLS + 1)
             vals = self._axis(d, xp[:, d], ys, taus)[0, 0]
-            total *= float(trapezoid_weights(_MASS_CELLS, L) @ vals)
+            total *= float(trapezoid_weights(_MASS_CELLS, hi - lo) @ vals)
         return total
 
     def boundary_propagate(self, g: BoundaryTrace, x, t: float) -> float:
@@ -214,17 +219,17 @@ class KernelEvaluator:
                        for b in range(g.nodes.count)], axis=1)
         return float(quad @ (kv * gv) @ g.nodes.weights)
 
-    def boundary_propagate_trace(self, g: BoundaryTrace, points: np.ndarray) -> np.ndarray:
-        """boundary_propagate at every (point, sample time of g); (nt+1, npts).
+    def boundary_propagate_trace(self, g: BoundaryTrace) -> np.ndarray:
+        """boundary_propagate at every (node, sample time) of g; (nt+1, nb).
 
         Same quadrature as `boundary_propagate`, evaluated as a lag
-        operator. On the uniform grid t_j = j dt the sigma panel that
-        covers s in [t_{j-l-1}, t_{j-l}] is [sqrt(l dt), sqrt((l+1) dt)]
-        for every j. The near lags l < L0 evaluate the kernel once per
-        (lag, Gauss point, point, node) and fold it with the quadrature,
-        the linear interpolation in s and the boundary weights into
-        matrices W_up[l] (acting on g[j-l]) and W_lo[l] (on g[j-l-1]),
-        each (npts, nb). Past tau0 = L0 dt the
+        operator at the trace's own nodes. On the uniform grid t_j = j dt
+        the sigma panel that covers s in [t_{j-l-1}, t_{j-l}] is
+        [sqrt(l dt), sqrt((l+1) dt)] for every j. The near lags l < L0
+        evaluate the kernel once per (lag, Gauss point, node, node) and
+        fold it with the quadrature, the linear interpolation in s and
+        the boundary weights into matrices W_up[l] (acting on g[j-l]) and
+        W_lo[l] (on g[j-l-1]), each (nb, nb). Past tau0 = L0 dt the
         kernel is sum_k exp(-lambda_k tau) w_k(x) w_k(y) over every
         product mode with lambda_k tau0 < _MODE_CUTOFF (not capped at
         _K_MAX), and its integral against g, linear in s, is exact: with
@@ -236,20 +241,19 @@ class KernelEvaluator:
         the last sum for j >= L0 only.
 
         L0 is min(_NEAR_LAGS, nt), doubled (up to nt) while more than
-        max(_K_MAX, npts nb) far modes are kept. K grows like
+        max(_K_MAX, nb^2) far modes are kept. K grows like
         L / sqrt(tau0) per axis: at T = 1 and nt = 2048 it is 40 on the
         unit interval and 1264 on the unit square, where 32 nodes double
         L0 once. So only long domains move L0, and the (nt+1, K) far
-        arrays stay the order of the per-lag (npts, nb) weights.
-        Cost: O(nt * (L0 npts nb + K (npts + nb))).
+        arrays stay the order of the per-lag (nb, nb) weights.
+        Cost: O(nt * (L0 nb^2 + K nb)).
         """
-        pts = np.asarray(points, dtype=float)
-        nt = len(g.values) - 1
-        out = np.zeros((nt + 1, len(pts)))
+        nt, nb = len(g.values) - 1, g.nodes.count
+        out = np.zeros((nt + 1, nb))
         if nt == 0:
             return out
         dt, gv, nodes = g.dt, g.values, g.nodes
-        width = max(_K_MAX, len(pts) * nodes.count)
+        width = max(_K_MAX, nb**2)
         near = min(_NEAR_LAGS, nt)
         far = modes_below(self.domain, _MODE_CUTOFF / (near * dt))
         while near < nt and far.size > width:
@@ -258,8 +262,8 @@ class KernelEvaluator:
 
         sigma, quad = _sigma_panels(np.sqrt(np.arange(near + 1) * dt))   # (near, q)
         theta_lo = sigma**2 / dt - np.arange(near)[:, None]        # weight of g[j-l-1]
-        kv = self._block(pts, nodes.nodes, (sigma**2).ravel())
-        kv = kv.reshape(near, _GL_ORDER, len(pts), nodes.count) * nodes.weights
+        kv = self._block(nodes.nodes, nodes.nodes, (sigma**2).ravel())
+        kv = kv.reshape(near, _GL_ORDER, nb, nb) * nodes.weights
         w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
         w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
         for lag in range(near):
@@ -267,6 +271,7 @@ class KernelEvaluator:
 
         if nt > near:
             tau0, lam = near * dt, far.lambdas
-            p = exp_convolve(lam, dt, gv @ (far.values_at(nodes.nodes) * nodes.weights).T)
-            out[near:] += p[:nt + 1 - near] @ (np.exp(-lam * tau0)[:, None] * far.values_at(pts))
+            modes = far.values_at(nodes.nodes)                         # (K, nb)
+            p = exp_convolve(lam, dt, gv @ (modes * nodes.weights).T)
+            out[near:] += p[:nt + 1 - near] @ (np.exp(-lam * tau0)[:, None] * modes)
         return out

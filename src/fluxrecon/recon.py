@@ -99,7 +99,7 @@ def compute_data_functional(gap: BoundaryTrace, kernel: KernelEvaluator) -> Boun
 
         a(x, t) = int_0^t int_bnd U(x, t; y, s) g(y, s) dS(y) ds.
     """
-    values = kernel.boundary_propagate_trace(gap, gap.nodes.nodes)
+    values = kernel.boundary_propagate_trace(gap)
     return BoundaryTrace(nodes=gap.nodes, final_time=gap.final_time, values=values)
 
 
@@ -108,24 +108,19 @@ def compute_data_functional(gap: BoundaryTrace, kernel: KernelEvaluator) -> Boun
 
 def _side_values_on_axis(a: BoundaryTrace, side: int, coords: np.ndarray) -> np.ndarray:
     """Interpolate one side's trace onto tangential coordinates, with
-    linear extrapolation past the first/last node; (nt+1, len(coords))."""
+    linear extrapolation past the first/last node; (nt+1, len(coords)).
+    The chord of cell j is slope_j (x - tc[at]) + vals[at], at = j + 1
+    from the last node on and j before it, which is np.interp's rounding
+    inside the node span."""
     sel = a.nodes.side == side
     tc = a.nodes.nodes[sel][:, 1 - side // 2]
     order = np.argsort(tc)
     tc = tc[order]
     vals = a.values[:, sel][:, order]
-    out = np.empty((vals.shape[0], len(coords)))
-    for j in range(vals.shape[0]):
-        out[j] = np.interp(coords, tc, vals[j])
-    lo = coords < tc[0]
-    hi = coords > tc[-1]
-    if np.any(lo):
-        slope = (vals[:, 1] - vals[:, 0]) / (tc[1] - tc[0])
-        out[:, lo] = vals[:, [0]] + slope[:, None] * (coords[lo] - tc[0])[None, :]
-    if np.any(hi):
-        slope = (vals[:, -1] - vals[:, -2]) / (tc[-1] - tc[-2])
-        out[:, hi] = vals[:, [-1]] + slope[:, None] * (coords[hi] - tc[-1])[None, :]
-    return out
+    slope = np.diff(vals, axis=1) / np.diff(tc)
+    j = np.clip(np.searchsorted(tc, coords, "right") - 1, 0, len(tc) - 2)
+    at = np.where(coords >= tc[-1], j + 1, j)
+    return slope[:, j] * (coords - tc[at]) + vals[:, at]
 
 
 def _boundary_ring(a: BoundaryTrace, grid: SpatialGrid) -> np.ndarray:
@@ -232,14 +227,12 @@ def differentiate_coefficients(dt: float, coeffs: np.ndarray, halfwidth: int) ->
 
 def assemble_series(coeffs: np.ndarray, derivs: np.ndarray, basis: EigenBasis,
                     points: np.ndarray) -> np.ndarray:
-    """F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x); (nt+1, npts).
+    """F(x, s) = sum_k (a_k'(s) + lambda_k a_k(s)) omega_k(x) at points
+    (npts, dim); (nt+1, npts).
     NumericalError when a sample of F is not finite, as when lambda_k a_k
     overflows on a tiny domain."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        series = (derivs + coeffs * basis.lambdas[None, :]) @ basis.values_at(pts)
+        series = (derivs + coeffs * basis.lambdas[None, :]) @ basis.values_at(points)
     bad = int(np.sum(~np.isfinite(series)))
     if bad:
         raise NumericalError(f"the modal series F(x, s) overflows: {bad} of its "
@@ -333,16 +326,10 @@ def build_curve(phi_samples: np.ndarray, series_samples: np.ndarray) -> CurveEst
                          trusted_lo=float(lo), trusted_hi=float(hi))
 
 
-def evaluate_curve(curve: CurveEstimate, u) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-linear curve evaluation with an out-of-range flag.
-
-    Arguments outside the knot span clamp to the nearest knot value;
-    the flag marks anything outside the trusted quantile band.
-    """
-    uu = np.asarray(u, dtype=float)
-    vals = np.interp(np.clip(uu, 0.0, curve.knots[-1]), curve.knots, curve.values)
-    flags = (uu < curve.trusted_lo) | (uu > curve.trusted_hi)
-    return vals, flags
+def evaluate_curve(curve: CurveEstimate, u) -> np.ndarray:
+    """Piecewise-linear curve evaluation; arguments outside the knot span
+    clamp to the nearest knot value."""
+    return np.interp(u, curve.knots, curve.values)
 
 
 # -- orchestration -----------------------------------------------------
@@ -371,7 +358,7 @@ def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
     volterra_oracle chain run on the reaction-free state v_phi; sampled
     on v_phi's grid, (nt+1, *grid.shape). Needs no semilinear solve.
     """
-    law = Nonlinearity(fn=lambda u: evaluate_curve(curve, u)[0], label="curve")
+    law = Nonlinearity(fn=lambda u: evaluate_curve(curve, u), label="curve")
     _, response = volterra_oracle(v_phi, law, basis)
     return np.tensordot(response, basis.values_at(v_phi.grid.points), axes=1)
 
@@ -416,8 +403,8 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
         _, alt_curve = _corrected_pipeline(functional, v_phi, basis, other, phi_vals)
         us = np.linspace(max(curve.trusted_lo, alt_curve.trusted_lo),
                          min(curve.trusted_hi, alt_curve.trusted_hi), 101)
-        v1, _ = evaluate_curve(curve, us)
-        v2, _ = evaluate_curve(alt_curve, us)
+        v1 = evaluate_curve(curve, us)
+        v2 = evaluate_curve(alt_curve, us)
         diagnostics["extension_discrepancy"] = float(np.max(np.abs(v1 - v2)))
         diagnostics["alt_extension_method"] = other
     return ReconstructionResult(curve=curve, diagnostics=diagnostics)

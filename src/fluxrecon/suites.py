@@ -16,7 +16,7 @@ from .families import make_boundary_data, make_reaction
 from .forward import DirichletData, Nonlinearity, interior_laplacian, march, march_flux
 from .geometry import SpatialGrid, boundary_nodes, build_grid, interval, rectangle
 from .heatkernel import KernelEvaluator
-from .recon import differentiate_coefficients, volterra_blocks
+from .recon import compute_data_functional, differentiate_coefficients, volterra_blocks
 
 SUITES = ("eigenbasis", "kernel", "representation", "forward", "volterra")
 
@@ -102,7 +102,7 @@ def kernel_suite() -> dict:
     checks.append(_check("interval_branch_agreement", worst_branch, 1e-8))
 
     g = build_grid(dom, 512)
-    zs = g.axes[0]
+    zs = g.points
     worst_semi = 0.0
     for x, y in [(0.5, 0.5), (0.2, 0.8), (0.0, 0.6)]:
         for t1, t2 in [(0.004, 0.006), (0.05, 0.05), (0.002, 0.018)]:
@@ -136,21 +136,21 @@ def kernel_suite() -> dict:
 
 
 def representation_suite() -> dict:
-    """Propagating the flux of the linear evolution back through the
-    kernel must reproduce the boundary data; 512 cells, 2048 steps, the
-    data compared at every 64th step."""
+    """The pipeline's functional stage, run on the flux of the linear
+    evolution, must reproduce the boundary data; 512 cells, 2048 steps,
+    the data compared at every 64th step."""
     checks = []
     dom = interval()
     nt = 2048
     grid = build_grid(dom, 512)
-    nodes = boundary_nodes(dom)
+    nodes = boundary_nodes(grid)
     ev = KernelEvaluator(dom)
     for spec in ({"family": "ramp", "profile": "const"},
                  {"family": "saturating_ramp", "profile": "affine", "slope": 0.5}):
         phi = make_boundary_data(spec, dom, final_time=1.0)
         flux, _ = march_flux(grid, None, phi, nt, nodes)
         ts = flux.times[::64]
-        got = ev.boundary_propagate_trace(flux, nodes.nodes)[::64]
+        got = compute_data_functional(flux, ev).values[::64]
         worst = 0.0
         scale = 0.0
         for t, row, target in zip(ts, got, phi.table(nodes.nodes, ts)):

@@ -23,9 +23,8 @@ from fluxrecon.eigenbasis import make_basis
 from fluxrecon.experiments import (ScenarioConfig, run_reconstruct,
                                    run_synthesize, score_reconstruction)
 from fluxrecon.families import make_boundary_data, make_reaction
-from fluxrecon.forward import (default_trace_nodes, solve_semilinear,
-                               synthesize_observation)
-from fluxrecon.geometry import build_grid, interval
+from fluxrecon.forward import solve_semilinear, synthesize_observation
+from fluxrecon.geometry import boundary_nodes, build_grid, interval
 from fluxrecon.recon import (ReconstructionConfig, assemble_series,
                              differentiate_coefficients, reconstruct,
                              volterra_oracle)
@@ -47,7 +46,7 @@ def linear_obs():
     cfg = ScenarioConfig()
     obs = synthesize_observation(cfg.domain(), cfg.build_reaction(), cfg.build_phi(),
                                  cfg.fine_n, cfg.fine_nt, cfg.recon_nt,
-                                 nodes=default_trace_nodes(build_grid(cfg.domain(), cfg.recon_n)))
+                                 nodes=boundary_nodes(build_grid(cfg.domain(), cfg.recon_n)))
     _times["linear_synthesis"] = time.perf_counter() - t0
     return cfg, obs
 
@@ -131,7 +130,7 @@ def test_criterion_06_exact_extension_consistency():
     u = solve_semilinear(grid, reaction, phi, 1024)
     basis = make_basis(domain, 16)
     _, p = volterra_oracle(u, reaction, basis)
-    nodes = default_trace_nodes(grid)
+    nodes = boundary_nodes(grid)
     series_vals = assemble_series(p, differentiate_coefficients(u.dt, p, halfwidth=2),
                                   basis, nodes.nodes)
     phi_vals = phi.table(nodes.nodes, u.times)
@@ -190,7 +189,7 @@ def test_criterion_08_noise_robustness():
     obs = synthesize_observation(cfg.domain(), cfg.build_reaction(), cfg.build_phi(),
                                  cfg.fine_n, cfg.fine_nt, cfg.recon_nt,
                                  noise_level=0.01, seed=0,
-                                 nodes=default_trace_nodes(build_grid(cfg.domain(), cfg.recon_n)))
+                                 nodes=boundary_nodes(build_grid(cfg.domain(), cfg.recon_n)))
     rcfg = ReconstructionConfig(grid_n=cfg.recon_n, compare_extensions=True)
     result = reconstruct(obs, rcfg)
     report = score_reconstruction(result, obs, cfg)

@@ -3,7 +3,7 @@ import pytest
 
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.families import make_boundary_data, make_reaction
-from fluxrecon.geometry import boundary_nodes, interval, rectangle
+from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 
 
 class TestReactions:
@@ -100,7 +100,7 @@ class TestBoundaryTable:
                              ids=["const", "affine"])
     def test_equals_stacked_calls(self, domain, family, profile):
         phi = make_boundary_data({**family, **profile}, domain, 1.7)
-        pts = boundary_nodes(domain, m=5).nodes
+        pts = boundary_nodes(build_grid(domain, 10)).nodes
         times = np.linspace(0.0, 1.7, 49)
         table = phi.table(pts, times)
         assert table.shape == (len(times), len(pts))

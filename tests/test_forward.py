@@ -8,9 +8,9 @@ from scipy.linalg import get_lapack_funcs
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace, SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, default_trace_nodes,
-                               dirichlet_solver, march, march_flux, neumann_trace,
-                               solve_linear_heat, solve_semilinear, synthesize_observation)
+from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver, march,
+                               march_flux, neumann_trace, solve_linear_heat,
+                               solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
                               mms_spatial_errors, mms_temporal_errors)
@@ -507,7 +507,7 @@ class TestTabulatedInputs:
         with pytest.raises(InputError, match="must broadcast over a column of times"):
             solve_linear_heat(build_grid(domain, 8), data, 16)
         with pytest.raises(InputError, match="must broadcast over a column of times"):
-            data.check_admissible(boundary_nodes(domain, m=4))
+            data.check_admissible(boundary_nodes(build_grid(domain, 8)))
 
     def test_scalar_only_source_is_an_input_error(self):
         grid = build_grid(interval(), 8)
@@ -585,7 +585,7 @@ class TestNeumannTrace:
         grid = build_grid(interval(), 16)
         x = grid.axes[0]
         field = SolutionField(grid=grid, final_time=1.0, values=np.tile(x**2, (3, 1)))
-        trace = neumann_trace(field)
+        trace = neumann_trace(field, boundary_nodes(grid))
         # outward derivative of x^2: 0 at x=0 (normal -1), 2 at x=1
         assert np.max(np.abs(trace.values[:, 0] - 0.0)) < 1e-12
         assert np.max(np.abs(trace.values[:, 1] - 2.0)) < 1e-12
@@ -595,7 +595,7 @@ class TestNeumannTrace:
         X, Y = np.meshgrid(*grid.axes, indexing="ij")
         field = SolutionField(grid=grid, final_time=1.0,
                               values=np.tile(X**2 + Y**2, (2, 1, 1)))
-        trace = neumann_trace(field)
+        trace = neumann_trace(field, boundary_nodes(grid))
         nodes = trace.nodes
         # d_nu (x^2 + y^2) = 2 x nu_x + 2 y nu_y at each node
         exact = 2.0 * np.sum(nodes.nodes * _outward_normals(nodes), axis=1)
@@ -606,11 +606,16 @@ class TestNeumannTrace:
         field = SolutionField(grid=grid, final_time=1.0, values=np.zeros((2,) + grid.shape))
         # m=6 midpoints fall between the n=8 grid lines
         with pytest.raises(InputError):
-            neumann_trace(field, boundary_nodes(rectangle(), m=6))
+            neumann_trace(field, boundary_nodes(build_grid(rectangle(), 12)))
 
     def test_default_nodes_require_even_equal_cells(self):
-        with pytest.raises(ConfigurationError):
-            default_trace_nodes(build_grid(rectangle(), 9))
+        # odd or unequal counts put midpoints off the grid lines; fewer
+        # than 4 nodes per side need a grid below build_grid's MIN_CELLS
+        for n in (9, (8, 10), (10, 8)):
+            with pytest.raises(ConfigurationError, match="even, equal cell count"):
+                boundary_nodes(build_grid(rectangle(), n))
+        with pytest.raises(ConfigurationError, match="grid too coarse"):
+            boundary_nodes(build_grid(rectangle(), 6))
 
     @pytest.mark.parametrize("domain,n,m", [
         (interval(), 16, 0), (interval(0.9), 9, 0),
@@ -620,7 +625,7 @@ class TestNeumannTrace:
         grid = build_grid(domain, n)
         field = SolutionField(grid=grid, final_time=1.0,
                               values=rng.standard_normal((5,) + grid.shape))
-        nodes = boundary_nodes(domain, m)
+        nodes = boundary_nodes(build_grid(domain, max(2 * m, 8)))
         got = neumann_trace(field, nodes).values
         assert np.array_equal(got, _reference_neumann_trace(field, nodes))
 
@@ -635,7 +640,7 @@ class TestMarchFlux:
     @pytest.mark.parametrize("law", ["none", "saturating"])
     def test_equals_the_trace_of_the_field(self, domain, n, m, law):
         grid = build_grid(domain, n)
-        nodes = boundary_nodes(domain, m)
+        nodes = boundary_nodes(build_grid(domain, max(2 * m, 8)))
         phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
                                   "slope": 0.5}, domain, 1.0)
         reaction = make_reaction(LAWS[law]) if LAWS[law] else None
@@ -800,19 +805,19 @@ class TestAdmissibility:
             make_reaction(spec).check_admissible(3.0)
 
     def test_boundary_data_must_start_at_zero(self):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         bad = DirichletData(fn=lambda pts, t: np.ones(len(pts)), final_time=1.0)
         with pytest.raises(InputError):
             bad.check_admissible(nodes)
 
     def test_boundary_data_must_be_nonnegative(self):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         bad = DirichletData(fn=lambda pts, t: -t * np.ones(len(pts)), final_time=1.0)
         with pytest.raises(InputError):
             bad.check_admissible(nodes)
 
     def test_boundary_data_must_not_vanish(self):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         bad = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
         with pytest.raises(InputError):
             bad.check_admissible(nodes)
@@ -823,7 +828,7 @@ class TestSynthesize:
         dom = interval()
         obs = synthesize_observation(dom, make_reaction({"family": "linear"}),
                                      _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
-                                     nodes=boundary_nodes(dom))
+                                     nodes=boundary_nodes(build_grid(dom, 32)))
         assert len(obs.flux.times) == 33
         assert obs.flux.times[-1] == 1.0
         assert obs.f_label == "linear"
@@ -832,7 +837,7 @@ class TestSynthesize:
         dom = interval()
         obs = synthesize_observation(dom, make_reaction({"family": "linear"}),
                                      _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
-                                     nodes=boundary_nodes(dom))
+                                     nodes=boundary_nodes(build_grid(dom, 32)))
         late = BoundaryTrace(nodes=obs.flux.nodes, final_time=2.0, values=obs.flux.values)
         with pytest.raises(InputError, match="flux final time 2 differs from the "
                                              "boundary data's 1"):
@@ -843,19 +848,19 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
                                    _ramp(dom), fine_n=32, fine_nt=100, sub_nt=32,
-                                   nodes=boundary_nodes(dom))
+                                   nodes=boundary_nodes(build_grid(dom, 32)))
 
     def test_rejects_unit_ratio(self):
         dom = interval()
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
                                    _ramp(dom), fine_n=32, fine_nt=32, sub_nt=32,
-                                   nodes=boundary_nodes(dom))
+                                   nodes=boundary_nodes(build_grid(dom, 32)))
 
     def test_noise_reproducible_and_seeded(self):
         dom = interval()
         kw = dict(fine_n=32, fine_nt=128, sub_nt=32, noise_level=0.01,
-                  nodes=boundary_nodes(dom))
+                  nodes=boundary_nodes(build_grid(dom, 32)))
         r = make_reaction({"family": "linear"})
         a = synthesize_observation(dom, r, _ramp(dom), seed=3, **kw)
         b = synthesize_observation(dom, r, _ramp(dom), seed=3, **kw)
@@ -867,10 +872,11 @@ class TestSynthesize:
         dom = interval()
         r = make_reaction({"family": "linear"})
         obs = synthesize_observation(dom, r, _ramp(dom), fine_n=32, fine_nt=128,
-                                     sub_nt=32, noise_level=0.0, nodes=boundary_nodes(dom))
+                                     sub_nt=32, noise_level=0.0,
+                                     nodes=boundary_nodes(build_grid(dom, 32)))
         grid = build_grid(dom, 32)
         u = solve_semilinear(grid, r, _ramp(dom), 128)
-        flux = neumann_trace(u)
+        flux = neumann_trace(u, boundary_nodes(grid))
         assert np.array_equal(obs.flux.values, flux.values[::4])
 
     def test_keeps_no_field(self):
@@ -881,7 +887,7 @@ class TestSynthesize:
         try:
             synthesize_observation(dom, make_reaction({"family": "linear"}), _ramp(dom),
                                    fine_n=512, fine_nt=2048, sub_nt=256, noise_level=0.01,
-                                   nodes=boundary_nodes(dom))
+                                   nodes=boundary_nodes(build_grid(dom, 32)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -892,4 +898,4 @@ class TestSynthesize:
         with pytest.raises(ConfigurationError):
             synthesize_observation(dom, make_reaction({"family": "zero"}),
                                    _ramp(dom), fine_n=32, fine_nt=128, sub_nt=32,
-                                   noise_level=-0.1, nodes=boundary_nodes(dom))
+                                   noise_level=-0.1, nodes=boundary_nodes(build_grid(dom, 32)))

@@ -78,7 +78,7 @@ def _outward_normals(nodes):
 
 class TestBoundaryNodes:
     def test_interval_endpoints(self):
-        nodes = boundary_nodes(interval(2.0))
+        nodes = boundary_nodes(build_grid(interval(2.0), 8))
         assert nodes.count == 2
         assert np.allclose(nodes.nodes, [[0.0], [2.0]])
         assert np.allclose(_outward_normals(nodes), [[-1.0], [1.0]])
@@ -86,11 +86,11 @@ class TestBoundaryNodes:
         assert nodes.side.tolist() == [0, 1]
 
     def test_interval_integrate_is_two_point_sum(self):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         assert np.isclose(np.array([3.0, 4.0]) @ nodes.weights, 7.0)
 
     def test_rectangle_midpoints(self):
-        nodes = boundary_nodes(rectangle(1.0, 2.0), m=4)
+        nodes = boundary_nodes(build_grid(rectangle(1.0, 2.0), 8))
         assert nodes.count == 16
         # side order x=0, x=lx, y=0, y=ly with cell-midpoint tangential coords
         first = nodes.nodes[nodes.side == 0]
@@ -101,14 +101,14 @@ class TestBoundaryNodes:
             assert np.isclose(np.sum(nodes.weights[nodes.side == s]), length)
 
     def test_rectangle_perimeter(self):
-        nodes = boundary_nodes(rectangle(1.0, 2.0), m=8)
+        nodes = boundary_nodes(build_grid(rectangle(1.0, 2.0), 16))
         assert np.isclose(np.sum(nodes.weights), 6.0)
 
     def test_rectangle_normals_outward(self):
         # a step along the normal of its side leaves the domain, a step
         # against it enters
         dom = rectangle(1.0, 2.0)
-        nodes = boundary_nodes(dom, m=4)
+        nodes = boundary_nodes(build_grid(dom, 8))
         normals = _outward_normals(nodes)
         assert np.allclose(normals[nodes.side == 1], [1.0, 0.0])
         assert np.allclose(normals[nodes.side == 2], [0.0, -1.0])
@@ -116,12 +116,9 @@ class TestBoundaryNodes:
             pts = nodes.nodes + sign * 0.1 * normals
             assert np.all(np.all((pts > 0.0) & (pts < dom.lengths), axis=1) == inside)
 
-    def test_rectangle_rejects_few_nodes(self):
-        with pytest.raises(ConfigurationError):
-            boundary_nodes(rectangle(), m=3)
 
-
-# the boundary layout: (domain, grid cells, nodes per side) with nodes on grid lines
+# the boundary layout: (domain, grid cells, nodes per side) with nodes on
+# grid lines; the (8, 16) grid reads the nodes of the 8 x 8 one
 LAYOUTS = [(interval(0.9), 8, 0), (rectangle(0.9, 1.3), (8, 16), 4),
            (rectangle(0.9, 1.3), 16, 8)]
 
@@ -130,7 +127,7 @@ class TestBoundaryLayout:
     @pytest.mark.parametrize("domain,n,m", LAYOUTS)
     def test_side_nodes_sit_on_their_face(self, domain, n, m):
         grid = build_grid(domain, n)
-        nodes = boundary_nodes(domain, m)
+        nodes = boundary_nodes(build_grid(domain, max(2 * m, 8)))
         # every node id of the grid, laid out as a one-row (time, *shape) array
         ids = np.arange(np.prod(grid.shape)).reshape((1,) + grid.shape)
         at_nodes = ids[(0, *grid.indices(nodes.nodes))]

@@ -30,7 +30,7 @@ class TestPointValues:
         with pytest.raises(InputError):
             ev.values(0.5, 0.5, np.array([0.0]))
         with pytest.raises(InputError):
-            ev.profile(0.5, np.array([0.5]), -1.0)
+            ev.profile(0.5, np.array([[0.5]]), -1.0)
 
     def test_free_space_limit(self, ev):
         # far from the boundary at tiny tau the images sum is one Gaussian
@@ -85,7 +85,7 @@ class TestPointValues:
     def test_profile_matches_values(self, ev):
         ys = np.linspace(0.0, 1.0, 7)
         for tau in (ev.crossovers[0] / 2, 0.3):
-            prof = ev.profile(0.4, ys, tau)
+            prof = ev.profile(0.4, ys[:, None], tau)
             ref = np.array([ev.value(0.4, y, tau) for y in ys])
             assert np.max(np.abs(prof - ref)) < 1e-13
 
@@ -111,9 +111,17 @@ class TestMass:
         for tau in (0.01, 0.1, 0.5, 1.0):
             assert abs(ev2.mass(np.array([50.0, 0.03]), tau) - 1.0) <= 1e-10
 
+    def test_long_interval(self):
+        # 1024 cells over all of (0, 100) would be 0.1 wide, against
+        # Gaussians 1.4e-3 to 4.5e-2 wide at these gaps
+        ev100 = KernelEvaluator(interval(100.0))
+        for tau in (1e-6, 1e-4, 1e-3):
+            for x in (0.0, 0.03, 50.0, 100.0):
+                assert abs(ev100.mass(x, tau) - 1.0) <= 1e-10
+
     def test_semigroup_identity(self, ev):
         grid = build_grid(interval(), 512)
-        zs = grid.axes[0]
+        zs = grid.points
         comp = float(np.sum(grid.weights * ev.profile(0.2, zs, 0.004)
                             * ev.profile(0.8, zs, 0.006)))
         assert abs(comp - ev.value(0.2, 0.8, 0.01)) < 1e-5
@@ -121,7 +129,7 @@ class TestMass:
 
 class TestBoundaryPropagate:
     def _trace(self, fn, nt=64):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         times = np.linspace(0.0, 1.0, nt + 1)
         values = np.stack([fn(times), fn(times)], axis=1)
         return BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
@@ -159,7 +167,7 @@ class TestBoundaryPropagate:
 
     def test_trace_grid(self, ev):
         g = self._trace(lambda ts: ts, nt=8)
-        out = ev.boundary_propagate_trace(g, g.nodes.nodes)
+        out = ev.boundary_propagate_trace(g)
         assert out.shape == (9, 2)
         assert np.allclose(out[0], 0.0)
         # symmetric data gives symmetric functional
@@ -168,7 +176,7 @@ class TestBoundaryPropagate:
     @staticmethod
     def _noisy_trace(domain, m, nt):
         # noisy data exercises every lag weight
-        nodes = boundary_nodes(domain, m)
+        nodes = boundary_nodes(build_grid(domain, max(2 * m, 8)))
         times = np.linspace(0.0, 1.0, nt + 1)
         rng = np.random.default_rng(7)
         values = times[:, None] * (1.0 + 0.1 * rng.standard_normal((nt + 1, nodes.count)))
@@ -186,19 +194,19 @@ class TestBoundaryPropagate:
     def test_lag_operator_matches_scalar_loop(self, domain, m, nt):
         ev = KernelEvaluator(domain)
         g = self._noisy_trace(domain, m, nt)
-        got = ev.boundary_propagate_trace(g, g.nodes.nodes)
+        got = ev.boundary_propagate_trace(g)
         ref = np.array([[ev.boundary_propagate(g, p, float(t)) for p in g.nodes.nodes]
                         for t in g.times])
         assert got.shape == ref.shape == (nt + 1, g.nodes.count)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @staticmethod
-    def _one_table_trace(ev, g, pts):
+    def _one_table_trace(ev, g):
         """The lag operator with the kernel of every lag from one _block call."""
-        nt, dt = len(g.values) - 1, g.dt
+        nt, dt, pts = len(g.values) - 1, g.dt, g.nodes.nodes
         sigma, quad = _sigma_panels(np.sqrt(np.arange(nt + 1) * dt))
         theta_lo = sigma**2 / dt - np.arange(nt)[:, None]
-        kv = ev._block(pts, g.nodes.nodes, (sigma**2).ravel())
+        kv = ev._block(pts, pts, (sigma**2).ravel())
         kv = kv.reshape(nt, 4, len(pts), -1) * g.nodes.weights
         w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
         w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
@@ -208,19 +216,17 @@ class TestBoundaryPropagate:
                               + g.values[:nt - lag] @ w_lo[lag].T)
         return out
 
-    @pytest.mark.parametrize("domain, m, nt, pts", [
-        pytest.param(interval(), 0, 256, [[0.0], [0.3], [1.0]], id="256"),
-        pytest.param(interval(), 0, 2048, [[0.0], [0.3], [1.0]], id="2048"),
-        pytest.param(rectangle(), 8, 256, [[0.0, 0.0], [0.3, 0.7], [1.0, 0.4]],
-                     id="rectangle-256")])
-    def test_lag_blocks_match_one_table(self, domain, m, nt, pts):
+    @pytest.mark.parametrize("domain, m, nt", [
+        pytest.param(interval(), 0, 256, id="256"),
+        pytest.param(interval(), 0, 2048, id="2048"),
+        pytest.param(rectangle(), 8, 256, id="rectangle-256")])
+    def test_lag_blocks_match_one_table(self, domain, m, nt):
         # the far lags integrate the modal series exactly in time, not by
         # the sigma-panel rule of the one table, which moves rounding only
         ev = KernelEvaluator(domain)
         g = self._noisy_trace(domain, m, nt)
-        pts = np.array(pts)
-        got = ev.boundary_propagate_trace(g, pts)
-        ref = self._one_table_trace(ev, g, pts)
+        got = ev.boundary_propagate_trace(g)
+        ref = self._one_table_trace(ev, g)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("domain, m, nt", [
@@ -235,7 +241,7 @@ class TestBoundaryPropagate:
         g = self._noisy_trace(domain, m, nt)
         tracemalloc.start()
         try:
-            ev.boundary_propagate_trace(g, g.nodes.nodes)
+            ev.boundary_propagate_trace(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,13 +259,13 @@ class TestBoundaryPropagate:
 
         monkeypatch.setattr(KernelEvaluator, "_block", spy)
         g = self._trace(lambda ts: ts, nt)
-        ev.boundary_propagate_trace(g, g.nodes.nodes)
+        ev.boundary_propagate_trace(g)
         assert sum(gaps) == 4 * 8
 
     def test_trace_single_sample(self, ev):
-        nodes = boundary_nodes(interval())
+        nodes = boundary_nodes(build_grid(interval(), 8))
         g = BoundaryTrace(nodes=nodes, final_time=1.0, values=np.ones((1, 2)))
-        out = ev.boundary_propagate_trace(g, np.array([[0.0], [0.5], [1.0]]))
-        assert out.shape == (1, 3)
+        out = ev.boundary_propagate_trace(g)
+        assert out.shape == (1, 2)
         assert np.all(out == 0.0)
 

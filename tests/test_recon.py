@@ -13,7 +13,7 @@ from fluxrecon.forward import (ObservedData, march, neumann_trace, solve_linear_
 from fluxrecon.geometry import DomainKind, boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.heatkernel import KernelEvaluator
 from fluxrecon.recon import (CurveEstimate, ReconstructionConfig, _boundary_ring,
-                             assemble_series, build_curve,
+                             _side_values_on_axis, assemble_series, build_curve,
                              compute_data_functional, evaluate_curve,
                              extend_boundary_data, flux_difference,
                              project_coefficients, reaction_free_response,
@@ -23,7 +23,7 @@ from fluxrecon.suites import volterra_suite
 
 
 def _interval_trace(left, right, nt=4):
-    nodes = boundary_nodes(interval())
+    nodes = boundary_nodes(build_grid(interval(), 8))
     values = np.column_stack([np.full(nt + 1, left), np.full(nt + 1, right)])
     return BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
 
@@ -77,7 +77,7 @@ class TestBoundaryRing:
         # a random trace is not linear along a side, so a corner that holds
         # one side's extrapolation instead of the ring's average shows
         grid = build_grid(domain, 16)
-        nodes = boundary_nodes(domain, m=8)
+        nodes = boundary_nodes(grid)
         trace = BoundaryTrace(nodes=nodes, final_time=1.0,
                               values=rng.standard_normal((3, nodes.count)))
         ext = extend_boundary_data(trace, grid, method)
@@ -85,10 +85,49 @@ class TestBoundaryRing:
         for s in range(2 * domain.dim):
             assert np.array_equal(ext[grid.face(s)], ring[grid.face(s)])
 
+    @staticmethod
+    def _interp_loop(a, side, coords):
+        """The side rule as np.interp row by row, then linear
+        extrapolation past the first and last node."""
+        sel = a.nodes.side == side
+        tc = a.nodes.nodes[sel][:, 1 - side // 2]
+        order = np.argsort(tc)
+        tc = tc[order]
+        vals = a.values[:, sel][:, order]
+        out = np.empty((vals.shape[0], len(coords)))
+        for j in range(vals.shape[0]):
+            out[j] = np.interp(coords, tc, vals[j])
+        lo = coords < tc[0]
+        hi = coords > tc[-1]
+        slope = (vals[:, 1] - vals[:, 0]) / (tc[1] - tc[0])
+        out[:, lo] = vals[:, [0]] + slope[:, None] * (coords[lo] - tc[0])[None, :]
+        slope = (vals[:, -1] - vals[:, -2]) / (tc[-1] - tc[-2])
+        out[:, hi] = vals[:, [-1]] + slope[:, None] * (coords[hi] - tc[-1])[None, :]
+        return out
+
+    @pytest.mark.parametrize("lengths", [(1.0, 1.0), (0.9, 1.3), (100.0, 0.1), (1e-3, 7.0)],
+                             ids=["1x1", "0.9x1.3", "100x0.1", "1e-3x7"])
+    def test_side_values_equal_the_interp_loop(self, lengths, rng):
+        # grid lines (the ends lie outside the node span), the nodes
+        # themselves and random coordinates inside and outside the span
+        dom = rectangle(*lengths)
+        for m in (4, 5, 13, 32):
+            grid = build_grid(dom, 2 * m)
+            nodes = boundary_nodes(grid)
+            trace = BoundaryTrace(nodes=nodes, final_time=1.0,
+                                  values=rng.standard_normal((7, nodes.count)))
+            for s in range(4):
+                L = lengths[1 - s // 2]
+                coords = np.concatenate([grid.axes[1 - s // 2],
+                                         nodes.nodes[nodes.side == s][:, 1 - s // 2],
+                                         rng.uniform(-0.5 * L, 1.5 * L, 40)])
+                assert np.array_equal(_side_values_on_axis(trace, s, coords),
+                                      self._interp_loop(trace, s, coords))
+
 
 class TestRectangleExtensions:
-    def _trace_from(self, fn, m=8):
-        nodes = boundary_nodes(rectangle(), m=m)
+    def _trace_from(self, fn):
+        nodes = boundary_nodes(build_grid(rectangle(), 16))
         values = np.tile(fn(nodes.nodes), (3, 1))
         return BoundaryTrace(nodes=nodes, final_time=1.0, values=values)
 
@@ -126,7 +165,7 @@ class TestLongRectangleExtensions:
     def _linear(self):
         dom = rectangle(0.9, 1.3)
         grid = build_grid(dom, 16)
-        nodes = boundary_nodes(dom, m=8)
+        nodes = boundary_nodes(grid)
         exact = 1.0 + 2.0 * grid.points[..., 0] + 3.0 * grid.points[..., 1]
         values = 1.0 + 2.0 * nodes.nodes[:, 0] + 3.0 * nodes.nodes[:, 1]
         trace = BoundaryTrace(nodes=nodes, final_time=1.0,
@@ -168,9 +207,9 @@ class TestShapedExtension:
     def _cases(self):
         v_int = _reaction_free_state(interval(), 32)
         v_rect = _reaction_free_state(rectangle(), 16)
-        nodes_rect = boundary_nodes(rectangle(), m=8)
         rng = np.random.default_rng(5)
-        for v, nodes in [(v_int, boundary_nodes(interval())), (v_rect, nodes_rect)]:
+        for v in (v_int, v_rect):
+            nodes = boundary_nodes(v.grid)
             values = rng.uniform(0.0, 1.0, size=(len(v.values), nodes.count))
             yield v, BoundaryTrace(nodes=nodes, final_time=v.final_time, values=values)
 
@@ -235,7 +274,7 @@ class TestFluxDifference:
         cfg_phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
         obs = synthesize_observation(dom, make_reaction({"family": "zero"}), cfg_phi,
                                      fine_n=512, fine_nt=4096, sub_nt=1024,
-                                     nodes=boundary_nodes(dom))
+                                     nodes=boundary_nodes(build_grid(dom, 128)))
         grid = build_grid(dom, 128)
         gap = flux_difference(obs, grid, solve_linear_heat(grid, cfg_phi, 1024))
         scale = float(np.max(np.abs(obs.flux.values)))
@@ -247,7 +286,7 @@ class TestFluxDifference:
         # with zero observed flux the gap is minus the reaction-free flux
         dom = rectangle()
         phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
-        nodes = boundary_nodes(dom, m=8)
+        nodes = boundary_nodes(build_grid(dom, 16))
         nt = 64
         times = np.linspace(0.0, 1.0, nt + 1)
         obs = ObservedData(domain=dom, phi=phi, noise_level=0.0, seed=0,
@@ -291,9 +330,9 @@ class TestModalStages:
         got = project_coefficients(field, grid, basis)
         assert np.max(np.abs(got - coeffs)) < 1e-10
         # a_k = t c_k resums to sum_k (c_k + lambda_k t c_k) omega_k
-        x = np.array([0.0, 0.3, 1.0])
+        x = np.array([[0.0], [0.3], [1.0]])
         series = assemble_series(got, np.tile(rate, (len(times), 1)), basis, x)
-        ref = (rate + np.outer(times, rate * basis.lambdas)) @ basis.values_at(x[:, None])
+        ref = (rate + np.outer(times, rate * basis.lambdas)) @ basis.values_at(x)
         assert np.max(np.abs(series - ref)) < 1e-9
 
     def test_overflowing_series_is_a_numerical_error(self):
@@ -303,7 +342,8 @@ class TestModalStages:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="the modal series F\\(x, s\\) overflows"):
-                assemble_series(coeffs, np.zeros_like(coeffs), basis, np.array([0.0, 1e-140]))
+                assemble_series(coeffs, np.zeros_like(coeffs), basis,
+                                np.array([[0.0], [1e-140]]))
 
     def test_volterra_oracle_closed_form(self):
         # u(x, t) = t with f = id: c_1(s) = s, p_1(t) = t^2/2, others vanish
@@ -415,16 +455,14 @@ class TestEvaluateCurve:
 
     def test_clamps_and_flags(self):
         curve = self._curve()
-        vals, flags = evaluate_curve(curve, np.array([-1.0, 0.5, 2.0]))
+        vals = evaluate_curve(curve, np.array([-1.0, 0.5, 2.0]))
         assert vals[0] == curve.values[0]
         assert vals[2] == curve.values[-1]
-        assert flags.tolist() == [True, False, True]
 
     def test_identity_between_knots(self):
         curve = self._curve()
         us = np.linspace(curve.trusted_lo, curve.trusted_hi, 17)
-        vals, flags = evaluate_curve(curve, us)
-        assert not np.any(flags)
+        vals = evaluate_curve(curve, us)
         assert np.max(np.abs(vals - us)) < 0.01
 
 
@@ -442,7 +480,8 @@ def small_obs():
     dom = interval()
     phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
     return synthesize_observation(dom, make_reaction({"family": "linear"}), phi,
-                                  fine_n=64, fine_nt=512, sub_nt=64, nodes=boundary_nodes(dom))
+                                  fine_n=64, fine_nt=512, sub_nt=64,
+                                  nodes=boundary_nodes(build_grid(dom, 16)))
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +490,7 @@ def small_rect_obs():
     phi = make_boundary_data({"family": "ramp", "profile": "const"}, dom, 1.0)
     return synthesize_observation(dom, make_reaction({"family": "saturating"}), phi,
                                   fine_n=16, fine_nt=64, sub_nt=16,
-                                  nodes=boundary_nodes(dom, m=4))
+                                  nodes=boundary_nodes(build_grid(dom, 8)))
 
 
 class TestReconstructPipeline:
