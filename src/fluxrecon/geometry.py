@@ -153,6 +153,9 @@ def boundary_nodes(grid: SpatialGrid) -> BoundaryNodeSet:
         raise ConfigurationError(
             f"rectangle traces need an even, equal cell count per axis, got {grid.n}")
     m = grid.n[0] // 2
+    if m < MIN_CELLS // 2:
+        raise ConfigurationError(
+            f"rectangle traces need >= {MIN_CELLS // 2} nodes per side, got {m}")
     lx, ly = domain.lengths
     mids_x = (np.arange(m) + 0.5) * (lx / m)
     mids_y = (np.arange(m) + 0.5) * (ly / m)

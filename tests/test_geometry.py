@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,16 @@ class TestBoundaryNodes:
         for sign, inside in ((1.0, False), (-1.0, True)):
             pts = nodes.nodes + sign * 0.1 * normals
             assert np.all(np.all((pts > 0.0) & (pts < dom.lengths), axis=1) == inside)
+
+    def test_rectangle_rejects_few_nodes(self):
+        # 3 nodes per side: build_grid refuses the 6-cell grid, and
+        # boundary_nodes refuses one made without it
+        with pytest.raises(ConfigurationError, match="grid too coarse"):
+            boundary_nodes(build_grid(rectangle(), 6))
+        grid = build_grid(rectangle(), MIN_CELLS)
+        coarse = replace(grid, n=(6, 6), axes=tuple(np.linspace(0.0, 1.0, 7) for _ in "xy"))
+        with pytest.raises(ConfigurationError, match="nodes per side"):
+            boundary_nodes(coarse)
 
 
 # the boundary layout: (domain, grid cells, nodes per side) with nodes on

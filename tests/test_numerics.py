@@ -1,6 +1,8 @@
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,39 @@ class TestExpConvolve:
         assert np.max(np.abs(combo - split)) < 1e-12
 
 
+def _exact_slope_taps(h):
+    """Integer taps num and denominator den: row p of num / den gives the
+    slope at offset p - h of the least-squares quadratic on a window at
+    offsets -h..h, solved exactly from the normal equations."""
+    rows = [(Fraction(1), Fraction(t), Fraction(t * t)) for t in range(-h, h + 1)]
+    # Gauss-Jordan on [V^T V | I] leaves (V^T V)^-1 on the right
+    a = [[sum(r[i] * r[j] for r in rows) for j in range(3)]
+         + [Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    for i in range(3):
+        a[i] = [v / a[i][i] for v in a[i]]
+        for k in range(3):
+            if k != i:
+                a[k] = [v - a[k][i] * u for v, u in zip(a[k], a[i])]
+    inv = [row[3:] for row in a]
+    taps = [[sum(d[i] * inv[i][j] * r[j] for i in range(3) for j in range(3)) for r in rows]
+            for d in ((0, 1, 2 * t) for t in range(-h, h + 1))]
+    den = lcm(*(v.denominator for row in taps for v in row))
+    return np.array([[int(v * den) for v in row] for row in taps]), den
+
+
+def _exact_sliding_derivative(dt, values, h):
+    """The slope of each sample's window fit (the first and last window at
+    the ends), summed in long double so that it holds to well below the
+    rounding of a float64 sum."""
+    num, den = _exact_slope_taps(h)
+    n, w = len(values), 2 * h + 1
+    x = values.reshape(n, -1).astype(np.longdouble)
+    starts = np.clip(np.arange(n) - h, 0, n - w)
+    windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=0)[starts]
+    slopes = np.einsum("icw,iw->ic", windows, num[np.arange(n) - starts].astype(np.longdouble))
+    return (slopes / den / np.longdouble(dt)).astype(float).reshape(values.shape)
+
+
 class TestSlidingDerivative:
     def test_exact_on_quadratics(self):
         times = np.linspace(0.0, 2.0, 41)
@@ -190,7 +225,22 @@ class TestSlidingDerivative:
         ref = savgol_filter(values, 2 * h + 1, polyorder=2, deriv=1, delta=dt,
                             axis=0, mode="interp")
         assert d.shape == ref.shape
-        assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # SciPy fits the end windows with polyfit, which rounds at the scale
+        # of the samples: on a flat window its slope is off by more than
+        # 1e-13 of itself, so the tight bound is held against the exact fit
+        assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(values)) / dt
+        exact = _exact_sliding_derivative(dt, values, h)
+        assert np.max(np.abs(d - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_flat_end_windows_hold_to_the_exact_fit(self):
+        # slopes some 80 times below the samples, where SciPy's
+        # savgol_filter(mode="interp") is off by 1e-13 of the slope
+        values = np.array([2.44956397, -4.23127656, 2.3830395, 0.93183579,
+                           -1.69000157, 4.17067874, -1.28426036])
+        d = sliding_derivative(1.0, values, halfwidth=3)
+        exact = _exact_sliding_derivative(1.0, values, 3)
+        assert np.max(np.abs(values)) > 70.0 * np.max(np.abs(exact))
+        assert np.max(np.abs(d - exact)) <= 1e-14 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("dt", [1e16, 1e20])
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
