@@ -7,7 +7,9 @@ bootstrapped with f(u^0)), which keeps the scheme second order in both
 h and dt without nonlinear solves. Boundary values are imposed
 strongly. With A = I - (dt/2) lap, the explicit half I + (dt/2) lap is
 2I - A, so a step is one solve with A and no stencil:
-u_{m+1} = A^-1 (2 u_m + explicit terms + boundary coupling) - u_m.
+u_{m+1} = A^-1 (2 u_m + k_m - reaction terms) - u_m, where the known
+terms k_m (source and boundary coupling) are built for a block of steps
+at once.
 
 The flux is read at the nodes the caller passes, which
 geometry.boundary_nodes picks; nothing here picks nodes.
@@ -167,8 +169,9 @@ def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
         d, e, _ = dpttrf(np.full(n - 1, shift + 2.0 * r), np.full(n - 2, -r))
 
         def solve(b: np.ndarray) -> None:
-            # pttrs solves in b when it can, and else returns a copy
-            x = dpttrs(d, e, b, overwrite_b=1)[0]
+            # pttrs solves in b when it can, and else returns a copy;
+            # overwrite_b = 1 goes by position, which f2py parses faster
+            x = dpttrs(d, e, b, 1)[0]
             if x is not b:
                 b[...] = x
         return solve
@@ -193,12 +196,15 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
 
     With A = I - (dt/2) lap, solved by dirichlet_solver, the explicit half
     I + (dt/2) lap of Crank-Nicolson is 2I - A, so a step is
-        u_{m+1} = A^-1 (2 um - dt f_ex + dt q + c_m) - um,
-        f_ex = 1.5 f(um) - 0.5 f(u_{m-1}),
-    and applies no stencil. Each right-hand side is built in place in its
-    new row in that operation order; c_m adds, for each face s on axis
-    d = s // 2, r_d (phi_m + phi_{m+1}), r_d = dt / (2 h_d^2), to the
-    interior nodes next to it (face[1:] of the interior), face by face.
+        u_{m+1} = A^-1 (2 um + k_m - c_m f(um) + (dt/2) f(u_{m-1})) - um,
+    c_0 = dt (the first step has no f(u_{-1}) term) and c_m = 3 dt / 2
+    after it, and applies no stencil. The known terms k_m are built for a
+    block of steps at once, apart from the rows: dt q at the half step (0
+    without a source), then, for each face s on axis d = s // 2,
+    r_d (phi_m + phi_{m+1}), r_d = dt / (2 h_d^2), added to the interior
+    nodes next to it (face[1:] of the interior), face by face. Each
+    right-hand side is built in place in its new row in that operation
+    order.
     """
     dim = grid.domain.dim
     dt = data.final_time / nt
@@ -213,54 +219,56 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     bc = data.table(grid.points[ring], times)
     r = [dt / (2.0 * h * h) for h in grid.h]
     work = np.empty(tuple(k - 1 for k in grid.n))
-    half_f = np.empty_like(work)
+    # k is kept apart from the rows: f_prev may alias a row's interior
+    known = np.empty((_BLOCK,) + work.shape)
 
     u = np.zeros((_BLOCK + 1,) + grid.shape)
     if u0 is not None:
         u[0] = u0
-    # each buffer row with its interior, taken once per solve
-    views = [(row, row[interior]) for row in u]
+    # the interior of each buffer row and each row of k, taken once per
+    # march
+    inners = [row[interior] for row in u]
+    k_rows = list(known)
+    # the step's scalars as 0-d arrays, which a ufunc takes faster than
+    # floats; c is c_m
+    c, c_later, half_dt = np.array(dt), np.array(1.5 * dt), np.array(0.5 * dt)
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
         rows = u[:m1 - m0 + 1]
+        k = known[:m1 - m0]
         if m0:
             u[0] = u[_BLOCK]
         # only the boundary is set here: a step writes every interior value
         # of its new row, and f_prev may alias an interior
         rows[:, ring] = bc[m0:m1 + 1]
-        # a diverging step overflows in f, in the couplings, in q_dt or in
-        # the right-hand side, and _check_rows reports it; the caller's
-        # error state holds between blocks
+        # a diverging step overflows in f, in the known terms or in the
+        # right-hand side, and _check_rows reports it; the caller's error
+        # state holds between blocks
         with np.errstate(over="ignore", invalid="ignore"):
-            couplings = []
+            if source is None:
+                k.fill(0.0)
+            else:
+                np.multiply(dt, _source_rows(source, grid, times[m0:m1] + 0.5 * dt)
+                            [(slice(None),) + inner], out=k)
             for s, face in enumerate(faces):
                 phi = rows[face][(slice(None),) + inner[1:]]
-                couplings.append((_index(*face[1:]), r[s // 2] * (phi[:-1] + phi[1:])))
-            if source is not None:
-                q_dt = dt * _source_rows(source, grid,
-                                         times[m0:m1] + 0.5 * dt)[(slice(None),) + inner]
-            for k in range(m1 - m0):
-                um, um_inner = views[k]
-                rhs = views[k + 1][1]
-                np.multiply(2.0, um_inner, out=rhs)
+                k[face] += r[s // 2] * (phi[:-1] + phi[1:])
+            for um, rhs, km in zip(inners[:m1 - m0], inners[1:], k_rows):
+                # 2 um as um + um, which is exact
+                np.add(um, um, out=rhs)
+                np.add(rhs, km, out=rhs)
                 if reaction is not None:
-                    fm = reaction(um)[interior]
-                    if f_prev is None:
-                        np.multiply(dt, fm, out=work)
-                    else:
-                        np.multiply(1.5, fm, out=work)
-                        np.multiply(0.5, f_prev, out=half_f)
-                        np.subtract(work, half_f, out=work)
-                        np.multiply(dt, work, out=work)
+                    # f is pointwise, so it is taken at the interior only
+                    fm = reaction(um)
+                    np.multiply(c, fm, out=work)
                     np.subtract(rhs, work, out=rhs)
-                    f_prev = fm
-                if source is not None:
-                    np.add(rhs, q_dt[k], out=rhs)
-                for near, coupling in couplings:
-                    rhs[near] += coupling[k]
+                    if f_prev is not None:
+                        np.multiply(half_dt, f_prev, out=work)
+                        np.add(rhs, work, out=rhs)
+                    f_prev, c = fm, c_later
                 solve(rhs)
-                np.subtract(rhs, um_inner, out=rhs)
+                np.subtract(rhs, um, out=rhs)
         # a non-finite right-hand side always gives a non-finite solve, and
         # um is finite, so the first non-finite row is the step that diverged
         _check_rows(rows[(slice(1, None),) + inner], times, m0)

@@ -35,7 +35,8 @@ operator on a trace's axis t_j = j dt at the trace's own nodes. It is
 split at tau0 = L0 dt, L0 = min(_NEAR_LAGS = 8, nt) on domains of about
 the diffusion length and more on longer ones, into the local and history
 parts of a heat potential (Greengard and Strain, CPAM 43, 1990): a kernel
-table for the near lags, and for the far lags the product cosine series
+table for the near lags, built _NEAR_LAGS lags at a time, and for the far
+lags the product cosine series
 over eigenbasis.modes_below, summed over all of them by exp_convolve.
 The scalar boundary_propagate evaluates the one quadrature, the sigma
 panels of _sigma_panels, at one (point, time) and is its reference.
@@ -226,13 +227,14 @@ class KernelEvaluator:
         operator at the trace's own nodes. On the uniform grid t_j = j dt
         the sigma panel that covers s in [t_{j-l-1}, t_{j-l}] is
         [sqrt(l dt), sqrt((l+1) dt)] for every j. The near lags l < L0
-        evaluate the kernel once per (lag, Gauss point, node, node) and
-        fold it with the quadrature, the linear interpolation in s and
-        the boundary weights into matrices W_up[l] (acting on g[j-l]) and
-        W_lo[l] (on g[j-l-1]), each (nb, nb). Past tau0 = L0 dt the
-        kernel is sum_k exp(-lambda_k tau) w_k(x) w_k(y) over every
-        product mode with lambda_k tau0 < _MODE_CUTOFF (not capped at
-        _K_MAX), and its integral against g, linear in s, is exact: with
+        evaluate the kernel once per (lag, Gauss point, node, node),
+        _NEAR_LAGS lags at a time, and fold it with the quadrature, the
+        linear interpolation in s and the boundary weights into matrices
+        W_up[l] (acting on g[j-l]) and W_lo[l] (on g[j-l-1]), each
+        (nb, nb). Past tau0 = L0 dt the kernel is
+        sum_k exp(-lambda_k tau) w_k(x) w_k(y) over every product mode
+        with lambda_k tau0 < _MODE_CUTOFF (not capped at _K_MAX), and its
+        integral against g, linear in s, is exact: with
         G = g (w_b w_k(y_b)) and p = exp_convolve(lambda, dt, G),
 
             a[j] = sum_{l<min(j,L0)} W_up[l] g[j-l] + W_lo[l] g[j-l-1]
@@ -245,8 +247,9 @@ class KernelEvaluator:
         L / sqrt(tau0) per axis: at T = 1 and nt = 2048 it is 40 on the
         unit interval and 1264 on the unit square, where 32 nodes double
         L0 once. So only long domains move L0, and the (nt+1, K) far
-        arrays stay the order of the per-lag (nb, nb) weights.
-        Cost: O(nt * (L0 nb^2 + K nb)).
+        arrays stay the order of the per-lag (nb, nb) weights, and the
+        near table holds _NEAR_LAGS lags whatever L0 is.
+        Cost: O(nt * (L0 nb^2 + K nb + K log nt)).
         """
         nt, nb = len(g.values) - 1, g.nodes.count
         out = np.zeros((nt + 1, nb))
@@ -260,14 +263,18 @@ class KernelEvaluator:
             near = min(2 * near, nt)
             far = modes_below(self.domain, _MODE_CUTOFF / (near * dt))
 
-        sigma, quad = _sigma_panels(np.sqrt(np.arange(near + 1) * dt))   # (near, q)
-        theta_lo = sigma**2 / dt - np.arange(near)[:, None]        # weight of g[j-l-1]
-        kv = self._block(nodes.nodes, nodes.nodes, (sigma**2).ravel())
-        kv = kv.reshape(near, _GL_ORDER, nb, nb) * nodes.weights
-        w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
-        w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
-        for lag in range(near):
-            out[lag + 1:] += gv[1:nt + 1 - lag] @ w_up[lag].T + gv[:nt - lag] @ w_lo[lag].T
+        # the table in chunks of _NEAR_LAGS lags, each folded in before the next
+        for l0 in range(0, near, _NEAR_LAGS):
+            edges = np.arange(l0, min(l0 + _NEAR_LAGS, near) + 1)
+            lags = edges[:-1]
+            sigma, quad = _sigma_panels(np.sqrt(edges * dt))        # (lags, q)
+            theta_lo = sigma**2 / dt - lags[:, None]               # weight of g[j-l-1]
+            kv = self._block(nodes.nodes, nodes.nodes, (sigma**2).ravel())
+            kv = kv.reshape(len(lags), _GL_ORDER, nb, nb) * nodes.weights
+            w_up = np.einsum("lq,lqib->lib", quad * (1.0 - theta_lo), kv)
+            w_lo = np.einsum("lq,lqib->lib", quad * theta_lo, kv)
+            for lag, up, lo in zip(lags, w_up, w_lo):
+                out[lag + 1:] += gv[1:nt + 1 - lag] @ up.T + gv[:nt - lag] @ lo.T
 
         if nt > near:
             tau0, lam = near * dt, far.lambdas

@@ -51,6 +51,14 @@ def exp_convolve(lam: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
     responses of recon and the far lags of the boundary data functional
     (heatkernel.KernelEvaluator.boundary_propagate_trace).
 
+    The recurrence p[j+1] = E p[j] + d[j], with the step increments
+    d[j] = c[j] A + slope[j] B of _exp_step_weights, is summed as a
+    log-depth scan (Hillis and Steele, CACM 29(12), 1986): p[1:] starts
+    as d, and for s = 1, 2, 4, ... < nt each pass adds E^s p[j-s] to p[j]
+    for j > s, E^s squared from pass to pass. After the pass with s, p[j]
+    holds the last 2s increments, so about log2(nt) passes give the whole
+    sum in O(nt K log nt) work with no loop over rows.
+
     Parameters
     ----------
     lam : (K,) nonnegative decay rates.
@@ -64,14 +72,18 @@ def exp_convolve(lam: np.ndarray, dt: float, coeffs: np.ndarray) -> np.ndarray:
     if nt < 1:
         return p
     E, A, B = _exp_step_weights(lam, dt)
-    # the two data terms of every step at once; the loop adds them in the
-    # order of E p[j] + c[j] A + b[j] B, so it rounds as that expression
-    head = coeffs[:-1] * A
-    slope = (coeffs[1:] - coeffs[:-1]) / dt * B
-    for j in range(nt):
-        row = np.multiply(E, p[j], out=p[j + 1])
-        row += head[j]
-        row += slope[j]
+    # the increments c[j] A + slope[j] B, the slope term built in tmp
+    tmp = np.subtract(coeffs[1:], coeffs[:-1])
+    tmp /= dt
+    tmp *= B
+    np.multiply(coeffs[:-1], A, out=p[1:])
+    p[1:] += tmp
+    s = 1
+    while s < nt:
+        shifted = np.multiply(E, p[1:nt + 1 - s], out=tmp[:nt - s])
+        p[s + 1:] += shifted
+        E = E * E
+        s *= 2
     return p
 
 

