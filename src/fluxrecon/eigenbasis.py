@@ -21,12 +21,19 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import DomainSpec, SpatialGrid
 
+# grid points per block of verify_orthonormality's Gram sum
+_GRAM_POINTS = 2048
+
 
 def axis_modes(xs: np.ndarray, count: int, L: float) -> np.ndarray:
     """The interval modes omega_0 .. omega_{count-1} of (0, L) at the points
     xs; row m is omega_m, shape (count, *xs.shape)."""
     xs = np.asarray(xs, dtype=float)
-    table = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(np.arange(count) * np.pi, xs) / L)
+    # sqrt(2/L) cos(m pi x / L), built in place: no temporary of the table's size
+    table = np.multiply.outer(np.arange(count) * np.pi, xs)
+    np.divide(table, L, out=table)
+    np.cos(table, out=table)
+    np.multiply(np.sqrt(2.0 / L), table, out=table)
     table[0] = np.sqrt(1.0 / L)
     return table
 
@@ -91,7 +98,14 @@ def make_basis(domain: DomainSpec, k: int) -> EigenBasis:
 
 
 def verify_orthonormality(basis: EigenBasis, grid: SpatialGrid) -> float:
-    """Max deviation of the quadrature Gram matrix from the identity."""
-    samples = basis.values_at(grid.points).reshape(basis.size, -1)
-    gram = (samples * grid.weights.ravel()) @ samples.T
+    """Max deviation of the quadrature Gram matrix from the identity. The
+    Gram is summed over blocks of at most _GRAM_POINTS grid points, so the
+    (K, grid size) mode table is never held whole; a grid of one block
+    gives the one-table product bit for bit."""
+    points = grid.points.reshape(-1, grid.domain.dim)
+    weights = grid.weights.ravel()
+    gram = np.zeros((basis.size, basis.size))
+    for i in range(0, len(weights), _GRAM_POINTS):
+        samples = basis.values_at(points[i:i + _GRAM_POINTS])
+        gram += (samples * weights[i:i + _GRAM_POINTS]) @ samples.T
     return float(np.max(np.abs(gram - np.eye(basis.size))))

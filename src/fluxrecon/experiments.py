@@ -294,7 +294,10 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     off_node = np.max(np.abs(coords - expected), axis=1) > 1e-9
     dt = final_time / nt
     step = np.rint(np.clip(t_col, 0.0, final_time) / dt).astype(np.intp)
-    off_axis = ~(np.abs(t_col - np.linspace(0.0, final_time, nt + 1)[step]) <= 1e-10 * dt)
+    # the axis time of each row as np.linspace(0, T, nt + 1) gives it, bit
+    # for bit, without an array of nt + 1 times
+    t_axis = np.where(step == nt, final_time, step * dt)
+    off_axis = ~(np.abs(t_col - t_axis) <= 1e-10 * dt)
     bad = ~in_range | off_node | off_axis
     if bad.any():
         k = int(np.argmax(bad))
@@ -306,15 +309,16 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
                              f"expected boundary node {nodes.nodes[b]}")
         raise InputError(f"observation row {row_lns[k]}: t = {_fmt(t_col[k])} is not "
                          f"one of the times j * {final_time:g} / {nt}, j = 0..{nt}")
+    # distinct steps, counted without an array of nt + 1 (a plain
+    # np.unique(step) would import numpy.ma, which nothing else loads)
+    count = 1 + np.count_nonzero(np.diff(np.sort(step)))
+    if count != nt + 1:
+        raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
     flat = step * nodes.count + node_ids
     # a (node, time) pair given twice keeps its last row
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     values = np.full((nt + 1, nodes.count), np.nan)
     values.flat[flat[last]] = v_col[last]
-    # a plain np.unique(step) would import numpy.ma, which nothing else loads
-    count = np.count_nonzero(np.bincount(step))
-    if count != nt + 1:
-        raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
     if np.any(~np.isfinite(values)):
         raise InputError("observation table does not cover all (node, time) pairs")
     flux = BoundaryTrace(nodes=nodes, final_time=final_time, values=values)

@@ -133,20 +133,29 @@ def _index(*axes):
     return axes[0] if len(axes) == 1 else axes
 
 
-def interior_laplacian(w: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """The 3-point (interval) or 5-point (rectangle) Laplacian of w at the
     interior nodes: the sum over the grid axes of (before - 2 inner +
     after) / h^2. The grid axes are the trailing axes of w and leading
     axes (time) are carried along, so the result is w with every grid
-    axis shortened by one node at each end."""
+    axis shortened by one node at each end. It is written to out when
+    given (the first axis's term is built there, in the same operation
+    order), and returned."""
     lead = (slice(None),) * (w.ndim - grid.domain.dim)
     inner = (slice(1, -1),) * grid.domain.dim
-    out = None
+    center = w[lead + inner]
     for d, h in enumerate(grid.h):
         lo = w[lead + inner[:d] + (slice(None, -2),) + inner[d + 1:]]
         hi = w[lead + inner[:d] + (slice(2, None),) + inner[d + 1:]]
-        term = (lo - 2.0 * w[lead + inner] + hi) / (h * h)
-        out = term if out is None else out + term
+        term = np.multiply(2.0, center, out=out if d == 0 else None)
+        np.subtract(lo, term, out=term)
+        np.add(term, hi, out=term)
+        np.divide(term, h * h, out=term)
+        if d == 0:
+            out = term
+        else:
+            np.add(out, term, out=out)
     return out
 
 

@@ -111,7 +111,11 @@ class KernelEvaluator:
             keep = (max(int(np.searchsorted(lam, _MODE_CUTOFF / tmin, side="right")), 1)
                     if tmin > 0 else len(lam))
             wx, wy = axis_modes(xs, keep, L), axis_modes(ys, keep, L)
-            wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
+            if len(xs) == 1:
+                # one x, as in mass: the product is written over wy
+                wxy = np.multiply(wx, wy, out=wy)
+            else:
+                wxy = (wx[:, :, None] * wy[:, None, :]).reshape(keep, -1)
             # the table exp(-tau lambda_m), built in place
             table = np.outer(-taus, lam[:keep])
             np.exp(table, out=table)

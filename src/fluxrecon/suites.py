@@ -232,28 +232,39 @@ def difference_residual(grid: SpatialGrid, reaction: Nonlinearity, phi: Dirichle
     boundary and at t = 0. u and v are marched in lockstep and no field
     is stored: a block gives the residual at its rows 1..R-2 in place, and
     at its row 0 from the three rows w[-2] of the block before, w[0] and
-    w[1]."""
+    w[1]. w and the residual terms are written to arrays sized by the
+    first block, the largest, and reused by every block after it."""
     dt = phi.final_time / nt
     inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
     faces = [grid.face(s) for s in range(2 * grid.domain.dim)]
+    interior, boundary, w_buf = [], [], None
 
     def peak(w, u_mid):
         """max |residual| at the middle rows of w, u_mid being u there."""
-        wt = (w[2:] - w[:-2]) / (2.0 * dt)
-        return np.max(np.abs(wt[inner] - interior_laplacian(w, grid)[1:-1]
-                             + reaction.fn(u_mid[inner])))
+        wt, lap = wt_buf[:len(w) - 2], lap_buf[:len(w) - 2]
+        np.subtract(w[2:][inner], w[:-2][inner], out=wt)
+        np.divide(wt, 2.0 * dt, out=wt)
+        interior_laplacian(w[1:-1], grid, out=lap)
+        np.subtract(wt, lap, out=wt)
+        np.add(wt, reaction.fn(u_mid[inner]), out=wt)
+        return np.max(np.abs(wt, out=wt))
 
-    interior, boundary, w_before = [], [], None
-    for (_, u), (_, v) in zip(march(grid, reaction, phi, nt), march(grid, None, phi, nt)):
-        w = u - v
-        if w_before is None:
+    for (m0, u), (_, v) in zip(march(grid, reaction, phi, nt), march(grid, None, phi, nt)):
+        if w_buf is None:
+            w_buf = np.empty_like(u)
+            wt_buf, lap_buf = np.empty_like(u[2:][inner]), np.empty_like(u[2:][inner])
+            # the rows w[-2] of the block before, w[0] and w[1]
+            edge = np.empty((3,) + grid.shape)
+        w = np.subtract(u, v, out=w_buf[:len(u)])
+        if m0 == 0:
             initial = float(np.max(np.abs(w[0])))
         else:
-            interior.append(peak(np.stack([w_before, w[0], w[1]]), u[:1]))
+            edge[1:] = w[:2]
+            interior.append(peak(edge, u[:1]))
         if len(w) > 2:
             interior.append(peak(w, u[1:-1]))
         boundary.extend(np.max(np.abs(w[face])) for face in faces)
-        w_before = w[-2]
+        edge[0] = w[-2]
     return {"n": grid.n[0], "nt": nt, "interior_max": float(np.max(interior)),
             "boundary_max": float(np.max(boundary)), "initial_max": initial}
 

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fluxrecon.eigenbasis import make_basis, modes_below, verify_orthonormality
+from fluxrecon.eigenbasis import axis_modes, make_basis, modes_below, verify_orthonormality
 from fluxrecon.errors import ConfigurationError
 from fluxrecon.geometry import build_grid, interval, rectangle
+from fluxrecon.suites import eigenbasis_suite
 
 
 class TestIntervalBasis:
@@ -116,3 +118,44 @@ def test_project_with_leading_axes():
     coeffs = basis.project(grid, fields)
     assert coeffs.shape == (2, 3)
     assert np.isclose(coeffs[0, 0], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("L,shape", [(1.0, (1025,)), (0.9, (7,)), (1.3, (5, 6))])
+def test_axis_modes_built_in_place_is_the_formula(L, shape, rng):
+    # the table is built in place, bit-equal to the one expression
+    xs = rng.uniform(0.0, L, shape)
+    ref = np.sqrt(2.0 / L) * np.cos(np.multiply.outer(np.arange(78) * np.pi, xs) / L)
+    ref[0] = np.sqrt(1.0 / L)
+    assert np.array_equal(axis_modes(xs, 78, L), ref)
+
+
+def _one_table_deviation(basis, grid):
+    """verify_orthonormality's Gram from the whole (K, grid size) table."""
+    samples = basis.values_at(grid.points).reshape(basis.size, -1)
+    gram = (samples * grid.weights.ravel()) @ samples.T
+    return float(np.max(np.abs(gram - np.eye(basis.size))))
+
+
+class TestOrthonormalityInBlocks:
+    def test_one_block_is_the_one_table_gram(self):
+        # 513 points: one block, the same products in the same order
+        basis, grid = make_basis(interval(), 16), build_grid(interval(), 512)
+        assert verify_orthonormality(basis, grid) == _one_table_deviation(basis, grid)
+
+    # 129^2 = 8 * 2048 + 257 points, so the last block is short
+    @pytest.mark.parametrize("rect", [rectangle(), rectangle(0.9, 1.3)], ids=["1x1", "0.9x1.3"])
+    def test_blocks_agree_with_the_one_table_gram(self, rect):
+        basis, grid = make_basis(rect, 16), build_grid(rect, 128)
+        assert abs(verify_orthonormality(basis, grid)
+                   - _one_table_deviation(basis, grid)) <= 1e-15
+
+    def test_suite_peak_memory(self):
+        # the (16, 129^2) rectangle table and its weighted copy took 5.3 MB
+        eigenbasis_suite()
+        tracemalloc.start()
+        try:
+            eigenbasis_suite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -330,6 +331,27 @@ class TestObservationIO:
         path = _write_pair(tmp_path / "d", "\n".join(lines) + "\n", meta_text)
         with pytest.raises(InputError, match="time samples"):
             load_observation(path)
+
+    def test_time_count_checked_before_allocating_the_axis(self, cheap_obs, tmp_path):
+        # three rows against recon_nt = 10**7: an axis of nt + 1 times took
+        # 80 MB before the count check
+        _, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        meta["config"].update(recon_nt=10 ** 7, fine_nt=2 * 10 ** 7)
+        lines = csv_text.splitlines()
+        head = [ln for ln in lines if ln.startswith("#")][:1]
+        header, *data = [ln for ln in lines if not ln.startswith("#")]
+        # both nodes at t = 0 and node 0 at the next sample time
+        rows = [header] + [ln for ln in data if ln.split(",")[2] == "0"] + data[1:2]
+        path = _write_pair(tmp_path / "d", "\n".join(head + rows) + "\n", json.dumps(meta))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="has 2 time samples, scenario expects 10000001"):
+                load_observation(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestFormatting:

@@ -8,9 +8,9 @@ from scipy.linalg import get_lapack_funcs
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace, SolutionField
-from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver, march,
-                               march_flux, neumann_trace, solve_linear_heat,
-                               solve_semilinear, synthesize_observation)
+from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver,
+                               interior_laplacian, march, march_flux, neumann_trace,
+                               solve_linear_heat, solve_semilinear, synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
                               mms_spatial_errors, mms_temporal_errors)
@@ -585,6 +585,30 @@ class TestDirichletSolver:
             solve(row)
         solve(stack)
         assert np.array_equal(stack, rows)
+
+
+class TestInteriorLaplacian:
+    @pytest.mark.parametrize("domain,n,lead", [
+        (interval(), 12, ()), (interval(0.7), 12, (5,)),
+        (rectangle(0.9, 1.3), (9, 10), (4,)), (rectangle(0.9, 1.3), (9, 10), (2, 3))],
+        ids=["interval", "interval-times", "rectangle-times", "rectangle-two-axes"])
+    def test_out_is_bit_equal_to_the_allocating_call(self, domain, n, lead, rng):
+        grid = build_grid(domain, n)
+        w = rng.standard_normal(lead + grid.shape)
+        # the stencil's operation order: (before - 2 inner + after) / h^2
+        # per axis, summed in axis order
+        c = (Ellipsis,) + (slice(1, -1),) * grid.domain.dim
+        if grid.domain.dim == 1:
+            h = grid.h[0]
+            ref = (w[..., :-2] - 2.0 * w[c] + w[..., 2:]) / (h * h)
+        else:
+            hx, hy = grid.h
+            ref = ((w[..., :-2, 1:-1] - 2.0 * w[c] + w[..., 2:, 1:-1]) / (hx * hx)
+                   + (w[..., 1:-1, :-2] - 2.0 * w[c] + w[..., 1:-1, 2:]) / (hy * hy))
+        assert np.array_equal(interior_laplacian(w, grid), ref)
+        out = np.full(ref.shape, np.nan)
+        assert interior_laplacian(w, grid, out=out) is out
+        assert np.array_equal(out, ref)
 
 
 class TestNeumannTrace:

@@ -119,6 +119,22 @@ class TestMass:
             for x in (0.0, 0.03, 50.0, 100.0):
                 assert abs(ev100.mass(x, tau) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("domain,x", [(interval(), 0.31), (rectangle(), [0.5, 0.5])],
+                             ids=["interval", "rectangle"])
+    def test_peak_memory(self, domain, x):
+        # at tau = 1e-3 an axis keeps 78 modes, and the y modes' (78, 1025)
+        # table is 0.64 MB; the product with the x modes is written over it.
+        # With the cosine's temporary and a separate product the call
+        # peaked at 1.36 MB
+        ev2 = KernelEvaluator(domain)
+        tracemalloc.start()
+        try:
+            ev2.mass(np.array(x), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_semigroup_identity(self, ev):
         grid = build_grid(interval(), 512)
         zs = grid.points
