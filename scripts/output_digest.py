@@ -3,10 +3,12 @@
 For each scenario config it runs synthesize and reconstruct and digests
 the observation, its metadata, the curve, the diagnostics and the
 metrics (without the wall-clock `timings` key). It then digests the
-`verify --suite all` report, which holds the forward suite's table of
-refinement studies. Two trees that compute the same numbers print the same
-lines, so a refactor that must keep its outputs byte-identical is checked
-with one command:
+report of each suite of `verify --suite all`, one line per suite
+(`verify/eigenbasis` ... `verify/volterra`), so a change that moves one
+suite names it; the forward suite's report holds its table of refinement
+studies. Two trees that compute the same numbers print the same lines, so
+a refactor that must keep its outputs byte-identical is checked with one
+command:
 
     PYTHONPATH=src python3 scripts/output_digest.py > before.txt
     # ... change the code ...
@@ -71,8 +73,8 @@ def main() -> int:
                 if key in paths:
                     emit(f"{_file_digest(Path(paths[key]))}  {config.stem}/{key}")
 
-        report = run_verify("all")
-        emit(f"{_sha(json.dumps(report, sort_keys=True).encode())}  verify/all")
+        for report in run_verify("all")["suites"]:
+            emit(f"{_sha(json.dumps(report, sort_keys=True).encode())}  verify/{report['suite']}")
     if saved is None:
         return 0
     diff = list(difflib.unified_diff(saved, lines, str(args.against), "this run",

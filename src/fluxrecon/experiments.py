@@ -231,8 +231,10 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
 
     The one check of a time axis: a row's t is read as the time
     t_j = j dt of the scenario's axis, dt = final_time / recon_nt, that it
-    lies within 1e-10 dt of. The first row off the axis, off its node or
-    past the node count, in file order, is an InputError."""
+    lies within 1e-10 dt of. A count of distinct times other than
+    recon_nt + 1, or fewer rows than the table has entries, is an
+    InputError before any grid is built; after them, so is the first row
+    off the axis, off its node or past the node count, in file order."""
     csv_path = Path(csv_path)
     meta_path = csv_path.with_name(csv_path.stem + "_meta.json")
     text = _read(csv_path, "observation file")
@@ -285,15 +287,26 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     if not ids:
         raise InputError("observation file holds no samples")
 
-    nodes = _expected_nodes(scenario)
     nt, final_time = scenario.recon_nt, scenario.final_time
-    node_ids = np.array(ids)
     coords, t_col, v_col = numbers[:, :dom.dim], numbers[:, -2], numbers[:, -1]
+    dt = final_time / nt
+    step = np.rint(np.clip(t_col, 0.0, final_time) / dt).astype(np.intp)
+    # distinct steps, counted without an array of nt + 1 (a plain
+    # np.unique(step) would import numpy.ma, which nothing else loads)
+    count = 1 + np.count_nonzero(np.diff(np.sort(step)))
+    if count != nt + 1:
+        raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
+    # fewer rows than boundary_nodes' count (2, or recon_n / 2 per side)
+    # times nt + 1 cannot cover the table; checked before a grid of recon_n
+    # cells is built
+    uncovered = "observation table does not cover all (node, time) pairs"
+    if len(ids) < (2 if dom.dim == 1 else 2 * scenario.recon_n) * (nt + 1):
+        raise InputError(uncovered)
+    nodes = _expected_nodes(scenario)
+    node_ids = np.array(ids)
     in_range = (node_ids >= 0) & (node_ids < nodes.count)
     expected = nodes.nodes[np.where(in_range, node_ids, 0).astype(np.intp)]
     off_node = np.max(np.abs(coords - expected), axis=1) > 1e-9
-    dt = final_time / nt
-    step = np.rint(np.clip(t_col, 0.0, final_time) / dt).astype(np.intp)
     # the axis time of each row as np.linspace(0, T, nt + 1) gives it, bit
     # for bit, without an array of nt + 1 times
     t_axis = np.where(step == nt, final_time, step * dt)
@@ -309,18 +322,13 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
                              f"expected boundary node {nodes.nodes[b]}")
         raise InputError(f"observation row {row_lns[k]}: t = {_fmt(t_col[k])} is not "
                          f"one of the times j * {final_time:g} / {nt}, j = 0..{nt}")
-    # distinct steps, counted without an array of nt + 1 (a plain
-    # np.unique(step) would import numpy.ma, which nothing else loads)
-    count = 1 + np.count_nonzero(np.diff(np.sort(step)))
-    if count != nt + 1:
-        raise InputError(f"observation has {count} time samples, scenario expects {nt + 1}")
     flat = step * nodes.count + node_ids
     # a (node, time) pair given twice keeps its last row
     last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     values = np.full((nt + 1, nodes.count), np.nan)
     values.flat[flat[last]] = v_col[last]
     if np.any(~np.isfinite(values)):
-        raise InputError("observation table does not cover all (node, time) pairs")
+        raise InputError(uncovered)
     flux = BoundaryTrace(nodes=nodes, final_time=final_time, values=values)
     # the scenario's noise level and seed are the validated copies
     obs = ObservedData(domain=dom, phi=scenario.build_phi(), flux=flux,

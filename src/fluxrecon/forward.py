@@ -159,6 +159,21 @@ def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
     return out
 
 
+def sine_tables(grid: SpatialGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(S_d, mu_d) per grid axis, n_d cells of width h_d: the sine table
+    S_d = sqrt(2/n_d) sin(pi j k / n_d), j, k = 1..n_d - 1 (S_d S_d = I),
+    and mu_k = (4/h_d^2) sin^2(pi k / 2n_d), so that the Dirichlet
+    3-point Laplacian of the axis is -S_d diag(mu_d) S_d."""
+    tables = []
+    for n, h in zip(grid.n, grid.h):
+        k = np.arange(1, n)
+        # j k reduced mod 2n keeps each sine argument below 2 pi, so that
+        # S_d S_d = I holds to rounding
+        tables.append((np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n))),
+                       4.0 / (h * h) * np.sin(np.pi / (2 * n) * k) ** 2))
+    return tables
+
+
 def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
     """solve(b) overwrites b, the interior values of the grid (on the
     rectangle after any leading axes), with (shift I - scale lap)^-1 b,
@@ -167,10 +182,9 @@ def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
     On the interval the matrix is tridiagonal with diagonal shift + 2r and
     off-diagonal -r, r = scale / h^2; LAPACK's pttrf factors it once (it
     must be positive definite) and each call is one pttrs on a 1-d row.
-    On the rectangle the sine tables S_d = sqrt(2/n_d) sin(pi j k / n_d)
-    (S_d S_d = I) diagonalise lap with eigenvalues -(mu_x + mu_y),
-    mu_k = (4/h^2) sin^2(pi k / 2n), so a solve is four small matrix
-    products that broadcast over the leading axes:
+    On the rectangle the sine tables of sine_tables diagonalise lap with
+    eigenvalues -(mu_x + mu_y), so a solve is four small matrix products
+    that broadcast over the leading axes:
         b <- S_x ((S_x b S_y) / (shift + scale (mu_x + mu_y))) S_y."""
     if grid.domain.dim == 1:
         n, h = grid.n[0], grid.h[0]
@@ -184,14 +198,7 @@ def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
             if x is not b:
                 b[...] = x
         return solve
-    tables = []
-    for n, h in zip(grid.n, grid.h):
-        k = np.arange(1, n)
-        # j k reduced mod 2n keeps each sine argument below 2 pi, so that
-        # S_d S_d = I holds to rounding
-        tables.append((np.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n))),
-                       4.0 / (h * h) * np.sin(np.pi / (2 * n) * k) ** 2))
-    (sx, mux), (sy, muy) = tables
+    (sx, mux), (sy, muy) = sine_tables(grid)
     inv = 1.0 / (shift + scale * (mux[:, None] + muy))
 
     def solve(b: np.ndarray) -> None:

@@ -104,7 +104,8 @@ class SpatialGrid:
 
 def build_grid(domain: DomainSpec, n) -> SpatialGrid:
     """Uniform tensor grid with at least MIN_CELLS cells per axis and a
-    spacing h whose square is finite and nonzero on every axis."""
+    spacing h whose square is finite and nonzero on every axis; a grid
+    whose arrays cannot be allocated is a ConfigurationError."""
     ns = (int(n),) * domain.dim if np.isscalar(n) else tuple(int(v) for v in n)
     if len(ns) != domain.dim:
         raise ConfigurationError(f"expected {domain.dim} cell counts, got {ns}")
@@ -116,9 +117,12 @@ def build_grid(domain: DomainSpec, n) -> SpatialGrid:
         if not 0.0 < h * h < np.inf:
             raise ConfigurationError(f"grid spacing {h:g} on axis {d} cannot be "
                                      f"represented squared (h*h = {h * h:g})")
-    axes = tuple(np.linspace(0.0, L, v + 1) for L, v in zip(domain.lengths, ns))
-    w1 = [trapezoid_weights(v, L) for v, L in zip(ns, domain.lengths)]
-    weights = w1[0] if domain.dim == 1 else np.multiply.outer(w1[0], w1[1])
+    try:
+        axes = tuple(np.linspace(0.0, L, v + 1) for L, v in zip(domain.lengths, ns))
+        w1 = [trapezoid_weights(v, L) for v, L in zip(ns, domain.lengths)]
+        weights = w1[0] if domain.dim == 1 else np.multiply.outer(w1[0], w1[1])
+    except MemoryError:
+        raise ConfigurationError(f"a grid of {ns} cells does not fit in memory") from None
     return SpatialGrid(domain=domain, n=ns, axes=axes, h=hs, weights=weights)
 
 

@@ -26,3 +26,17 @@ def src_env():
     src = str(Path(fluxrecon.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.fixture
+def linspace_out_of_memory(monkeypatch):
+    """np.linspace raising MemoryError, as numpy does when an array cannot
+    be had, for more than 10**6 points: a test of a huge grid asks for no
+    memory."""
+    linspace = np.linspace
+
+    def failing(start, stop, num, *args, **kwargs):
+        if num > 10 ** 6:
+            raise MemoryError(f"cannot allocate {num} doubles")
+        return linspace(start, stop, num, *args, **kwargs)
+    monkeypatch.setattr(np, "linspace", failing)

@@ -353,6 +353,48 @@ class TestObservationIO:
             tracemalloc.stop()
         assert peak < 5e6
 
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_short_file_is_uncovered_before_any_grid(self, cheap_obs, tmp_path, monkeypatch,
+                                                    capsys, kind):
+        # recon_n = 10**9: a grid would take 8 GB an axis. Every time is
+        # there, but fewer rows than 2 (interval) or 2 recon_n (rectangle)
+        # nodes times nt + 1 cannot cover the table
+        _, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        meta["config"].update(recon_n=10 ** 9, fine_n=2 * 10 ** 9)
+        lines = csv_text.splitlines()
+        if kind == "interval":
+            del lines[-1]
+        else:
+            meta["config"].update(domain_kind="rectangle", lengths=[1.0, 1.0])
+            # a y column of 0 on every row: the file is whole for 2 nodes
+            lines = [ln if ln.startswith("#") else ",".join(ln.split(",")[:2] + [
+                "y" if ln.startswith("node_id") else "0"] + ln.split(",")[2:]) for ln in lines]
+        path = _write_pair(tmp_path / "d", "\n".join(lines) + "\n", json.dumps(meta))
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+        monkeypatch.setattr("fluxrecon.experiments.build_grid", no_grid)
+        with pytest.raises(InputError, match="does not cover"):
+            load_observation(path)
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "does not cover" in capsys.readouterr().err
+
+    def test_grid_that_does_not_fit_exits_2(self, cheap_obs, tmp_path, linspace_out_of_memory,
+                                            capsys):
+        # a whole interval file with recon_n = 10**9: the grid is built, and
+        # its 8 GB axis cannot be had
+        _, csv_text, meta_text = cheap_obs
+        meta = json.loads(meta_text)
+        meta["config"].update(recon_n=10 ** 9, fine_n=2 * 10 ** 9)
+        path = _write_pair(tmp_path / "d", csv_text, json.dumps(meta))
+        with pytest.raises(ConfigurationError, match=r"a grid of \(1000000000,\) cells"):
+            load_observation(path)
+        assert main(["reconstruct", "--observation", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "does not fit in memory" in capsys.readouterr().err
+
 
 class TestFormatting:
     def test_fmt_round_trips_doubles(self):

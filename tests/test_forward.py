@@ -10,10 +10,12 @@ from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace, SolutionField
 from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver,
                                interior_laplacian, march, march_flux, neumann_trace,
-                               solve_linear_heat, solve_semilinear, synthesize_observation)
+                               sine_tables, solve_linear_heat, solve_semilinear,
+                               synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.suites import (_mms_instance, difference_residual, difference_residual_study,
-                              mms_spatial_errors, mms_temporal_errors)
+from fluxrecon.suites import (TEMPORAL_STEPS, _final_row, _halving_rates, _mms_instance, _rate,
+                              difference_residual, difference_residual_study,
+                              mms_semidiscrete_final, mms_spatial_errors, mms_temporal_errors)
 
 
 def _ramp(domain, T=1.0):
@@ -57,7 +59,7 @@ class TestSolvers:
     def test_mms_rates(self):
         es = mms_spatial_errors(cells=(16, 32), nt=1024)
         assert np.log2(es[0] / es[1]) > 1.9
-        et = mms_temporal_errors(steps=(16, 32), n=64, ref_steps=4096)
+        et = mms_temporal_errors(steps=(16, 32), n=64)
         assert np.log2(et[0] / et[1]) > 1.9
 
     def test_divergence_raises(self):
@@ -585,6 +587,68 @@ class TestDirichletSolver:
             solve(row)
         solve(stack)
         assert np.array_equal(stack, rows)
+
+    @pytest.mark.parametrize("domain,n", [(interval(0.7), 13), (rectangle(0.9, 1.3), (9, 10))],
+                             ids=["interval", "rectangle"])
+    def test_sine_tables_diagonalise_each_axis(self, domain, n):
+        grid = build_grid(domain, n)
+        for (s, mu), cells, h in zip(sine_tables(grid), grid.n, grid.h):
+            assert np.max(np.abs(s @ s - np.eye(cells - 1))) < 1e-14
+            assert np.max(np.abs((s * mu) @ s + _second_difference(cells, h))) \
+                <= 1e-13 * np.max(mu)
+
+
+class TestMmsTemporalReference:
+    """mms_temporal_errors measures each level against the exact solution of
+    the manufactured instance's semi-discrete system, U_h(T)."""
+
+    @pytest.mark.parametrize("n", [8, 13, 16])
+    def test_matches_the_dense_matrix_exponential(self, n):
+        # U' = A U + e^{-t} F with A = lap_h - c I, solved in A's eigenbasis:
+        # U(T) = e^{AT} g + sum_k v_k v_k^T F (e^{lam_k T} - e^{-T}) / (lam_k + 1)
+        reaction, exact, source, data = _mms_instance()
+        grid = build_grid(interval(), n)
+        T = data.final_time
+        g = exact(grid.axes[0], 0.0)
+        ring = np.zeros_like(g)
+        ring[[0, -1]] = g[[0, -1]]
+        forcing = source(grid, 0.0)[1:-1] + interior_laplacian(ring, grid)
+        c = float(reaction.fn(1.0))
+        lam, v = np.linalg.eigh(_dense_laplacian(grid) - c * np.eye(n - 1))
+        coef = (np.exp(lam * T) * (v.T @ g[1:-1])
+                + (np.exp(lam * T) - np.exp(-T)) / (lam + 1.0) * (v.T @ forcing))
+        assert np.max(np.abs(mms_semidiscrete_final(grid) - v @ coef)) < 1e-13
+
+    def test_the_march_converges_to_it_at_order_two(self):
+        rates = _halving_rates(mms_temporal_errors(steps=[128 * 2 ** i for i in range(7)]))
+        assert len(rates) == 6 and all(1.99 <= r <= 2.02 for r in rates), rates
+
+    def test_sees_a_march_that_converges_to_the_wrong_system(self, monkeypatch):
+        # 1e-6 added to every final row, whatever dt: a finer march as the
+        # reference carries the same offset and still reads order 2
+        def offset(grid, reaction, data, nt, *args):
+            for m0, rows in march(grid, reaction, data, nt, *args):
+                if m0 + len(rows) - 1 == nt:
+                    rows[-1, 1:-1] += 1e-6
+                yield m0, rows
+        monkeypatch.setattr("fluxrecon.suites.march", offset)
+        assert _rate(mms_temporal_errors()) < 1.9
+        reaction, exact, source, data = _mms_instance()
+        grid = build_grid(interval(), 128)
+        u0 = exact(grid.axes[0], 0.0)
+        ref = _final_row(grid, reaction, data, 2048, source, u0)
+        rows = [_final_row(grid, reaction, data, nt, source, u0) for nt in TEMPORAL_STEPS]
+        assert _rate([float(np.max(np.abs(row - ref))) for row in rows]) > 1.9
+
+    def test_marches_only_its_levels(self, monkeypatch):
+        seen = []
+
+        def spy(grid, reaction, data, nt, *args):
+            seen.append(nt)
+            return march(grid, reaction, data, nt, *args)
+        monkeypatch.setattr("fluxrecon.suites.march", spy)
+        mms_temporal_errors()
+        assert seen == list(TEMPORAL_STEPS)
 
 
 class TestInteriorLaplacian:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,13 @@ class TestGrids:
         kind = DomainKind.INTERVAL if len(lengths) == 1 else DomainKind.RECTANGLE
         with pytest.raises(ConfigurationError, match=f"on axis {axis} cannot be represented"):
             build_grid(DomainSpec(kind, lengths), MIN_CELLS)
+
+    @pytest.mark.parametrize("domain, n", [(interval(), 10 ** 9), (rectangle(), (8, 10 ** 9))])
+    def test_build_grid_that_does_not_fit_is_a_configuration_error(
+            self, linspace_out_of_memory, domain, n):
+        cells = (n,) if np.isscalar(n) else n
+        with pytest.raises(ConfigurationError, match=re.escape(f"a grid of {cells} cells")):
+            build_grid(domain, n)
 
 
 def _outward_normals(nodes):
