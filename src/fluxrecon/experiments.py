@@ -441,6 +441,7 @@ def run_reconstruct(obs_path: str | Path, outdir: Path) -> dict:
     paths = {"curve": str(curve_path), "diagnostics": str(diag_path)}
     if obs.f_label is not None:
         timings = {"load_s": t1 - t0, "reconstruct_s": t2 - t1,
+                   **{f"{stage}_s": s for stage, s in result.timings.items()},
                    "total_s": time.perf_counter() - t0}
         metrics = score_reconstruction(result, obs, scenario, timings)
         paths["metrics"] = str(write_metrics(metrics, scenario, outdir))

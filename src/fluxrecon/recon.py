@@ -27,6 +27,8 @@ Neither pass solves the semilinear equation.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,11 @@ _K_MODES = 16
 _DIFF_HALFWIDTH = 2
 _BINS = 24
 _Q_LO, _Q_HI = 0.1, 0.9
+# the stages reconstruct times, in pipeline order: the gap with its
+# reaction-free solve, the data functional, the extension (with the interior
+# shape of the second pass), the projection and derivative, the series
+# assembly and the curve
+STAGES = ("gap", "functional", "extension", "projection", "assembly", "curve")
 
 
 @dataclass(frozen=True)
@@ -337,16 +344,38 @@ def evaluate_curve(curve: CurveEstimate, u) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
+    """The curve, its diagnostics, and the wall seconds of each of STAGES
+    (`timings`), the one part that differs between identical runs."""
+
     curve: CurveEstimate
     diagnostics: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
+
+
+class _StageClock:
+    """Wall seconds per stage of STAGES, summed over every span of it."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES, 0.0)
+
+    @contextmanager
+    def __call__(self, stage: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[stage] += time.perf_counter() - t0
 
 
 def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis, method: str,
-              shape: np.ndarray | None = None):
-    extended = extend_boundary_data(a, grid, method, shape)
-    coeffs = project_coefficients(extended, grid, basis)
-    derivs = differentiate_coefficients(a.dt, coeffs, _DIFF_HALFWIDTH)
-    return coeffs, assemble_series(coeffs, derivs, basis, a.nodes.nodes)
+              clock: _StageClock, shape: np.ndarray | None = None):
+    with clock("extension"):
+        extended = extend_boundary_data(a, grid, method, shape)
+    with clock("projection"):
+        coeffs = project_coefficients(extended, grid, basis)
+        derivs = differentiate_coefficients(a.dt, coeffs, _DIFF_HALFWIDTH)
+    with clock("assembly"):
+        return coeffs, assemble_series(coeffs, derivs, basis, a.nodes.nodes)
 
 
 def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
@@ -364,13 +393,17 @@ def reaction_free_response(v_phi: SolutionField, curve: CurveEstimate,
 
 
 def _corrected_pipeline(a: BoundaryTrace, v_phi: SolutionField, basis: EigenBasis,
-                        method: str, phi_vals: np.ndarray):
+                        method: str, phi_vals: np.ndarray, clock: _StageClock):
     """A first pass with the plain extension gives a curve f0; one more
     pass extends with the reaction-free response to f0 as interior shape."""
-    _, first = _pipeline(a, v_phi.grid, basis, method)
-    shape = reaction_free_response(v_phi, build_curve(phi_vals, first), basis)
-    coeffs, fvals = _pipeline(a, v_phi.grid, basis, method, shape)
-    return coeffs, build_curve(phi_vals, fvals)
+    _, first = _pipeline(a, v_phi.grid, basis, method, clock)
+    with clock("curve"):
+        f0 = build_curve(phi_vals, first)
+    with clock("extension"):
+        shape = reaction_free_response(v_phi, f0, basis)
+    coeffs, fvals = _pipeline(a, v_phi.grid, basis, method, clock, shape)
+    with clock("curve"):
+        return coeffs, build_curve(phi_vals, fvals)
 
 
 def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> ReconstructionResult:
@@ -379,15 +412,20 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
     Never touches obs.f_label; scoring against a known law is the
     caller's business.
     """
-    grid = build_grid(obs.domain, config.grid_n)
-    v_phi = solve_linear_heat(grid, obs.phi, len(obs.flux.values) - 1)
-    gap = flux_difference(obs, grid, v_phi)
-    kernel = KernelEvaluator(obs.domain)
-    functional = compute_data_functional(gap, kernel)
-    basis = make_basis(obs.domain, _K_MODES)
-    phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
+    clock = _StageClock()
+    with clock("gap"):
+        grid = build_grid(obs.domain, config.grid_n)
+        v_phi = solve_linear_heat(grid, obs.phi, len(obs.flux.values) - 1)
+        gap = flux_difference(obs, grid, v_phi)
+    with clock("functional"):
+        kernel = KernelEvaluator(obs.domain)
+        functional = compute_data_functional(gap, kernel)
+    with clock("projection"):
+        basis = make_basis(obs.domain, _K_MODES)
+    with clock("curve"):
+        phi_vals = obs.phi.table(functional.nodes.nodes, functional.times)
     method, other = EXTENSIONS
-    coeffs, curve = _corrected_pipeline(functional, v_phi, basis, method, phi_vals)
+    coeffs, curve = _corrected_pipeline(functional, v_phi, basis, method, phi_vals, clock)
 
     energy = np.max(np.abs(coeffs), axis=0)
     tail = float(np.max(energy[3 * len(energy) // 4:]) / max(np.max(energy), 1e-300))
@@ -400,11 +438,13 @@ def reconstruct(obs: ObservedData, config: ReconstructionConfig) -> Reconstructi
         "extension_method": method,
     }
     if config.compare_extensions:
-        _, alt_curve = _corrected_pipeline(functional, v_phi, basis, other, phi_vals)
-        us = np.linspace(max(curve.trusted_lo, alt_curve.trusted_lo),
-                         min(curve.trusted_hi, alt_curve.trusted_hi), 101)
-        v1 = evaluate_curve(curve, us)
-        v2 = evaluate_curve(alt_curve, us)
+        _, alt_curve = _corrected_pipeline(functional, v_phi, basis, other, phi_vals, clock)
+        with clock("curve"):
+            us = np.linspace(max(curve.trusted_lo, alt_curve.trusted_lo),
+                             min(curve.trusted_hi, alt_curve.trusted_hi), 101)
+            v1 = evaluate_curve(curve, us)
+            v2 = evaluate_curve(alt_curve, us)
         diagnostics["extension_discrepancy"] = float(np.max(np.abs(v1 - v2)))
         diagnostics["alt_extension_method"] = other
-    return ReconstructionResult(curve=curve, diagnostics=diagnostics)
+    return ReconstructionResult(curve=curve, diagnostics=diagnostics,
+                                timings=clock.seconds)

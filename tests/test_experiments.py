@@ -14,7 +14,7 @@ from fluxrecon.errors import ConfigurationError, InputError
 from fluxrecon.experiments import (ScenarioConfig, _fmt, load_observation,
                                    load_scenario, run_reconstruct,
                                    run_synthesize, run_verify, write_observation)
-from fluxrecon.recon import ReconstructionConfig
+from fluxrecon.recon import STAGES, ReconstructionConfig
 
 CHEAP = dict(domain_kind="interval", lengths=[1.0], final_time=1.0,
              fine_n=64, fine_nt=512, recon_n=16, recon_nt=64,
@@ -426,7 +426,12 @@ class TestRunners:
         metrics = json.loads((outdir / "metrics.json").read_text())
         assert metrics["f_label"] == "linear,coeff=1.0"
         assert np.isfinite(metrics["rel_sup_error"])
-        assert set(metrics["timings"]) == {"load_s", "reconstruct_s", "total_s"}
+        stages = {f"{stage}_s" for stage in STAGES}
+        assert set(metrics["timings"]) == {"load_s", "reconstruct_s", "total_s"} | stages
+        timings = metrics["timings"]
+        assert min(timings.values()) >= 0.0
+        assert sum(timings[k] for k in stages) <= timings["reconstruct_s"]
+        assert timings["load_s"] + timings["reconstruct_s"] <= timings["total_s"]
 
     def test_determinism(self, tmp_path):
         scenario = ScenarioConfig(**CHEAP, noise_level=0.01, seed=7)

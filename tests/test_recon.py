@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from fluxrecon import recon
 from fluxrecon.eigenbasis import make_basis
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
@@ -511,3 +513,24 @@ class TestReconstructPipeline:
         result = reconstruct(small_obs, config)
         assert result.diagnostics["alt_extension_method"] == "normal_constant"
         assert np.isfinite(result.diagnostics["extension_discrepancy"])
+
+    @pytest.mark.parametrize("compare", [False, True], ids=["one", "compare"])
+    def test_stage_timings_sum_every_pass(self, small_obs, monkeypatch, compare):
+        # an extension held up by a known delay: each of the two passes, and
+        # each of the two pipelines when compare_extensions is on, adds it
+        delay = 0.02
+        extend = recon.extend_boundary_data
+
+        def slow_extend(*args):
+            time.sleep(delay)
+            return extend(*args)
+        monkeypatch.setattr(recon, "extend_boundary_data", slow_extend)
+        t0 = time.perf_counter()
+        result = reconstruct(small_obs, ReconstructionConfig(grid_n=16,
+                                                             compare_extensions=compare))
+        wall = time.perf_counter() - t0
+        timings = result.timings
+        assert tuple(timings) == recon.STAGES
+        assert min(timings.values()) > 0.0
+        assert timings["extension"] >= (4 if compare else 2) * delay
+        assert sum(timings.values()) <= wall
