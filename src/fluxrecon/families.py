@@ -31,20 +31,26 @@ def make_reaction(spec: dict) -> Nonlinearity:
     family = _family(spec, "reaction", _REACTION_KEYS)
     label = _label(spec)
     if family == "zero":
-        return Nonlinearity(fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                            label=label)
+        return Nonlinearity(fn=lambda u: np.zeros(np.shape(u)), label=label)
     c = _param(spec, "coeff", 1.0, least=0.0)
     if family == "linear":
-        return Nonlinearity(fn=lambda u: c * np.asarray(u, dtype=float), label=label)
+        return Nonlinearity(fn=lambda u: np.multiply(c, u, dtype=float), label=label)
+    # the laws below work in the one array np.maximum makes, and on a
+    # scalar u, where that is a numpy float, the in-place operators rebind
     if family == "power":
         p = _param(spec, "exponent", 2.0, least=1.0)
         def fn(u, c=c, p=p):
-            up = np.maximum(np.asarray(u, dtype=float), 0.0)
-            return c * up ** p
+            up = np.maximum(u, 0.0, dtype=float)
+            up **= p
+            up *= c
+            return up
         return Nonlinearity(fn=fn, label=label)
     def fn(u, c=c):
-        up = np.maximum(np.asarray(u, dtype=float), 0.0)
-        return c * up / (1.0 + up)
+        up = np.maximum(u, 0.0, dtype=float)
+        den = up + 1.0
+        up *= c
+        up /= den
+        return up
     return Nonlinearity(fn=fn, label=label)
 
 

@@ -9,7 +9,11 @@ strongly. With A = I - (dt/2) lap, the explicit half I + (dt/2) lap is
 2I - A, so a step is one solve with A and no stencil:
 u_{m+1} = A^-1 (2 u_m + k_m - reaction terms) - u_m, where the known
 terms k_m (source and boundary coupling) are built for a block of steps
-at once.
+at once. The march solves the halved system, with A/2 and
+u_m + k_m/2 - (reaction terms)/2, which saves doubling u_m. Scaling by 2
+is exact in binary floating point, so the halved step gives the same bits
+as the whole one unless a value is subnormal or within a factor of 2 of
+overflow.
 
 The flux is read at the nodes the caller passes, which
 geometry.boundary_nodes picks; nothing here picks nodes.
@@ -120,8 +124,13 @@ def _source_rows(source: SourceFn, grid: SpatialGrid, ts: np.ndarray) -> np.ndar
 
 def _check_rows(rows: np.ndarray, times: np.ndarray, m0: int) -> None:
     """Raise for the first non-finite row of rows = u[m0 + 1 : ...]; the
-    error names that row's step as the march reaches it."""
-    if np.isfinite(rows).all():
+    error names that row's step as the march reaches it.
+
+    A step is u_{m+1} = solve(...) - u_m, and x - v is not finite for any
+    x when v is not, so every non-finite entry of a row stays non-finite in
+    the rows after it. A block with a non-finite row therefore has a
+    non-finite last row, and only then are the other rows looked at."""
+    if np.isfinite(rows[-1]).all():
         return
     finite = np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
     step = m0 + 1 + int(np.argmin(finite))
@@ -177,7 +186,8 @@ def sine_tables(grid: SpatialGrid) -> list[tuple[np.ndarray, np.ndarray]]:
 def dirichlet_solver(grid: SpatialGrid, shift: float, scale: float):
     """solve(b) overwrites b, the interior values of the grid (on the
     rectangle after any leading axes), with (shift I - scale lap)^-1 b,
-    lap the Dirichlet Laplacian of interior_laplacian.
+    lap the Dirichlet Laplacian of interior_laplacian. The march calls it
+    with (1/2, dt/4), the halved Crank-Nicolson matrix A/2.
 
     On the interval the matrix is tridiagonal with diagonal shift + 2r and
     off-diagonal -r, r = scale / h^2; LAPACK's pttrf factors it once (it
@@ -210,14 +220,21 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
            source: SourceFn | None, u0: np.ndarray | None):
     """The march of `march` on either domain, reaction being f or None.
 
-    With A = I - (dt/2) lap, solved by dirichlet_solver, the explicit half
-    I + (dt/2) lap of Crank-Nicolson is 2I - A, so a step is
+    With A = I - (dt/2) lap, the explicit half I + (dt/2) lap of
+    Crank-Nicolson is 2I - A, so a step is
         u_{m+1} = A^-1 (2 um + k_m - c_m f(um) + (dt/2) f(u_{m-1})) - um,
     c_0 = dt (the first step has no f(u_{-1}) term) and c_m = 3 dt / 2
-    after it, and applies no stencil. The known terms k_m are built for a
-    block of steps at once, apart from the rows: dt q at the half step (0
-    without a source), then, for each face s on axis d = s // 2,
-    r_d (phi_m + phi_{m+1}), r_d = dt / (2 h_d^2), added to the interior
+    after it, and applies no stencil. The march takes the same step with
+    every term halved, which spares the doubling of um:
+        u_{m+1} = (A/2)^-1 (um + k_m/2 - (c_m/2) f(um) + (dt/4) f(u_{m-1})) - um,
+    A/2 = I/2 - (dt/4) lap being dirichlet_solver(grid, 1/2, dt/4). Each
+    halved term is the whole one over 2 exactly, and on the interval
+    pttrf factors A/2 into the same multipliers over half the pivots, so
+    the solve returns the same bits (see the module docstring for when it
+    does not). The known terms k_m/2 are built for a block of steps at
+    once, apart from the rows: (dt/2) q at the half step (0 without a
+    source), then, for each face s on axis d = s // 2,
+    r_d (phi_m + phi_{m+1}), r_d = dt / (4 h_d^2), added to the interior
     nodes next to it (face[1:] of the interior), face by face. Each
     right-hand side is built in place in its new row in that operation
     order.
@@ -225,7 +242,7 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     dim = grid.domain.dim
     dt = data.final_time / nt
     times = np.linspace(0.0, data.final_time, nt + 1)
-    solve = dirichlet_solver(grid, 1.0, dt / 2.0)
+    solve = dirichlet_solver(grid, 0.5, dt / 4.0)
     inner = (slice(1, -1),) * dim
     interior = _index(*inner)
     faces = [grid.face(s) for s in range(2 * dim)]
@@ -233,10 +250,11 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     ring[interior] = False
     # phi at every boundary node and time, from one call of data.fn
     bc = data.table(grid.points[ring], times)
-    r = [dt / (2.0 * h * h) for h in grid.h]
+    r = [dt / (4.0 * h * h) for h in grid.h]
     work = np.empty(tuple(k - 1 for k in grid.n))
-    # k is kept apart from the rows: f_prev may alias a row's interior
-    known = np.empty((_BLOCK,) + work.shape)
+    # k is kept apart from the rows: f_prev may alias a row's interior.
+    # Without a source only its face entries change, so it starts at 0
+    known = np.zeros((_BLOCK,) + work.shape)
 
     u = np.zeros((_BLOCK + 1,) + grid.shape)
     if u0 is not None:
@@ -245,9 +263,9 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     # march
     inners = [row[interior] for row in u]
     k_rows = list(known)
-    # the step's scalars as 0-d arrays, which a ufunc takes faster than
-    # floats; c is c_m
-    c, c_later, half_dt = np.array(dt), np.array(1.5 * dt), np.array(0.5 * dt)
+    # the step's halved scalars as 0-d arrays, which a ufunc takes faster
+    # than floats; c is c_m / 2
+    c, c_later, quarter_dt = np.array(0.5 * dt), np.array(0.75 * dt), np.array(0.25 * dt)
     f_prev = None
     for m0 in range(0, nt, _BLOCK):
         m1 = min(m0 + _BLOCK, nt)
@@ -263,24 +281,23 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         # state holds between blocks
         with np.errstate(over="ignore", invalid="ignore"):
             if source is None:
-                k.fill(0.0)
+                for face in faces:
+                    k[face] = 0.0
             else:
-                np.multiply(dt, _source_rows(source, grid, times[m0:m1] + 0.5 * dt)
+                np.multiply(0.5 * dt, _source_rows(source, grid, times[m0:m1] + 0.5 * dt)
                             [(slice(None),) + inner], out=k)
             for s, face in enumerate(faces):
                 phi = rows[face][(slice(None),) + inner[1:]]
                 k[face] += r[s // 2] * (phi[:-1] + phi[1:])
             for um, rhs, km in zip(inners[:m1 - m0], inners[1:], k_rows):
-                # 2 um as um + um, which is exact
-                np.add(um, um, out=rhs)
-                np.add(rhs, km, out=rhs)
+                np.add(um, km, out=rhs)
                 if reaction is not None:
                     # f is pointwise, so it is taken at the interior only
                     fm = reaction(um)
                     np.multiply(c, fm, out=work)
                     np.subtract(rhs, work, out=rhs)
                     if f_prev is not None:
-                        np.multiply(half_dt, f_prev, out=work)
+                        np.multiply(quarter_dt, f_prev, out=work)
                         np.add(rhs, work, out=rhs)
                     f_prev, c = fm, c_later
                 solve(rhs)

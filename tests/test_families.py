@@ -105,3 +105,58 @@ class TestBoundaryTable:
         table = phi.table(pts, times)
         assert table.shape == (len(times), len(pts))
         assert np.array_equal(table, np.stack([phi.fn(pts, t) for t in times]))
+
+
+# each law as it was written before it worked in place, one expression on
+# np.asarray(u, dtype=float)
+def _zero(u, **_):
+    return np.zeros_like(np.asarray(u, dtype=float))
+
+
+def _linear(u, coeff):
+    return coeff * np.asarray(u, dtype=float)
+
+
+def _power(u, coeff, exponent):
+    return coeff * np.maximum(np.asarray(u, dtype=float), 0.0) ** exponent
+
+
+def _saturating(u, coeff):
+    up = np.maximum(np.asarray(u, dtype=float), 0.0)
+    return coeff * up / (1.0 + up)
+
+
+EXPRESSIONS = {"zero": _zero, "linear": _linear, "power": _power, "saturating": _saturating}
+
+
+class TestReactionInputs:
+    """Every law equals its plain expression bit for bit and returns the
+    same type, dtype and shape, whatever it is given: the march passes
+    float rows, and suites.mms_semidiscrete_final a Python float."""
+
+    # 0.37 and 2.7 are not dyadic, so a reordered product would round apart
+    @pytest.mark.parametrize("spec", [{"family": "zero"},
+                                      {"family": "linear", "coeff": 0.37},
+                                      {"family": "power", "coeff": 0.37, "exponent": 2.0},
+                                      {"family": "power", "coeff": 1.3, "exponent": 2.7},
+                                      {"family": "saturating", "coeff": 0.37}],
+                             ids=["zero", "linear", "square", "power", "saturating"])
+    @pytest.mark.parametrize("u", [np.array([-1.5, -0.0, 0.0, 1e-3, 0.3, 7.1, np.inf, np.nan]),
+                                   [-1.0, 0.25, 3.0],
+                                   np.array([[-2, 0], [3, 5]]),
+                                   1.0, -0.5, 3],
+                             ids=["negative", "list", "int_array", "float", "negative_float",
+                                  "int"])
+    def test_equals_its_expression(self, spec, u):
+        params = {k: v for k, v in spec.items() if k != "family"}
+        fn = make_reaction(spec).fn
+        before = np.copy(u)
+        with np.errstate(invalid="ignore"):  # nan and inf in the expressions
+            got, want = fn(u), EXPRESSIONS[spec["family"]](u, **params)
+        assert np.array_equal(u, before, equal_nan=True)  # the input is not written
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and got.dtype == want.dtype == float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if isinstance(u, np.ndarray):
+            assert got is not u and not np.shares_memory(got, u)

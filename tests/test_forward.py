@@ -259,6 +259,67 @@ class TestMarchMatchesReference:
         assert "at step" in str(expected.value)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("nt", [64, 256])
+    def test_divergence_of_a_law_finite_on_non_finite_input(self, nt):
+        grid = build_grid(interval(8.0), 8)
+        u0 = np.sin(np.pi * grid.axes[0] / 8.0)
+        law = Nonlinearity(fn=_guarded_cubic)
+        with np.errstate(over="ignore", invalid="ignore"):  # the textbook step warns
+            with pytest.raises(NumericalError) as expected:
+                _reference_1d(grid, law.fn, _ZERO_DATA, nt, u0=u0)
+        with pytest.raises(NumericalError) as got:
+            solve_semilinear(grid, law, _ZERO_DATA, nt, u0=u0)
+        step = _diverged_step(expected)
+        assert step % 64 and (step > 64) == (nt > 64)  # mid-block, in a later block at 256
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("nt", [64, 256])
+    def test_divergence_past_the_doubling_overflow(self, nt):
+        # f = nan_to_num(-u^3) saturates at -max, and u then climbs toward
+        # overflow by about dt max a step. The whole step of the reference
+        # doubles u_m, which overflows once u_m nears 2^1023; the halved step
+        # of the march does not double it and takes at least one more finite
+        # step. This is the one place the halving changes what the march
+        # computes: every row before is the same.
+        grid = build_grid(interval(8.0), 8)
+        u0 = 3.0 * np.sin(np.pi * grid.axes[0] / 8.0)
+        law = Nonlinearity(fn=_saturated_cubic)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as expected:
+                _reference_1d(grid, law.fn, _ZERO_DATA, nt, u0=u0)
+            step = _diverged_step(expected)
+            assert step % 64 and (step > 64) == (nt > 64)
+            # the same dt over the first step - 1 steps, and over step steps
+            ref = _reference_1d(grid, law.fn, replace(_ZERO_DATA, final_time=(step - 1) / nt),
+                                step - 1, u0=u0)
+        got = solve_semilinear(grid, law, replace(_ZERO_DATA, final_time=step / nt), step,
+                               u0=u0).values
+        assert np.array_equal(got[:step], ref)
+        assert 2.0 ** 1022 < np.max(np.abs(ref[-1])) < 2.0 ** 1023
+        assert np.isfinite(got[step]).all() and np.max(np.abs(got[step])) >= 2.0 ** 1023
+        with pytest.raises(NumericalError) as diverged:
+            solve_semilinear(grid, law, _ZERO_DATA, nt, u0=u0)
+        assert _diverged_step(diverged) > step
+
+
+_ZERO_DATA = DirichletData(fn=lambda pts, t: np.zeros(len(pts)), final_time=1.0)
+
+
+def _guarded_cubic(u):
+    """A cubic blow-up that overflows in f and maps a non-finite u to 0, so
+    a diverged row reaches the next one only through u_m itself."""
+    return np.where(np.isfinite(u), -u ** 3, 0.0)
+
+
+def _saturated_cubic(u):
+    """A cubic blow-up whose f never overflows: nan_to_num maps -inf to
+    -max and NaN to 0."""
+    return np.nan_to_num(-u ** 3)
+
+
+def _diverged_step(excinfo) -> int:
+    return int(str(excinfo.value).split("step ")[1].split()[0])
+
 
 def _rect_ring(grid, data, t):
     """phi on the boundary ring of a rectangle grid at time t, one phi call
@@ -433,6 +494,24 @@ class TestRectangleMarchMatchesReference:
         with pytest.raises(NumericalError) as got:
             solve_semilinear(grid, blowup, data, 256, u0=u0)
         assert int(str(expected.value).split("step ")[1].split()[0]) > 64
+        assert str(got.value) == str(expected.value)
+
+    # on a box long enough for both laws to blow up; 64 steps diverge inside
+    # the first block, 256 in a later one
+    @pytest.mark.parametrize("nt", [64, 256])
+    @pytest.mark.parametrize("law", [_guarded_cubic, _saturated_cubic],
+                             ids=["guarded", "saturated"])
+    def test_divergence_of_a_law_finite_on_non_finite_input(self, law, nt):
+        grid = build_grid(rectangle(8.0, 8.0), (9, 10))
+        X, Y = np.meshgrid(*grid.axes, indexing="ij")
+        u0 = np.sin(np.pi * X / 8.0) * np.sin(np.pi * Y / 8.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # the textbook step warns
+            with pytest.raises(NumericalError) as expected:
+                _reference_2d(grid, law, _ZERO_DATA, nt, u0=u0)
+        with pytest.raises(NumericalError) as got:
+            solve_semilinear(grid, Nonlinearity(fn=law), _ZERO_DATA, nt, u0=u0)
+        step = _diverged_step(expected)
+        assert step % 64 and (step > 64) == (nt > 64)
         assert str(got.value) == str(expected.value)
 
 
