@@ -32,22 +32,26 @@ def make_reaction(spec: dict) -> Nonlinearity:
     label = _label(spec)
     if family == "zero":
         return Nonlinearity(fn=lambda u: np.zeros(np.shape(u)), label=label)
-    c = _param(spec, "coeff", 1.0, least=0.0)
+    # c, 0 and 1 as 0-d float arrays, which a ufunc takes faster than floats;
+    # as float64 operands they make every result float64, as
+    # np.asarray(u, dtype=float) did, whatever u is
+    c = np.array(_param(spec, "coeff", 1.0, least=0.0))
+    zero, one = np.array(0.0), np.array(1.0)
     if family == "linear":
-        return Nonlinearity(fn=lambda u: np.multiply(c, u, dtype=float), label=label)
-    # the laws below work in the one array np.maximum makes, and on a
-    # scalar u, where that is a numpy float, the in-place operators rebind
+        return Nonlinearity(fn=lambda u: np.multiply(c, u), label=label)
+    # the laws below work in the one array np.maximum makes; on a scalar u
+    # that is a numpy float, and the in-place operators rebind it
     if family == "power":
         p = _param(spec, "exponent", 2.0, least=1.0)
         def fn(u, c=c, p=p):
-            up = np.maximum(u, 0.0, dtype=float)
+            up = np.maximum(u, zero)
             up **= p
             up *= c
             return up
         return Nonlinearity(fn=fn, label=label)
     def fn(u, c=c):
-        up = np.maximum(u, 0.0, dtype=float)
-        den = up + 1.0
+        up = np.maximum(u, zero)
+        den = up + one
         up *= c
         up /= den
         return up

@@ -144,9 +144,10 @@ class TestReactionInputs:
     @pytest.mark.parametrize("u", [np.array([-1.5, -0.0, 0.0, 1e-3, 0.3, 7.1, np.inf, np.nan]),
                                    [-1.0, 0.25, 3.0],
                                    np.array([[-2, 0], [3, 5]]),
+                                   np.array([-0.3, 0.1, 2.9], dtype=np.float32),
                                    1.0, -0.5, 3],
-                             ids=["negative", "list", "int_array", "float", "negative_float",
-                                  "int"])
+                             ids=["negative", "list", "int_array", "float32_array", "float",
+                                  "negative_float", "int"])
     def test_equals_its_expression(self, spec, u):
         params = {k: v for k, v in spec.items() if k != "family"}
         fn = make_reaction(spec).fn
