@@ -361,10 +361,8 @@ class _StageClock:
     @contextmanager
     def __call__(self, stage: str):
         t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[stage] += time.perf_counter() - t0
+        yield
+        self.seconds[stage] += time.perf_counter() - t0
 
 
 def _pipeline(a: BoundaryTrace, grid: SpatialGrid, basis: EigenBasis, method: str,
