@@ -13,9 +13,10 @@ from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver,
                                sine_tables, solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.suites import (TEMPORAL_STEPS, _final_row, _halving_rates, _mms_instance, _rate,
-                              difference_residual, difference_residual_study,
-                              mms_semidiscrete_final, mms_spatial_errors, mms_temporal_errors)
+from fluxrecon.suites import (SPATIAL_CELLS, TEMPORAL_STEPS, _final_row, _halving_rates,
+                              _mms_instance, _rate, difference_residual,
+                              difference_residual_study, forward_suite, mms_semidiscrete_final,
+                              mms_spatial_errors, mms_temporal_errors)
 
 
 def _ramp(domain, T=1.0):
@@ -57,7 +58,7 @@ class TestSolvers:
             assert np.max(u.values[j]) <= t + 1e-10
 
     def test_mms_rates(self):
-        es = mms_spatial_errors(cells=(16, 32), nt=1024)
+        es = mms_spatial_errors(cells=(16, 32))
         assert np.log2(es[0] / es[1]) > 1.9
         et = mms_temporal_errors(steps=(16, 32), n=64)
         assert np.log2(et[0] / et[1]) > 1.9
@@ -728,6 +729,46 @@ class TestMmsTemporalReference:
         monkeypatch.setattr("fluxrecon.suites.march", spy)
         mms_temporal_errors()
         assert seen == list(TEMPORAL_STEPS)
+
+
+class TestMmsSpatialStudy:
+    """mms_spatial_errors measures the exact semi-discrete solution U_h(T)
+    against the exact solution, so it takes no time step."""
+
+    def test_makes_no_march(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return march(*args, **kwargs)
+        monkeypatch.setattr("fluxrecon.suites.march", spy)
+        mms_spatial_errors()
+        assert seen == []
+
+    def test_agrees_with_the_marched_final_rows(self):
+        # the route before: march 4096 steps so the O(dt^2) part falls
+        # far below h^2 (measured <= 5.3e-10 of the difference)
+        reaction, exact, source, data = _mms_instance()
+        marched = []
+        for n in SPATIAL_CELLS:
+            grid = build_grid(interval(), n)
+            row = _final_row(grid, reaction, data, 4096, source, exact(grid.axes[0], 0.0))
+            marched.append(float(np.max(np.abs(row - exact(grid.axes[0], data.final_time)))))
+        assert mms_spatial_errors() == pytest.approx(marched, rel=0.0, abs=1e-8)
+
+    def test_the_suite_still_sees_a_spatial_fault_in_the_march(self, monkeypatch):
+        # the march's step solve with its lap scaled by 1 + 1e-4: the
+        # spatial study no longer marches, so the temporal and difference
+        # residual studies must catch it. suites binds its own
+        # dirichlet_solver, so the exact reference stays untouched.
+        monkeypatch.setattr(
+            "fluxrecon.forward.dirichlet_solver",
+            lambda grid, shift, scale: dirichlet_solver(grid, shift, scale * (1 + 1e-4)))
+        report = forward_suite()
+        checks = {c["name"]: c["passed"] for c in report["checks"]}
+        assert not report["passed"]
+        assert checks["mms_spatial_rate"]
+        assert not checks["mms_temporal_rate"] and not checks["difference_residual_rate"]
 
 
 class TestInteriorLaplacian:
