@@ -1,5 +1,5 @@
-"""Time synthesize and every reconstruct stage on each scenario config and
-print the medians as one JSON document to stdout.
+"""Time synthesize and every reconstruct stage on each scenario config, and
+each verify suite, and print the medians as one JSON document to stdout.
 
     PYTHONPATH=src python3 scripts/bench_stages.py --runs 7 > BENCH_<n>.json
 
@@ -10,10 +10,13 @@ entries are the `timings` of the run's metrics.json: `load_s`, one
 `<stage>_s` per stage of fluxrecon.recon.STAGES, summed over both passes
 and over both extensions when the config compares them, `reconstruct_s`
 (the stages and the diagnostics) and `total_s` (load, reconstruct and the
-writes). Each entry is the median over the runs, in seconds to 4
-significant digits. `host` names the interpreter, numpy, the machine and
-its CPU count, and OPENBLAS_NUM_THREADS as set, since the numbers mean
-nothing without them. The output is committed at the repo root as
+writes). Under `suites`, `<suite>_s` is the wall time of
+fluxrecon.suites.run_suite for each suite of fluxrecon.suites.SUITES, run
+once untimed (a suite that fails ends the script) and then `--runs` times.
+Each entry is the median over the runs, in seconds to 4 significant
+digits. `host` names the interpreter, numpy, the machine and its CPU
+count, and OPENBLAS_NUM_THREADS as set, since the numbers mean nothing
+without them. The output is committed at the repo root as
 BENCH_<n>.json, which a speed claim cites beside its benchmark pairs.
 """
 
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fluxrecon import suites
 from fluxrecon.experiments import load_scenario, run_reconstruct, run_synthesize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -45,6 +49,13 @@ def run_config(config: Path) -> dict[str, float]:
         paths.update(run_reconstruct(paths["observation"], Path(tmp)))
         timings = json.loads(Path(paths["metrics"]).read_text())["timings"]
     return {"synthesize_s": synthesize_s, **timings}
+
+
+def time_suite(name: str) -> float:
+    """The wall seconds of one run of a verify suite."""
+    t0 = time.perf_counter()
+    suites.run_suite(name)
+    return time.perf_counter() - t0
 
 
 def medians(runs: list[dict[str, float]]) -> dict[str, float]:
@@ -72,7 +83,13 @@ def main(argv: list[str] | None = None) -> int:
         run_config(config)
         report[config.stem] = medians([run_config(config) for _ in range(args.runs)])
         print(f"{config.stem}: {report[config.stem]}", file=sys.stderr, flush=True)
-    print(json.dumps({"host": host(), "runs": args.runs, "configs": report},
+    for name in suites.SUITES:
+        if not suites.run_suite(name)["passed"]:
+            raise SystemExit(f"verify suite {name} failed")
+    verify = medians([{f"{name}_s": time_suite(name) for name in suites.SUITES}
+                      for _ in range(args.runs)])
+    print(f"suites: {verify}", file=sys.stderr, flush=True)
+    print(json.dumps({"host": host(), "runs": args.runs, "configs": report, "suites": verify},
                      sort_keys=True, indent=2))
     return 0
 

@@ -1,5 +1,6 @@
 """scripts/bench_stages.py: the report's shape on one cheap config, and the
-shape of the newest committed BENCH_*.json against configs/."""
+shape of the newest committed BENCH_*.json against configs/ and the verify
+suites."""
 
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from fluxrecon.recon import STAGES
+from fluxrecon.suites import SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = ({"synthesize_s", "load_s", "reconstruct_s", "total_s"}
@@ -30,7 +32,9 @@ def stages():
 
 
 def _check_report(report: dict, stems: set[str]) -> None:
-    assert set(report) == {"host", "runs", "configs"}
+    assert set(report) == {"host", "runs", "configs", "suites"}
+    assert set(report["suites"]) == {f"{suite}_s" for suite in SUITES}
+    assert all(isinstance(v, float) and v > 0.0 for v in report["suites"].values())
     assert set(report["host"]) == {"python", "numpy", "machine", "cpus", "openblas_threads"}
     assert set(report["configs"]) == stems
     for timings in report["configs"].values():
