@@ -973,6 +973,19 @@ class TestDifferenceResidual:
             assert row["n"] == n and row["nt"] == nt
             assert _peaks(row) == _stored_residual(build_grid(dom, n), reaction, phi, nt)
 
+    def test_one_residual_pass_per_block(self, monkeypatch):
+        # 130 steps make 3 blocks of time rows; each gets one Laplacian
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return interior_laplacian(*args, **kwargs)
+        monkeypatch.setattr("fluxrecon.suites.interior_laplacian", spy)
+        dom = interval()
+        difference_residual(build_grid(dom, 12), make_reaction({"family": "linear", "coeff": 1.0}),
+                            _ramp(dom), 130)
+        assert len(calls) == 3
+
     def test_zero_for_identical_fields(self):
         # with the zero law u and v are the same field
         dom = interval()
