@@ -12,7 +12,10 @@ and over both extensions when the config compares them, `reconstruct_s`
 (the stages and the diagnostics) and `total_s` (load, reconstruct and the
 writes). Under `suites`, `<suite>_s` is the wall time of
 fluxrecon.suites.run_suite for each suite of fluxrecon.suites.SUITES, run
-once untimed (a suite that fails ends the script) and then `--runs` times.
+once untimed (a suite that fails ends the script) and then `--runs` times,
+and `all_s` that of run_suite("all"), which runs the forward suite in a
+forked child beside the other four; the sum of the `<suite>_s` is the
+cost of running them in turn.
 Each entry is the median over the runs, in seconds to 4 significant
 digits. `host` names the interpreter, numpy, the machine and its CPU
 count, and OPENBLAS_NUM_THREADS as set, since the numbers mean nothing
@@ -86,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in suites.SUITES:
         if not suites.run_suite(name)["passed"]:
             raise SystemExit(f"verify suite {name} failed")
-    verify = medians([{f"{name}_s": time_suite(name) for name in suites.SUITES}
+    verify = medians([{f"{name}_s": time_suite(name) for name in suites.SUITES + ("all",)}
                       for _ in range(args.runs)])
     print(f"suites: {verify}", file=sys.stderr, flush=True)
     print(json.dumps({"host": host(), "runs": args.runs, "configs": report, "suites": verify},

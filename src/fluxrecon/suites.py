@@ -3,15 +3,21 @@
 Each suite returns {"suite", "checks": [...], "passed"} where every
 check carries its measured value and tolerance, so failures are
 self-describing; the forward suite adds the `table` of its refinement
-studies. The acceptance tests call these directly.
+studies. The acceptance tests call these directly. `run_suite("all")`
+runs the forward suite, the longest, in a forked child while this
+process runs the other four, and returns the same report as running the
+five in turn.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import numpy as np
 
 from .eigenbasis import make_basis, verify_orthonormality
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .families import make_boundary_data, make_reaction
 from .forward import (DirichletData, Nonlinearity, dirichlet_solver, interior_laplacian, march,
                       march_flux, sine_tables)
@@ -327,12 +333,66 @@ def volterra_suite() -> dict:
     return _wrap("volterra", [_check("volterra_identity_rel_max", worst, 1e-2)])
 
 
+def _in_child(name: str):
+    """Start run_suite(name) in a forked child and return `wait`. wait()
+    reaps the child and returns its report; an exception the suite raised
+    is raised again as its type and message, and a child that exits
+    without a report is a NumericalError naming how it ended.
+    wait(discard=True) only reaps the child. Where os.fork does not exist,
+    wait() runs the suite in this process."""
+    if not hasattr(os, "fork"):
+        return lambda discard=False: None if discard else run_suite(name)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: os._exit runs none of the parent's exit handlers
+        status = 1
+        try:
+            os.close(read)
+            try:
+                out = pickle.dumps((True, run_suite(name)))
+            except BaseException as exc:
+                out = pickle.dumps((False, (type(exc), str(exc))))
+            with open(write, "wb") as pipe:
+                pipe.write(out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+
+    def wait(discard: bool = False):
+        try:
+            with open(read, "rb") as pipe:
+                data = b"" if discard else pipe.read()
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if discard:
+            return None
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise NumericalError(f"the {name} suite's process {how} without a report")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value[0](value[1])
+        return value
+    return wait
+
+
 def run_suite(name: str) -> dict:
     """The suite `name` of SUITES, or all of them. Each is found by its
     name, `<name>_suite`, when it is run, so a wrapper set on the module
-    (as the benchmark's spans are) is the one called."""
+    (as the benchmark's spans are) is the one called. "all" runs the
+    forward suite in a forked child (`_in_child`) while this process runs
+    the other four, and lists the reports in SUITES order; a single suite
+    runs in this process."""
     if name == "all":
-        results = [run_suite(s) for s in SUITES]
+        wait = _in_child("forward")
+        try:
+            done = {s: run_suite(s) for s in SUITES if s != "forward"}
+        except BaseException:
+            wait(discard=True)
+            raise
+        done["forward"] = wait()
+        results = [done[s] for s in SUITES]
         return {"suite": "all", "suites": results,
                 "passed": bool(all(r["passed"] for r in results))}
     if name not in SUITES:

@@ -33,7 +33,7 @@ def stages():
 
 def _check_report(report: dict, stems: set[str]) -> None:
     assert set(report) == {"host", "runs", "configs", "suites"}
-    assert set(report["suites"]) == {f"{suite}_s" for suite in SUITES}
+    assert set(report["suites"]) == {f"{suite}_s" for suite in SUITES + ("all",)}
     assert all(isinstance(v, float) and v > 0.0 for v in report["suites"].values())
     assert set(report["host"]) == {"python", "numpy", "machine", "cpus", "openblas_threads"}
     assert set(report["configs"]) == stems
