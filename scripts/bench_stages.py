@@ -13,9 +13,8 @@ and over both extensions when the config compares them, `reconstruct_s`
 writes). Under `suites`, `<suite>_s` is the wall time of
 fluxrecon.suites.run_suite for each suite of fluxrecon.suites.SUITES, run
 once untimed (a suite that fails ends the script) and then `--runs` times,
-and `all_s` that of run_suite("all"), which runs the forward suite in a
-forked child beside the other four; the sum of the `<suite>_s` is the
-cost of running them in turn.
+and `all_s` that of run_suite("all"), which runs the five in turn in
+process, so it should read about the sum of the `<suite>_s`.
 Each entry is the median over the runs, in seconds to 4 significant
 digits. `host` names the interpreter, numpy, the machine and its CPU
 count, and OPENBLAS_NUM_THREADS as set, since the numbers mean nothing

@@ -3,21 +3,16 @@
 Each suite returns {"suite", "checks": [...], "passed"} where every
 check carries its measured value and tolerance, so failures are
 self-describing; the forward suite adds the `table` of its refinement
-studies. The acceptance tests call these directly. `run_suite("all")`
-runs the forward suite, the longest, in a forked child while this
-process runs the other four, and returns the same report as running the
-five in turn.
+studies. The acceptance tests call these directly, and
+`run_suite("all")` runs the five in turn.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-
 import numpy as np
 
 from .eigenbasis import make_basis, verify_orthonormality
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .families import make_boundary_data, make_reaction
 from .forward import (DirichletData, Nonlinearity, dirichlet_solver, interior_laplacian, march,
                       march_flux, sine_tables)
@@ -233,47 +228,100 @@ def mms_temporal_errors(steps=TEMPORAL_STEPS, n: int = TEMPORAL_N) -> list[float
             for nt in steps]
 
 
+def _step_defect(u, lap_s, f, f_before, dt: float, out) -> float:
+    """The largest defect of a march block's steps in the identity each
+    step m must satisfy at the interior nodes,
+        (u_{m+1} - u_m) - (dt/2) lap(u_{m+1} + u_m)
+            + dt (3/2 f(u_m) - 1/2 f(u_{m-1})) = 0,
+    lap taken over whole rows, boundary values included, so the check
+    solves nothing. u holds the block's rows, lap_s the Laplacian of its
+    step sums (overwritten), f the law at every row but the last, and
+    f_before the law at the step before the block; f_before = f(u_0) at
+    m = 0 leaves the first step's law term dt f(u_0). Built in out."""
+    inner = (slice(None),) + (slice(1, -1),) * (u.ndim - 1)
+    d = np.subtract(u[1:][inner], u[:-1][inner], out=out)
+    np.subtract(d, np.multiply(0.5 * dt, lap_s, out=lap_s), out=d)
+    np.add(d, np.multiply(1.5 * dt, f, out=lap_s), out=d)
+    np.multiply(0.5 * dt, f_before, out=lap_s[0])
+    np.multiply(0.5 * dt, f[:-1], out=lap_s[1:])
+    np.subtract(d, lap_s, out=d)
+    return np.max(np.abs(d, out=d))
+
+
+def mms_step_max(nt: int = TEMPORAL_STEPS[0], n: int = TEMPORAL_N) -> float:
+    """`step_max` (see difference_residual) of the manufactured instance's
+    march. The difference study starts from 0, where f(u_0) = 0, so only
+    a march from the manufactured u_0 shows the first step's law term.
+    Its source q at the half step enters the identity as
+    dt q = (dt/2) 2q, beside lap_s."""
+    reaction, exact, source, data = _mms_instance()
+    grid = build_grid(interval(), n)
+    dt = data.final_time / nt
+    half = np.linspace(0.0, data.final_time, nt + 1)[:-1] + 0.5 * dt
+    worst, u_max = [], []
+    for m0, u in march(grid, reaction, data, nt, source, exact(grid.axes[0], 0.0)):
+        lap_s = interior_laplacian(u[:-1] + u[1:], grid)
+        lap_s += 2.0 * source(grid, half[m0:m0 + len(u) - 1, None])[:, 1:-1]
+        f = reaction.fn(u[:-1, 1:-1])
+        worst.append(_step_defect(u, lap_s, f, f_last if m0 else f[0], dt, np.empty_like(f)))
+        u_max.append(np.max(np.abs(u)))
+        f_last = f[-1].copy()
+    return float(np.max(worst) / (dt * np.max(u_max)))
+
+
 def difference_residual(grid: SpatialGrid, reaction: Nonlinearity, phi: DirichletData,
                         nt: int) -> dict:
     """The study row of w = u - v, u marched with f and v without, which
     should satisfy w_t - lap(w) + f(u) = 0 with zero boundary and initial
     data: the largest |residual| over interior nodes and times (centered
     time difference, 3/5-point Laplacian), and the largest |w| on the
-    boundary and at t = 0. u and v are marched in lockstep and no field
-    is stored: w of a block of R rows is written to rows 1..R of one
-    buffer whose row 0 holds w two rows before the end of the block
-    before, so one pass over the buffer gives the residual at rows 0..R-2
-    of the block (1..R-2 of the first, from buffer row 1), and row R-1
-    is the next block's row 0. The buffer and the residual terms are
-    sized by the first block, the largest, and reused by every block."""
+    boundary and at t = 0; and `step_max`, the largest defect of u's
+    steps (_step_defect) over dt max|u|. u and v are marched in lockstep
+    and no field is stored: w of a block of R rows is written to rows
+    1..R of one buffer whose row 0 holds w two rows before the end of the
+    block before, so one pass over the buffer gives the residual at rows
+    0..R-2 of the block (1..R-2 of the first, from buffer row 1), and row
+    R-1 is the next block's row 0. Beside it, rows 1..R-1 of a second
+    buffer hold the block's step sums u_j + u_{j+1}, so one Laplacian per
+    block serves both checks, and so does f of the block's rows; f of a
+    block's last step carries over to the next. The buffers and the terms
+    are sized by the first block, the largest, and reused by every block."""
     dt = phi.final_time / nt
     inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
     faces = [grid.face(s) for s in range(2 * grid.domain.dim)]
-    interior, boundary = [], []
+    interior, boundary, step, u_max = [], [], [], []
     for (m0, u), (_, v) in zip(march(grid, reaction, phi, nt), march(grid, None, phi, nt)):
+        n = len(u)
         if m0 == 0:
-            w_buf = np.empty((len(u) + 1,) + grid.shape)
-            wt_buf, lap_buf = np.empty_like(u[1:][inner]), np.empty_like(u[1:][inner])
+            buf = np.empty((2, n + 1) + grid.shape)
+            wt_buf, lap_buf = np.empty_like(u[1:][inner]), np.empty((2,) + u[1:][inner].shape)
             initial = float(np.max(np.abs(u[0] - v[0])))
-        rows = np.subtract(u, v, out=w_buf[1:len(u) + 1])
-        # t = 0 has no centered difference, so the first block's pass
+        rows = np.subtract(u, v, out=buf[0, 1:n + 1])
+        np.add(u[:-1], u[1:], out=buf[1, 1:n])
+        lap_w, lap_s = interior_laplacian(buf[:, 1:n], grid, out=lap_buf[:, :n - 1])
+        f = reaction.fn(u[:-1][inner])
+        # t = 0 has no centered difference, so the first block's residual
         # starts at buffer row 1
         lo = int(m0 == 0)
-        w = w_buf[lo:len(u) + 1]
-        wt, lap = wt_buf[:len(w) - 2], lap_buf[:len(w) - 2]
+        w = buf[0, lo:n + 1]
+        wt = wt_buf[:n - 1 - lo]
         np.subtract(w[2:][inner], w[:-2][inner], out=wt)
         np.divide(wt, 2.0 * dt, out=wt)
-        interior_laplacian(w[1:-1], grid, out=lap)
-        np.subtract(wt, lap, out=wt)
-        np.add(wt, reaction.fn(u[lo:-1][inner]), out=wt)
+        np.subtract(wt, lap_w[lo:], out=wt)
+        np.add(wt, f[lo:], out=wt)
         interior.append(np.max(np.abs(wt, out=wt)))
         boundary.extend(np.max(np.abs(rows[face])) for face in faces)
-        w_buf[0] = rows[-2]
+        step.append(_step_defect(u, lap_s, f, f_last if m0 else f[0], dt, wt_buf[:n - 1]))
+        u_max.append(np.max(np.abs(u)))
+        # f may be a view of u's buffer, which the next block overwrites
+        f_last = f[-1].copy()
+        buf[0, 0] = rows[-2]
     return {"n": grid.n[0], "nt": nt, "interior_max": float(np.max(interior)),
-            "boundary_max": float(np.max(boundary)), "initial_max": initial}
+            "boundary_max": float(np.max(boundary)), "initial_max": initial,
+            "step_max": float(np.max(step) / (dt * np.max(u_max)))}
 
 
-def difference_residual_study(levels=((128, 512), (256, 2048), (512, 8192))) -> list[dict]:
+def difference_residual_study(levels=((64, 128), (128, 512), (256, 2048))) -> list[dict]:
     """The difference residual on the standard linear instance under
     parabolic refinement (dt ~ h^2, so the t = 0 corner layer cannot
     degrade the halving rate)."""
@@ -285,9 +333,11 @@ def difference_residual_study(levels=((128, 512), (256, 2048), (512, 8192))) -> 
 
 def forward_suite() -> dict:
     """The three refinement studies, run once: the forward gates on their
-    rates and residuals, and a `table` of the study rows {"study", "n",
-    "nt", "error", "rate"}, each rate taken from the level before (null on
-    a study's first level, as nt is on every spatial row)."""
+    rates and residuals, the march's step identity (the largest
+    `step_max` of the difference study's levels and of mms_step_max), and
+    a `table` of the study rows {"study", "n", "nt", "error", "rate"},
+    each rate taken from the level before (null on a study's first level,
+    as nt is on every spatial row)."""
     es, et = mms_spatial_errors(), mms_temporal_errors()
     rows = difference_residual_study()
     report = _wrap("forward", [
@@ -298,6 +348,8 @@ def forward_suite() -> dict:
                _rate([r["interior_max"] for r in rows]), 1.9, larger_ok=True),
         _check("difference_boundary_max", np.max([r["boundary_max"] for r in rows]), 1e-12),
         _check("difference_initial_max", np.max([r["initial_max"] for r in rows]), 1e-12),
+        _check("march_step_identity_max",
+               np.max([mms_step_max()] + [r["step_max"] for r in rows]), 1e-9),
     ])
     studies = (("mms_spatial", [(n, None) for n in SPATIAL_CELLS], es),
                ("mms_temporal", [(TEMPORAL_N, nt) for nt in TEMPORAL_STEPS], et),
@@ -333,66 +385,13 @@ def volterra_suite() -> dict:
     return _wrap("volterra", [_check("volterra_identity_rel_max", worst, 1e-2)])
 
 
-def _in_child(name: str):
-    """Start run_suite(name) in a forked child and return `wait`. wait()
-    reaps the child and returns its report; an exception the suite raised
-    is raised again as its type and message, and a child that exits
-    without a report is a NumericalError naming how it ended.
-    wait(discard=True) only reaps the child. Where os.fork does not exist,
-    wait() runs the suite in this process."""
-    if not hasattr(os, "fork"):
-        return lambda discard=False: None if discard else run_suite(name)
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: os._exit runs none of the parent's exit handlers
-        status = 1
-        try:
-            os.close(read)
-            try:
-                out = pickle.dumps((True, run_suite(name)))
-            except BaseException as exc:
-                out = pickle.dumps((False, (type(exc), str(exc))))
-            with open(write, "wb") as pipe:
-                pipe.write(out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-
-    def wait(discard: bool = False):
-        try:
-            with open(read, "rb") as pipe:
-                data = b"" if discard else pipe.read()
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if discard:
-            return None
-        if code != 0:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise NumericalError(f"the {name} suite's process {how} without a report")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value[0](value[1])
-        return value
-    return wait
-
-
 def run_suite(name: str) -> dict:
-    """The suite `name` of SUITES, or all of them. Each is found by its
-    name, `<name>_suite`, when it is run, so a wrapper set on the module
-    (as the benchmark's spans are) is the one called. "all" runs the
-    forward suite in a forked child (`_in_child`) while this process runs
-    the other four, and lists the reports in SUITES order; a single suite
-    runs in this process."""
+    """The suite `name` of SUITES, or all of them run in turn in SUITES
+    order ("all"). Each is found by its name, `<name>_suite`, when it is
+    run, so a wrapper set on the module (as the benchmark's spans are) is
+    the one called."""
     if name == "all":
-        wait = _in_child("forward")
-        try:
-            done = {s: run_suite(s) for s in SUITES if s != "forward"}
-        except BaseException:
-            wait(discard=True)
-            raise
-        done["forward"] = wait()
-        results = [done[s] for s in SUITES]
+        results = [run_suite(s) for s in SUITES]
         return {"suite": "all", "suites": results,
                 "passed": bool(all(r["passed"] for r in results))}
     if name not in SUITES:

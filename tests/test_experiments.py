@@ -782,7 +782,7 @@ class TestCli:
         # the forward suite
         errs = [4e-3, 1e-3, 2.5e-4]
         rows = [{"n": n, "nt": 4 * n * n, "interior_max": e,
-                 "boundary_max": boundary_max, "initial_max": 0.0}
+                 "boundary_max": boundary_max, "initial_max": 0.0, "step_max": 0.0}
                 for n, e in zip((128, 256, 512), errs)]
         monkeypatch.setattr("fluxrecon.suites.mms_spatial_errors", lambda *a: errs)
         monkeypatch.setattr("fluxrecon.suites.mms_temporal_errors", lambda *a: errs)

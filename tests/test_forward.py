@@ -16,7 +16,7 @@ from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
 from fluxrecon.suites import (SPATIAL_CELLS, TEMPORAL_STEPS, _final_row, _halving_rates,
                               _mms_instance, _rate, difference_residual,
                               difference_residual_study, forward_suite, mms_semidiscrete_final,
-                              mms_spatial_errors, mms_temporal_errors)
+                              mms_spatial_errors, mms_step_max, mms_temporal_errors)
 
 
 def _ramp(domain, T=1.0):
@@ -756,19 +756,32 @@ class TestMmsSpatialStudy:
             marched.append(float(np.max(np.abs(row - exact(grid.axes[0], data.final_time)))))
         assert mms_spatial_errors() == pytest.approx(marched, rel=0.0, abs=1e-8)
 
-    def test_the_suite_still_sees_a_spatial_fault_in_the_march(self, monkeypatch):
-        # the march's step solve with its lap scaled by 1 + 1e-4: the
-        # spatial study no longer marches, so the temporal and difference
-        # residual studies must catch it. suites binds its own
-        # dirichlet_solver, so the exact reference stays untouched.
+    @staticmethod
+    def _checks_with_scale_off_by(monkeypatch, eps):
+        # the march's step solve with its lap scaled by 1 + eps. suites
+        # binds its own dirichlet_solver, so the exact reference stays
+        # untouched.
         monkeypatch.setattr(
             "fluxrecon.forward.dirichlet_solver",
-            lambda grid, shift, scale: dirichlet_solver(grid, shift, scale * (1 + 1e-4)))
+            lambda grid, shift, scale: dirichlet_solver(grid, shift, scale * (1 + eps)))
         report = forward_suite()
-        checks = {c["name"]: c["passed"] for c in report["checks"]}
         assert not report["passed"]
-        assert checks["mms_spatial_rate"]
-        assert not checks["mms_temporal_rate"] and not checks["difference_residual_rate"]
+        return {c["name"]: c["passed"] for c in report["checks"]}
+
+    def test_the_suite_still_sees_a_spatial_fault_in_the_march(self, monkeypatch):
+        # the spatial study no longer marches, so the step identity and the
+        # temporal study must catch it. The difference residual's levels
+        # end at (256, 2048), where its rate reads 2.000 with this fault.
+        checks = self._checks_with_scale_off_by(monkeypatch, 1e-4)
+        assert not checks["march_step_identity_max"] and not checks["mms_temporal_rate"]
+        assert checks["mms_spatial_rate"] and checks["difference_residual_rate"]
+
+    def test_the_step_identity_sees_a_spatial_fault_of_1e_8(self, monkeypatch):
+        # every study's rate passes; the step identity reads about 6.6e-4
+        checks = self._checks_with_scale_off_by(monkeypatch, 1e-8)
+        assert not checks["march_step_identity_max"]
+        assert checks["mms_spatial_rate"] and checks["mms_temporal_rate"]
+        assert checks["difference_residual_rate"]
 
 
 class TestInteriorLaplacian:
@@ -921,6 +934,27 @@ def _reference_residual(u, v, reaction):
     return (float(np.max(np.abs(res))), float(boundary), float(np.max(np.abs(w[0]))))
 
 
+def _reference_step_max(u, reaction, q=None):
+    """step_max of difference_residual over the whole stored field u, q
+    the source at the half steps (rows, *grid.shape) or None."""
+    grid, vals, dt = u.grid, u.values, u.dt
+    inner = (slice(None),) + (slice(1, -1),) * grid.domain.dim
+    s = vals[:-1] + vals[1:]
+    if grid.domain.dim == 1:
+        h = grid.h[0]
+        lap = (s[:, :-2] - 2.0 * s[:, 1:-1] + s[:, 2:]) / (h * h)
+    else:
+        hx, hy = grid.h
+        lap = ((s[:, :-2, 1:-1] - 2.0 * s[:, 1:-1, 1:-1] + s[:, 2:, 1:-1]) / (hx * hx)
+               + (s[:, 1:-1, :-2] - 2.0 * s[:, 1:-1, 1:-1] + s[:, 1:-1, 2:]) / (hy * hy))
+    if q is not None:
+        lap = lap + 2.0 * q[inner]
+    f = reaction.fn(vals[:-1][inner])
+    f_before = np.concatenate([f[:1], f[:-1]])
+    defect = (vals[1:] - vals[:-1])[inner] - 0.5 * dt * lap + 1.5 * dt * f - 0.5 * dt * f_before
+    return float(np.max(np.abs(defect)) / (dt * np.max(np.abs(vals))))
+
+
 def _peaks(row):
     return row["interior_max"], row["boundary_max"], row["initial_max"]
 
@@ -948,6 +982,32 @@ class TestDifferenceResidual:
         row = difference_residual(grid, reaction, phi, nt)
         assert row["n"] == n and row["nt"] == nt
         assert _peaks(row) == _stored_residual(grid, reaction, phi, nt)
+
+    @pytest.mark.parametrize("domain,n,nt", [(interval(), 24, 600), (rectangle(), 8, 300),
+                                             (interval(), 12, 130), (interval(), 12, 65),
+                                             (interval(), 128, 512)],
+                             ids=["interval", "rectangle", "interval-130", "interval-65",
+                                  "interval-512"])
+    def test_step_max_blocks_match_whole_field(self, domain, n, nt):
+        grid = build_grid(domain, n)
+        phi = make_boundary_data({"family": "saturating_ramp", "profile": "affine",
+                                  "slope": 0.5}, domain, 1.0)
+        reaction = make_reaction({"family": "saturating", "coeff": 2.0})
+        row = difference_residual(grid, reaction, phi, nt)
+        assert row["step_max"] == _reference_step_max(solve_semilinear(grid, reaction, phi, nt),
+                                                      reaction)
+
+    # the march keeps its step to rounding: about 1.4e-12 at (64, 128) and
+    # 2.7e-11 at (256, 2048) on the interval
+    @pytest.mark.parametrize("law", ["zero", "linear"])
+    @pytest.mark.parametrize("domain,n,nt", [(interval(), 64, 128), (interval(), 256, 2048),
+                                             (rectangle(), 16, 64)],
+                             ids=["interval-64", "interval-256", "rectangle"])
+    def test_step_max_is_rounding(self, domain, n, nt, law):
+        reaction = make_reaction({"family": "zero"} if law == "zero"
+                                 else {"family": "linear", "coeff": 1.0})
+        row = difference_residual(build_grid(domain, n), reaction, _ramp(domain), nt)
+        assert 0.0 < row["step_max"] <= 1e-9
 
     # a spike of the data at one time makes the residual peak at that
     # row; the peak must be seen at each block edge and at the first and
@@ -1010,6 +1070,36 @@ class TestDifferenceResidual:
         assert row["boundary_max"] < 1e-12
         assert row["initial_max"] < 1e-12
         assert np.isfinite(row["interior_max"])
+
+
+class TestMmsStepMax:
+    """mms_step_max holds the manufactured instance's march, with its
+    source and its nonzero start, to its step."""
+
+    # 16 steps are one block; 130 cross two block edges
+    @pytest.mark.parametrize("nt", [16, 130])
+    def test_matches_whole_field(self, nt):
+        reaction, exact, source, data = _mms_instance()
+        grid = build_grid(interval(), 128)
+        u = solve_semilinear(grid, reaction, data, nt, source=source,
+                             u0=exact(grid.axes[0], 0.0))
+        half = np.linspace(0.0, 1.0, nt + 1)[:-1] + 0.5 / nt
+        ref = _reference_step_max(u, reaction, q=source(grid, half[:, None]))
+        assert mms_step_max(nt) == pytest.approx(ref, rel=1e-9)
+        assert mms_step_max(nt) <= 1e-9
+
+    def test_sees_a_first_step_off_by_its_law_term(self, monkeypatch):
+        # u_1 moved by -dt f(u_0) / 2 = -(dt / 2) u_0 with f(u) = u: the
+        # first step then takes 3/2 dt f(u_0), as a march with c_0 = c_m
+        # would, up to the solve. The temporal study cannot see this: by
+        # t = T the heat flow damps it by about e^{-(pi^2 + 1)}.
+        def bootstrap_lost(grid, reaction, data, nt, source, u0):
+            for m0, rows in march(grid, reaction, data, nt, source, u0):
+                if m0 == 0:
+                    rows[1, 1:-1] -= 0.5 * data.final_time / nt * rows[0, 1:-1]
+                yield m0, rows
+        monkeypatch.setattr("fluxrecon.suites.march", bootstrap_lost)
+        assert mms_step_max() > 0.1
 
 
 class TestAdmissibility:

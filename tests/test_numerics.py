@@ -312,8 +312,7 @@ def test_import_graph_leaves_out_heavy_scipy(tmp_path, src_env):
     # numpy.testing; np.quantile and np.percentile load numpy.ma, and
     # leggauss numpy.polynomial. None of them is loaded by the imports, nor
     # by synthesize and reconstruct on the interval and on the rectangle and
-    # every verify suite. "all" runs the forward suite in a forked child,
-    # whose imports this process does not see, so it also runs in process
+    # every verify suite, which "all" runs in this process
     heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize",
              "scipy.ndimage", "scipy.sparse", "scipy.linalg", "numpy.f2py",
              "numpy.testing", "numpy.ma", "numpy.polynomial"]
@@ -330,7 +329,6 @@ def test_import_graph_leaves_out_heavy_scipy(tmp_path, src_env):
             "    paths = ex.run_synthesize(ex.load_scenario(scenario), out)\n"
             "    ex.run_reconstruct(paths['observation'], out)\n"
             "assert ex.run_verify('all')['passed']\n"
-            "assert ex.run_verify('forward')['passed']\n"
             f"print(sorted(set({heavy!r}) & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
                          text=True, check=True, timeout=300)

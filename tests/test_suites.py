@@ -1,38 +1,22 @@
 """The verify suites' reductions and registry: a NaN measurement must fail
-its gate wherever it falls, and run_suite must call the suite functions
-the module holds when it runs. run_suite("all") runs the forward suite in
-a forked child: its report, its errors and the child's reaping."""
+its gate wherever it falls, run_suite must call the suite functions the
+module holds when it runs, and run_suite("all") runs the five in turn in
+this process."""
 
 import json
 import os
-import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fluxrecon import suites
-from fluxrecon.cli import main
-from fluxrecon.errors import NumericalError
 from fluxrecon.heatkernel import KernelEvaluator
 
 
 def _check(report, name):
     [check] = [c for c in report["checks"] if c["name"] == name]
     return check
-
-
-@pytest.fixture(autouse=True)
-def deadline():
-    """A TimeoutError in place of a test that blocks for a minute, as a
-    parent that kept the pipe's write end open would on its read."""
-    def expire(signum, frame):
-        raise TimeoutError("the test did not end within 60 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 60.0)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_nan_level_gives_a_nan_rate():
@@ -64,12 +48,14 @@ def test_a_nan_mass_fails_the_mass_gate(monkeypatch):
 
 def test_a_nan_study_row_fails_the_difference_gates(monkeypatch):
     # the NaN sits on the second level, where max skipped it
-    rows = [{"n": n, "nt": 4 * n * n, "interior_max": 1e-3 / 4 ** i,
-             "boundary_max": 0.0, "initial_max": 0.0} for i, n in enumerate((128, 256, 512))]
-    rows[1]["boundary_max"] = rows[1]["initial_max"] = np.nan
+    rows = [{"n": n, "nt": n * n // 32, "interior_max": 1e-3 / 4 ** i,
+             "boundary_max": 0.0, "initial_max": 0.0, "step_max": 0.0}
+            for i, n in enumerate((64, 128, 256))]
+    rows[1]["boundary_max"] = rows[1]["initial_max"] = rows[1]["step_max"] = np.nan
     monkeypatch.setattr("fluxrecon.suites.difference_residual_study", lambda: rows)
     report = suites.forward_suite()
-    for name in ("difference_boundary_max", "difference_initial_max"):
+    for name in ("difference_boundary_max", "difference_initial_max",
+                 "march_step_identity_max"):
         check = _check(report, name)
         assert np.isnan(check["value"]) and not check["passed"]
     assert _check(report, "difference_residual_rate")["passed"]
@@ -85,13 +71,7 @@ def test_run_suite_calls_the_module_functions_by_name(monkeypatch):
     assert suites.run_suite("kernel")["suite"] == "kernel"
 
 
-# -- the forward suite in a forked child --------------------------------
-
-
-def _no_child_left():
-    # waitpid(-1) raises once this process has no child, reaped or not
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# -- all five suites -------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -105,50 +85,12 @@ def test_all_equals_the_suites_run_one_by_one(one_by_one):
     report = suites.run_suite("all")
     assert json.dumps(report["suites"], sort_keys=True) == one_by_one
     assert report["passed"]
-    _no_child_left()
 
 
-def test_all_without_fork_runs_in_process(monkeypatch, one_by_one):
-    monkeypatch.delattr(os, "fork")
+def test_all_starts_no_process(monkeypatch, one_by_one):
+    def no_fork():
+        raise OSError("run_suite must not fork")
+    monkeypatch.setattr(os, "fork", no_fork)
     report = suites.run_suite("all")
     assert json.dumps(report["suites"], sort_keys=True) == one_by_one
-    _no_child_left()
-
-
-def _stub_suites(monkeypatch):
-    for name in suites.SUITES:
-        monkeypatch.setattr(suites, f"{name}_suite",
-                            lambda name=name: {"suite": name, "checks": [], "passed": True})
-
-
-def test_an_error_in_the_child_is_raised_again(monkeypatch, capsys):
-    _stub_suites(monkeypatch)
-
-    def boom():
-        raise NumericalError("boom")
-    monkeypatch.setattr(suites, "forward_suite", boom)
-    with pytest.raises(NumericalError, match="^boom$"):
-        suites.run_suite("all")
-    _no_child_left()
-    assert main(["verify", "--suite", "all"]) == 3
-    assert "boom" in capsys.readouterr().err
-    _no_child_left()
-
-
-def test_a_child_that_exits_without_a_report_names_its_status(monkeypatch):
-    _stub_suites(monkeypatch)
-    monkeypatch.setattr(suites, "forward_suite", lambda: os._exit(7))
-    with pytest.raises(NumericalError, match="exited with status 7"):
-        suites.run_suite("all")
-    _no_child_left()
-
-
-def test_an_error_in_the_parent_still_reaps_the_child(monkeypatch):
-    _stub_suites(monkeypatch)
-
-    def broken():
-        raise ValueError("kernel")
-    monkeypatch.setattr(suites, "kernel_suite", broken)
-    with pytest.raises(ValueError, match="kernel"):
-        suites.run_suite("all")
-    _no_child_left()
+    assert report["passed"]
