@@ -241,8 +241,10 @@ def load_observation(csv_path: str | Path) -> tuple[ObservedData, ScenarioConfig
     meta = _read(meta_path, "observation metadata", json.loads)
     if not isinstance(meta, dict):
         raise InputError(f"metadata {meta_path} must be a JSON object")
-    if meta.get("schema") != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema {meta.get('schema')!r} in {meta_path}")
+    schema = meta.get("schema")
+    # an int and not a bool, as check_fields takes integers: True == 1.0 == 1
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema {schema!r} in {meta_path}")
     if "config" not in meta:
         raise InputError(f"metadata {meta_path} has no 'config' key")
     scenario = ScenarioConfig.from_dict(meta["config"])

@@ -137,11 +137,6 @@ def _check_rows(rows: np.ndarray, times: np.ndarray, m0: int) -> None:
     raise NumericalError(f"solver diverged at step {step} (t = {times[step]:g})")
 
 
-def _index(*axes):
-    """axes as an index: numpy takes a bare slice faster than a 1-tuple."""
-    return axes[0] if len(axes) == 1 else axes
-
-
 def interior_laplacian(w: np.ndarray, grid: SpatialGrid,
                        out: np.ndarray | None = None) -> np.ndarray:
     """The 3-point (interval) or 5-point (rectangle) Laplacian of w at the
@@ -244,10 +239,9 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
     times = np.linspace(0.0, data.final_time, nt + 1)
     solve = dirichlet_solver(grid, 0.5, dt / 4.0)
     inner = (slice(1, -1),) * dim
-    interior = _index(*inner)
     faces = [grid.face(s) for s in range(2 * dim)]
     ring = np.ones(grid.shape, dtype=bool)
-    ring[interior] = False
+    ring[inner] = False
     # phi at every boundary node and time, from one call of data.fn
     bc = data.table(grid.points[ring], times)
     r = [dt / (4.0 * h * h) for h in grid.h]
@@ -261,7 +255,7 @@ def _march(grid: SpatialGrid, reaction, data: DirichletData, nt: int,
         u[0] = u0
     # the interior of each buffer row and each row of k, taken once per
     # march
-    inners = [row[interior] for row in u]
+    inners = [row[inner] for row in u]
     k_rows = list(known)
     # the step's halved scalars as 0-d arrays, which a ufunc takes faster
     # than floats; c is c_m / 2

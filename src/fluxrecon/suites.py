@@ -56,7 +56,8 @@ def eigenbasis_suite() -> dict:
     checks.append(_check("interval_orthonormality_max_dev", dev, 1e-6))
 
     rect = rectangle()
-    dev2 = verify_orthonormality(make_basis(rect, 16), build_grid(rect, 128))
+    rect_basis = make_basis(rect, 16)
+    dev2 = verify_orthonormality(rect_basis, build_grid(rect, 128))
     checks.append(_check("rectangle_orthonormality_max_dev", dev2, 1e-6))
 
     # 3-point Laplacian applied to a sampled mode reproduces -lambda_k omega_k at O(h^2)
@@ -68,7 +69,7 @@ def eigenbasis_suite() -> dict:
         lap = interior_laplacian(w, g)
         errs.append(float(np.max(np.abs(lap + lam * w[1:-1]))))
     checks.append(_check("interval_eigen_residual_rate", _rate(errs), 1.9, larger_ok=True))
-    lams = make_basis(rect, 3).lambdas
+    lams = rect_basis.lambdas
     checks.append(_check("rectangle_multiplicity_gap", abs(float(lams[1]) - float(lams[2])), 1e-12))
     return _wrap("eigenbasis", checks)
 
@@ -180,13 +181,6 @@ def _mms_instance():
     return reaction, exact, source, data
 
 
-def _final_row(grid, reaction, data, nt, source, u0) -> np.ndarray:
-    """u at t = T, keeping only a block of time rows at a time."""
-    for _, rows in march(grid, reaction, data, nt, source, u0):
-        pass
-    return rows[-1]
-
-
 def mms_semidiscrete_final(grid: SpatialGrid) -> np.ndarray:
     """The interior of U_h(T), the exact solution of the manufactured
     instance's semi-discrete system on an interval grid. Its law is
@@ -216,18 +210,6 @@ def mms_spatial_errors(cells=SPATIAL_CELLS) -> list[float]:
             for g in grids]
 
 
-def mms_temporal_errors(steps=TEMPORAL_STEPS, n: int = TEMPORAL_N) -> list[float]:
-    """Interior error at t = T against the exact semi-discrete solution on
-    the same grid (mms_semidiscrete_final), which removes the h^2 floor and
-    isolates the order in dt."""
-    reaction, exact, source, data = _mms_instance()
-    grid = build_grid(interval(), n)
-    u0 = exact(grid.axes[0], 0.0)
-    ref = mms_semidiscrete_final(grid)
-    return [float(np.max(np.abs(_final_row(grid, reaction, data, nt, source, u0)[1:-1] - ref)))
-            for nt in steps]
-
-
 def _step_defect(u, lap_s, f, f_before, dt: float, out) -> float:
     """The largest defect of a march block's steps in the identity each
     step m must satisfy at the interior nodes,
@@ -248,25 +230,34 @@ def _step_defect(u, lap_s, f, f_before, dt: float, out) -> float:
     return np.max(np.abs(d, out=d))
 
 
-def mms_step_max(nt: int = TEMPORAL_STEPS[0], n: int = TEMPORAL_N) -> float:
-    """`step_max` (see difference_residual) of the manufactured instance's
-    march. The difference study starts from 0, where f(u_0) = 0, so only
-    a march from the manufactured u_0 shows the first step's law term.
-    Its source q at the half step enters the identity as
-    dt q = (dt/2) 2q, beside lap_s."""
+def mms_temporal_study(steps=TEMPORAL_STEPS, n: int = TEMPORAL_N) -> tuple[list[float], float]:
+    """Each level of steps marched once, on n cells. It returns each
+    level's interior error at t = T against the exact semi-discrete
+    solution on the same grid (mms_semidiscrete_final), which removes the
+    h^2 floor and isolates the order in dt, and the largest `step_max`
+    (see difference_residual) of the levels. The difference study starts
+    from 0, where f(u_0) = 0, so only a march from the manufactured u_0
+    shows the first step's law term. The source q at the half step enters
+    the identity as dt q = (dt/2) 2q, beside lap_s."""
     reaction, exact, source, data = _mms_instance()
     grid = build_grid(interval(), n)
-    dt = data.final_time / nt
-    half = np.linspace(0.0, data.final_time, nt + 1)[:-1] + 0.5 * dt
-    worst, u_max = [], []
-    for m0, u in march(grid, reaction, data, nt, source, exact(grid.axes[0], 0.0)):
-        lap_s = interior_laplacian(u[:-1] + u[1:], grid)
-        lap_s += 2.0 * source(grid, half[m0:m0 + len(u) - 1, None])[:, 1:-1]
-        f = reaction.fn(u[:-1, 1:-1])
-        worst.append(_step_defect(u, lap_s, f, f_last if m0 else f[0], dt, np.empty_like(f)))
-        u_max.append(np.max(np.abs(u)))
-        f_last = f[-1].copy()
-    return float(np.max(worst) / (dt * np.max(u_max)))
+    u0 = exact(grid.axes[0], 0.0)
+    ref = mms_semidiscrete_final(grid)
+    errors, step = [], []
+    for nt in steps:
+        dt = data.final_time / nt
+        half = np.linspace(0.0, data.final_time, nt + 1)[:-1] + 0.5 * dt
+        worst, u_max = [], []
+        for m0, u in march(grid, reaction, data, nt, source, u0):
+            lap_s = interior_laplacian(u[:-1] + u[1:], grid)
+            lap_s += 2.0 * source(grid, half[m0:m0 + len(u) - 1, None])[:, 1:-1]
+            f = reaction.fn(u[:-1, 1:-1])
+            worst.append(_step_defect(u, lap_s, f, f_last if m0 else f[0], dt, np.empty_like(f)))
+            u_max.append(np.max(np.abs(u)))
+            f_last = f[-1].copy()
+        errors.append(float(np.max(np.abs(u[-1, 1:-1] - ref))))
+        step.append(np.max(worst) / (dt * np.max(u_max)))
+    return errors, float(np.max(step))
 
 
 def difference_residual(grid: SpatialGrid, reaction: Nonlinearity, phi: DirichletData,
@@ -334,11 +325,12 @@ def difference_residual_study(levels=((64, 128), (128, 512), (256, 2048))) -> li
 def forward_suite() -> dict:
     """The three refinement studies, run once: the forward gates on their
     rates and residuals, the march's step identity (the largest
-    `step_max` of the difference study's levels and of mms_step_max), and
-    a `table` of the study rows {"study", "n", "nt", "error", "rate"},
-    each rate taken from the level before (null on a study's first level,
-    as nt is on every spatial row)."""
-    es, et = mms_spatial_errors(), mms_temporal_errors()
+    `step_max` of the temporal and difference studies' marches, all nine
+    of them), and a `table` of the study rows {"study", "n", "nt",
+    "error", "rate"}, each rate taken from the level before (null on a
+    study's first level, as nt is on every spatial row)."""
+    es = mms_spatial_errors()
+    et, mms_step = mms_temporal_study()
     rows = difference_residual_study()
     report = _wrap("forward", [
         _check("mms_spatial_rate", _rate(es), 1.9, larger_ok=True),
@@ -349,7 +341,7 @@ def forward_suite() -> dict:
         _check("difference_boundary_max", np.max([r["boundary_max"] for r in rows]), 1e-12),
         _check("difference_initial_max", np.max([r["initial_max"] for r in rows]), 1e-12),
         _check("march_step_identity_max",
-               np.max([mms_step_max()] + [r["step_max"] for r in rows]), 1e-9),
+               np.max([mms_step] + [r["step_max"] for r in rows]), 1e-9),
     ])
     studies = (("mms_spatial", [(n, None) for n in SPATIAL_CELLS], es),
                ("mms_temporal", [(TEMPORAL_N, nt) for nt in TEMPORAL_STEPS], et),

@@ -208,10 +208,12 @@ class TestObservationIO:
         obs, _ = load_observation(_write_pair(tmp_path / "d", csv_text, json.dumps(meta)))
         assert (obs.noise_level, obs.seed) == (float(scenario.noise_level), scenario.seed)
 
-    def test_wrong_schema(self, cheap_obs, tmp_path):
+    # True and 1.0 equal 1 in Python, but only the int 1 is schema 1
+    @pytest.mark.parametrize("schema", [99, True, 1.0, "1"])
+    def test_wrong_schema(self, cheap_obs, tmp_path, schema):
         _, csv_text, meta_text = cheap_obs
         meta = json.loads(meta_text)
-        meta["schema"] = 99
+        meta["schema"] = schema
         path = _write_pair(tmp_path / "d", csv_text, json.dumps(meta))
         with pytest.raises(InputError, match="unsupported schema"):
             load_observation(path)
@@ -785,7 +787,7 @@ class TestCli:
                  "boundary_max": boundary_max, "initial_max": 0.0, "step_max": 0.0}
                 for n, e in zip((128, 256, 512), errs)]
         monkeypatch.setattr("fluxrecon.suites.mms_spatial_errors", lambda *a: errs)
-        monkeypatch.setattr("fluxrecon.suites.mms_temporal_errors", lambda *a: errs)
+        monkeypatch.setattr("fluxrecon.suites.mms_temporal_study", lambda *a: (errs, 0.0))
         monkeypatch.setattr("fluxrecon.suites.difference_residual_study", lambda: rows)
         assert main(["verify", "--suite", "forward", "--out", str(tmp_path)]) == (
             0 if passed else 3)

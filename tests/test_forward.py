@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
+from fluxrecon import suites
 from fluxrecon.errors import ConfigurationError, InputError, NumericalError
 from fluxrecon.families import make_boundary_data, make_reaction
 from fluxrecon.fields import BoundaryTrace, SolutionField
@@ -13,14 +14,20 @@ from fluxrecon.forward import (DirichletData, Nonlinearity, dirichlet_solver,
                                sine_tables, solve_linear_heat, solve_semilinear,
                                synthesize_observation)
 from fluxrecon.geometry import boundary_nodes, build_grid, interval, rectangle
-from fluxrecon.suites import (SPATIAL_CELLS, TEMPORAL_STEPS, _final_row, _halving_rates,
-                              _mms_instance, _rate, difference_residual,
-                              difference_residual_study, forward_suite, mms_semidiscrete_final,
-                              mms_spatial_errors, mms_step_max, mms_temporal_errors)
+from fluxrecon.suites import (SPATIAL_CELLS, TEMPORAL_STEPS, _halving_rates, _mms_instance, _rate,
+                              difference_residual, difference_residual_study, forward_suite,
+                              mms_semidiscrete_final, mms_spatial_errors, mms_temporal_study)
 
 
 def _ramp(domain, T=1.0):
     return make_boundary_data({"family": "ramp", "profile": "const"}, domain, T)
+
+
+def _last_row(*args):
+    """u at t = T from suites.march, so a patch set on it is the march taken."""
+    for _, rows in suites.march(*args):
+        pass
+    return rows[-1]
 
 
 class TestSolvers:
@@ -60,7 +67,7 @@ class TestSolvers:
     def test_mms_rates(self):
         es = mms_spatial_errors(cells=(16, 32))
         assert np.log2(es[0] / es[1]) > 1.9
-        et = mms_temporal_errors(steps=(16, 32), n=64)
+        et, _ = mms_temporal_study(steps=(16, 32), n=64)
         assert np.log2(et[0] / et[1]) > 1.9
 
     def test_divergence_raises(self):
@@ -679,7 +686,7 @@ class TestDirichletSolver:
 
 
 class TestMmsTemporalReference:
-    """mms_temporal_errors measures each level against the exact solution of
+    """mms_temporal_study measures each level against the exact solution of
     the manufactured instance's semi-discrete system, U_h(T)."""
 
     @pytest.mark.parametrize("n", [8, 13, 16])
@@ -700,7 +707,7 @@ class TestMmsTemporalReference:
         assert np.max(np.abs(mms_semidiscrete_final(grid) - v @ coef)) < 1e-13
 
     def test_the_march_converges_to_it_at_order_two(self):
-        rates = _halving_rates(mms_temporal_errors(steps=[128 * 2 ** i for i in range(7)]))
+        rates = _halving_rates(mms_temporal_study(steps=[128 * 2 ** i for i in range(7)])[0])
         assert len(rates) == 6 and all(1.99 <= r <= 2.02 for r in rates), rates
 
     def test_sees_a_march_that_converges_to_the_wrong_system(self, monkeypatch):
@@ -712,12 +719,12 @@ class TestMmsTemporalReference:
                     rows[-1, 1:-1] += 1e-6
                 yield m0, rows
         monkeypatch.setattr("fluxrecon.suites.march", offset)
-        assert _rate(mms_temporal_errors()) < 1.9
+        assert _rate(mms_temporal_study()[0]) < 1.9
         reaction, exact, source, data = _mms_instance()
         grid = build_grid(interval(), 128)
         u0 = exact(grid.axes[0], 0.0)
-        ref = _final_row(grid, reaction, data, 2048, source, u0)
-        rows = [_final_row(grid, reaction, data, nt, source, u0) for nt in TEMPORAL_STEPS]
+        ref = _last_row(grid, reaction, data, 2048, source, u0)
+        rows = [_last_row(grid, reaction, data, nt, source, u0) for nt in TEMPORAL_STEPS]
         assert _rate([float(np.max(np.abs(row - ref))) for row in rows]) > 1.9
 
     def test_marches_only_its_levels(self, monkeypatch):
@@ -727,7 +734,7 @@ class TestMmsTemporalReference:
             seen.append(nt)
             return march(grid, reaction, data, nt, *args)
         monkeypatch.setattr("fluxrecon.suites.march", spy)
-        mms_temporal_errors()
+        mms_temporal_study()
         assert seen == list(TEMPORAL_STEPS)
 
 
@@ -752,7 +759,7 @@ class TestMmsSpatialStudy:
         marched = []
         for n in SPATIAL_CELLS:
             grid = build_grid(interval(), n)
-            row = _final_row(grid, reaction, data, 4096, source, exact(grid.axes[0], 0.0))
+            row = _last_row(grid, reaction, data, 4096, source, exact(grid.axes[0], 0.0))
             marched.append(float(np.max(np.abs(row - exact(grid.axes[0], data.final_time)))))
         assert mms_spatial_errors() == pytest.approx(marched, rel=0.0, abs=1e-8)
 
@@ -1073,8 +1080,8 @@ class TestDifferenceResidual:
 
 
 class TestMmsStepMax:
-    """mms_step_max holds the manufactured instance's march, with its
-    source and its nonzero start, to its step."""
+    """The step_max of mms_temporal_study holds the manufactured instance's
+    marches, with their source and their nonzero start, to their step."""
 
     # 16 steps are one block; 130 cross two block edges
     @pytest.mark.parametrize("nt", [16, 130])
@@ -1085,13 +1092,14 @@ class TestMmsStepMax:
                              u0=exact(grid.axes[0], 0.0))
         half = np.linspace(0.0, 1.0, nt + 1)[:-1] + 0.5 / nt
         ref = _reference_step_max(u, reaction, q=source(grid, half[:, None]))
-        assert mms_step_max(nt) == pytest.approx(ref, rel=1e-9)
-        assert mms_step_max(nt) <= 1e-9
+        _, step_max = mms_temporal_study(steps=(nt,))
+        assert step_max == pytest.approx(ref, rel=1e-9)
+        assert step_max <= 1e-9
 
     def test_sees_a_first_step_off_by_its_law_term(self, monkeypatch):
         # u_1 moved by -dt f(u_0) / 2 = -(dt / 2) u_0 with f(u) = u: the
         # first step then takes 3/2 dt f(u_0), as a march with c_0 = c_m
-        # would, up to the solve. The temporal study cannot see this: by
+        # would, up to the solve. The study's errors cannot see this: by
         # t = T the heat flow damps it by about e^{-(pi^2 + 1)}.
         def bootstrap_lost(grid, reaction, data, nt, source, u0):
             for m0, rows in march(grid, reaction, data, nt, source, u0):
@@ -1099,7 +1107,20 @@ class TestMmsStepMax:
                     rows[1, 1:-1] -= 0.5 * data.final_time / nt * rows[0, 1:-1]
                 yield m0, rows
         monkeypatch.setattr("fluxrecon.suites.march", bootstrap_lost)
-        assert mms_step_max() > 0.1
+        assert mms_temporal_study()[1] > 0.1
+
+    def test_forward_suite_marches_each_level_once(self, monkeypatch):
+        # the temporal levels once each, where the step identity is read
+        # too, and the difference levels twice each (u and v)
+        seen = []
+
+        def spy(grid, reaction, data, nt, *args):
+            seen.append(nt)
+            return march(grid, reaction, data, nt, *args)
+        monkeypatch.setattr("fluxrecon.suites.march", spy)
+        forward_suite()
+        assert [seen.count(nt) for nt in TEMPORAL_STEPS] == [1, 1, 1]
+        assert len(seen) == 9
 
 
 class TestAdmissibility:
